@@ -8,7 +8,7 @@ identity into one layered cache implementation instead of three ad-hoc
 ones:
 
 * :mod:`repro.cache.lru` — the thread-safe in-memory LRU with observable
-  counters (previously ``repro.serve.cache``, which now re-exports it);
+  counters;
 * :mod:`repro.cache.disk` — a content-addressed, versioned on-disk store
   with atomic multi-process-safe writes, quarantine of corrupt entries,
   and a size-bounded access-time ``gc()``;

@@ -17,8 +17,8 @@ possible:
   ``numpy.random.SeedSequence`` and a splitmix64 counter construction, so
   a draw is addressed by *position within its node's stream*, not by
   global event order. The sequential drain consumes the very same streams
-  when ``variability={"scheme": "counter"}`` is passed (the Monte-Carlo
-  backends select that scheme automatically for batch-eligible designs),
+  when ``variability={"scheme": "counter"}`` is passed
+  (:func:`mc_variability` selects that scheme for batch-eligible designs),
   which is what lets a width-N batch and a width-1 replay produce the same
   bits for the same seed.
 
@@ -252,14 +252,28 @@ def batch_eligible(compiled: CompiledCircuit) -> bool:
     (``Functional`` holes run arbitrary Python per dispatch) and every
     firing delay is a constant, :class:`Normal`, or :class:`Uniform` — the
     delay shapes the counter streams can resolve lane-wise. The answer is
-    memoized on the compile cache; Monte-Carlo backends use it to pick the
-    noise scheme, so ineligible designs keep the original python-rng
+    memoized on the compile cache; :func:`mc_variability` uses it to pick
+    the noise scheme, so ineligible designs keep the original python-rng
     semantics on every backend.
     """
     cached = compiled._cache.get("batch_eligible")
     if cached is None:
         cached = compiled._cache["batch_eligible"] = _compute_eligible(compiled)
     return cached
+
+
+def mc_variability(circuit, sigma: float) -> dict:
+    """The ``variability`` argument of every Monte-Carlo run of ``circuit``.
+
+    This is the one place that maps a design to its noise scheme.
+    Batch-eligible designs get the counter scheme — the per-(seed, node)
+    streams the vectorized drain consumes — so batched and per-seed runs
+    draw identical noise for identical seeds and stay mutually
+    bit-identical. Ineligible designs keep the original python-rng scheme.
+    """
+    if batch_eligible(compile_circuit(circuit)):
+        return {"stddev": sigma, "scheme": "counter"}
+    return {"stddev": sigma}
 
 
 def _compute_eligible(compiled: CompiledCircuit) -> bool:
@@ -289,10 +303,10 @@ class BatchReport:
 
     ``batched_lanes`` counts seeds that completed entirely inside a batch;
     ``fallback_seeds`` lists, in seed order, every seed classified by the
-    sequential drain instead (divergence replays, calibration seeds,
-    ineligible designs); ``divergence`` tallies why, keyed by cause
-    (``grouping`` / ``order`` / ``coincidence`` / ``tie-break`` /
-    ``violation`` / ``overflow`` / ``error`` / ``ineligible``).
+    sequential drain instead (divergence replays, ineligible designs);
+    ``divergence`` tallies why, keyed by cause (``grouping`` / ``order`` /
+    ``coincidence`` / ``tie-break`` / ``violation`` / ``overflow`` /
+    ``error`` / ``ineligible``).
     """
 
     batched_lanes: int = 0
@@ -749,13 +763,12 @@ def _run_one_batch(
     sim,
     compiled: CompiledCircuit,
     predicate,
-    sigma: float,
+    variability: dict,
     seeds: Sequence[int],
     collect_stats: bool,
     report: BatchReport,
     max_pulses: Optional[int],
 ) -> Tuple[List[str], List]:
-    variability = {"stddev": sigma, "scheme": "counter"}
     spec = VariabilitySpec.normalize(variability)
     noise = CounterNoise.for_seeds(seeds)
     result = _drain(compiled, spec, noise, collect_stats, max_pulses)
@@ -809,18 +822,16 @@ def run_batch(
     if not seeds:
         return [], [], report
     compiled = compile_circuit(sim.circuit)
+    variability = mc_variability(sim.circuit, sigma)
     if not batch_eligible(compiled):
         report.count("ineligible", len(seeds))
         report.fallback_seeds.extend(seeds)
-        outcomes, stats = _replay_seeds(
-            sim, predicate, {"stddev": sigma}, seeds, collect_stats
-        )
-        return outcomes, stats, report
-    width = resolve_batch(batch, len(seeds))
+        width = 0
+    else:
+        width = resolve_batch(batch, len(seeds))
     if width == 0:
         outcomes, stats = _replay_seeds(
-            sim, predicate, {"stddev": sigma, "scheme": "counter"}, seeds,
-            collect_stats,
+            sim, predicate, variability, seeds, collect_stats
         )
         return outcomes, stats, report
     outcomes = []
@@ -828,8 +839,8 @@ def run_batch(
     for start in range(0, len(seeds), width):
         chunk = seeds[start:start + width]
         chunk_outcomes, chunk_stats = _run_one_batch(
-            sim, compiled, predicate, sigma, chunk, collect_stats, report,
-            max_pulses,
+            sim, compiled, predicate, variability, chunk, collect_stats,
+            report, max_pulses,
         )
         outcomes.extend(chunk_outcomes)
         stats.extend(chunk_stats)

@@ -712,10 +712,9 @@ def lint_cache_key(
     digest: str,
     *,
     rules: Tuple[str, ...],
-    tolerance: float,
     max_states: Optional[int],
     time_limit: Optional[float],
-) -> Tuple[str, str, Tuple[str, ...], float, Optional[int], Optional[float]]:
+) -> Tuple[str, str, Tuple[str, ...], Optional[int], Optional[float]]:
     """The canonical memo key for one reachability-lint analysis (PL4xx).
 
     Same contract as :func:`result_cache_key` for the serve result cache:
@@ -729,9 +728,6 @@ def lint_cache_key(
     * ``rules`` — the enabled PL4xx subset, normalized sorted (deselecting
       PL402 skips race collection and deselecting PL403 skips witness
       replay, so different subsets are genuinely different analyses);
-    * ``tolerance`` — reserved for parity with the interval rules' knob
-      (PL4xx findings are exact, but the key mirrors the documented
-      ``(hash_version, structural_hash, rule-set, tolerance)`` contract);
     * the exploration budget — a truncated analysis at a small budget must
       never be served to a request with a larger one.
 
@@ -744,7 +740,6 @@ def lint_cache_key(
         _HASH_VERSION,
         digest,
         tuple(sorted(rules)),
-        float(tolerance),
         max_states,
         None if time_limit is None else float(time_limit),
     )

@@ -25,8 +25,7 @@ from .parallel import (
     default_engine,
     merge_stats,
     resolve_workers,
-    run_chunk_batched,
-    run_chunk_stats_batched,
+    run_chunk,
 )
 from .simulation import Events
 
@@ -56,14 +55,13 @@ class YieldResult:
     stats: Optional["SimMetrics"] = None
     # Vectorized-drain observability (repro.core.batchsim). Excluded from
     # equality: two backends producing the same outcomes are equal results
-    # even if one batched more lanes (e.g. the adaptive engine classifies
-    # a calibration seed outside any batch).
+    # even if one batched more lanes (a pool groups seeds into different
+    # batches than the serial path, and divergence is judged per batch).
     #: seeds classified entirely inside a vectorized batch.
     batched_lanes: int = field(default=0, compare=False)
     #: seeds replayed on the per-seed reference drain, in seed order.
     fallback_seeds: List[int] = field(default_factory=list, compare=False)
-    #: divergence cause -> count for the replayed seeds (empty when every
-    #: fallback was a non-divergence, e.g. calibration or batch=0).
+    #: divergence cause -> count, one per replayed seed.
     divergence: Dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
@@ -159,7 +157,7 @@ def measure_yield(
             f"unknown engine {engine!r}: expected a YieldEngine instance, "
             "'auto', 'pool', 'serial', or None"
         )
-    stats: Optional["SimMetrics"] = None
+    stats: Optional["SimMetrics"]
     report: BatchReport
     if resolved_engine is not None:
         outcomes, stats = resolved_engine.run(
@@ -173,19 +171,16 @@ def measure_yield(
             batch=batch,
         )
         report = resolved_engine.last_report
-    elif collect_stats:
-        outcomes, per_seed, report = run_chunk_stats_batched(
-            factory, predicate, sigma, seeds, batch
-        )
-        stats = merge_stats(per_seed)
     else:
         # Elaborate + compile once, then drain all seeds through the
         # vectorized batched loop (element-wise identical to per-seed
         # simulation — tests/test_differential.py). This is the
         # workers=1 production path.
-        outcomes, report = run_chunk_batched(
-            factory, predicate, sigma, seeds, batch
+        outcomes, per_seed, report = run_chunk(
+            factory, predicate, sigma, seeds, batch=batch,
+            collect_stats=collect_stats,
         )
+        stats = merge_stats(per_seed)
     if len(outcomes) != len(seeds):
         # zip() would silently truncate and shift outcomes onto the wrong
         # seeds; the per-chunk guard in repro.core.parallel names the

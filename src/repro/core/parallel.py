@@ -1,20 +1,20 @@
-"""Parallel Monte-Carlo execution: a persistent seed-sharded worker pool.
+"""Monte-Carlo execution: one chunk path, run in-process or on a worker pool.
 
-Section 5.2's yield sweeps re-run the same design once per seed; every run
-is independent, so the sweep shards its seed list into contiguous chunks
-and farms them out to a ``concurrent.futures`` process pool.
+Section 5.2's yield sweeps classify each seed of a seed list. Every
+backend does that through one computation: elaborate the design once and
+drain a contiguous chunk of seeds through
+:func:`repro.core.batchsim.run_batch` (the vectorized drain, with
+per-seed replays for diverging lanes). :func:`run_chunk` is that
+computation in-process; :func:`_engine_chunk` is the same ``run_batch``
+inside a pool worker, against a circuit installed once per worker. Both
+return ``run_batch``'s ``(outcomes, per_seed_stats, report)`` triple.
 
 The pool lives inside a :class:`YieldEngine`, which is built to be
 *reused*: one ``ProcessPoolExecutor`` is created lazily on the first
 parallel run and kept warm across every subsequent ``measure_yield`` /
 ``yield_curve`` / ``critical_sigma`` call that uses the same engine (the
 module-level :func:`default_engine` cache, keyed by worker count, makes
-this automatic). Re-creating a pool per call — the pre-engine design —
-made 200-seed sweeps *slower* than sequential on multi-core hosts because
-interpreter spawn plus per-chunk pickling of the circuit factory swamped
-the simulation work.
-
-Three further costs are amortized away:
+this automatic). Three costs are amortized away:
 
 * ``factory`` and ``predicate`` are shipped to each worker **once**, via
   the pool ``initializer``, instead of being pickled into every chunk;
@@ -24,21 +24,23 @@ Three further costs are amortized away:
   elaboration — ``tests/test_determinism.py`` locks this);
 * an adaptive serial fallback runs small sweeps in-process when the
   estimated work (seeds x a per-task calibrated per-seed cost) cannot
-  amortize pool overhead, so parallel mode is never a pessimization.
+  amortize pool overhead, so parallel mode is never a pessimization. The
+  calibration seed is itself a one-seed :func:`run_chunk`, so its outcome
+  is kept.
 
 Robustness: a worker crash (``BrokenProcessPool``) triggers a loud
 warning, one retry on a fresh pool, and — if that also fails — graceful
-degradation to the sequential reference path for the remaining chunks
-(and for subsequent calls on the same engine).
+degradation to in-process :func:`run_chunk` calls for the remaining
+chunks (and for subsequent calls on the same engine).
 
 Determinism contract: chunks are contiguous slices of the caller's seed
-list and results are merged back in chunk order, so the outcome sequence —
-and therefore every :class:`~repro.core.montecarlo.YieldResult` field,
-including the insertion order of the ``failures`` dict — is bit-identical
-to running the same seed list sequentially, on every backend path
-(warm pool, cold pool, calibration prefix, serial fallback, crash
-degradation). The sequential path in :mod:`repro.core.montecarlo` stays
-the reference implementation (``workers=1``).
+list and results — outcomes and per-seed metrics alike — are merged back
+in chunk order, so the outcome sequence and the seed-order stats fold
+(:func:`merge_stats`) — and therefore every
+:class:`~repro.core.montecarlo.YieldResult` field, including the
+insertion order of the ``failures`` dict — are bit-identical on every
+backend path (serial, warm pool, cold pool, calibration prefix, crash
+degradation).
 
 Process pools pickle their tasks, so ``factory`` and ``predicate`` must be
 module-level callables (or otherwise picklable objects); lambdas and
@@ -67,15 +69,14 @@ from typing import (
     Union,
 )
 
-from .batchsim import (
+from .batchsim import (  # outcome tokens re-exported for montecarlo
     MIS_BEHAVED,
     OK,
     VIOLATION,
     BatchReport,
-    batch_eligible,
     run_batch,
 )
-from .errors import PylseError, SimulationError
+from .errors import PylseError
 from .ir import compile_circuit
 from .simulation import Events, Simulation
 
@@ -83,205 +84,37 @@ if TYPE_CHECKING:  # layering: core never imports repro.obs at runtime
     from ..obs.metrics import SimMetrics
 
 
-def mc_variability(circuit, sigma: float) -> dict:
-    """The ``variability`` argument every Monte-Carlo backend passes.
-
-    Batch-eligible designs (see :func:`repro.core.batchsim.batch_eligible`)
-    get the counter noise scheme — the per-(seed, node) streams the
-    vectorized drain consumes — so batched, per-seed, pooled, and serial
-    sweeps all draw identical noise for identical seeds and stay mutually
-    bit-identical. Ineligible designs keep the original python-rng scheme
-    on every backend.
-    """
-    if batch_eligible(compile_circuit(circuit)):
-        return {"stddev": sigma, "scheme": "counter"}
-    return {"stddev": sigma}
-
-
-def classify_seed(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seed: int,
-) -> str:
-    """One Monte-Carlo trial: build, simulate under noise, judge.
-
-    This is the unit of work shared by the sequential and parallel
-    backends, which is what makes their results definitionally identical.
-    """
-    circuit = factory()
-    try:
-        events = Simulation(circuit).simulate(
-            variability=mc_variability(circuit, sigma), seed=seed
-        )
-    except SimulationError:
-        return VIOLATION
-    return OK if predicate(events) else MIS_BEHAVED
-
-
 def run_chunk(
     factory: Callable[[], object],
     predicate: Callable[[Events], bool],
     sigma: float,
     seeds: Sequence[int],
-) -> List[str]:
-    """Classify a contiguous chunk of seeds (the reference per-chunk task)."""
-    return [classify_seed(factory, predicate, sigma, seed) for seed in seeds]
-
-
-def classify_seed_stats(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seed: int,
-) -> Tuple[str, "SimMetrics"]:
-    """:func:`classify_seed` plus this run's per-cell metrics.
-
-    A fresh metrics-only observer (provenance would grow a graph per run
-    for nothing) rides along on the simulation; its ``SimMetrics`` is
-    returned even when the run ends in a timing violation, so violation
-    counts and the partial activity leading up to the failure are kept.
-    """
-    from ..obs import Observer
-
-    observer = Observer(provenance=False, metrics=True)
-    circuit = factory()
-    try:
-        events = Simulation(circuit).simulate(
-            variability=mc_variability(circuit, sigma), seed=seed,
-            observer=observer,
-        )
-    except SimulationError:
-        return VIOLATION, observer.metrics
-    outcome = OK if predicate(events) else MIS_BEHAVED
-    return outcome, observer.metrics
-
-
-def run_chunk_stats(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-) -> Tuple[List[str], List["SimMetrics"]]:
-    """Stats-collecting reference chunk task: outcomes plus *per-seed* metrics.
-
-    Metrics are deliberately not pre-merged inside the chunk: histogram
-    totals are float sums, so the merge association order matters for
-    bit-determinism. Shipping one ``SimMetrics`` per seed lets the parent
-    fold them in seed order — the same association the sequential backend
-    uses (see :func:`merge_stats`).
-    """
-    outcomes: List[str] = []
-    stats: List["SimMetrics"] = []
-    for seed in seeds:
-        outcome, metrics = classify_seed_stats(factory, predicate, sigma, seed)
-        outcomes.append(outcome)
-        stats.append(metrics)
-    return outcomes, stats
-
-
-def run_chunk_reused(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-) -> List[str]:
-    """:func:`run_chunk` that elaborates and compiles the circuit once.
-
-    Each seed re-simulates the same :class:`Simulation` through its
-    ``reset`` hook — bit-identical to a fresh ``factory()`` per seed
-    (locked by ``tests/test_determinism.py``) while paying elaboration and
-    ``compile_circuit`` exactly once per chunk. This is the in-process
-    sequential path used by the engine and ``measure_yield(workers=1)``;
-    :func:`run_chunk` stays as the definitional reference.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return []
-    sim = Simulation(factory())
-    variability = mc_variability(sim.circuit, sigma)
-    outcomes: List[str] = []
-    for seed in seeds:
-        sim.reset()
-        try:
-            events = sim.simulate(variability=variability, seed=seed)
-        except SimulationError:
-            outcomes.append(VIOLATION)
-            continue
-        outcomes.append(OK if predicate(events) else MIS_BEHAVED)
-    return outcomes
-
-
-def run_chunk_stats_reused(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-) -> Tuple[List[str], List["SimMetrics"]]:
-    """:func:`run_chunk_reused` plus one fresh ``SimMetrics`` per seed."""
-    from ..obs import Observer
-
-    seeds = list(seeds)
-    if not seeds:
-        return [], []
-    sim = Simulation(factory())
-    variability = mc_variability(sim.circuit, sigma)
-    outcomes: List[str] = []
-    stats: List["SimMetrics"] = []
-    for seed in seeds:
-        sim.reset()
-        observer = Observer(provenance=False, metrics=True)
-        try:
-            events = sim.simulate(
-                variability=variability, seed=seed, observer=observer
-            )
-        except SimulationError:
-            outcomes.append(VIOLATION)
-            stats.append(observer.metrics)
-            continue
-        outcomes.append(OK if predicate(events) else MIS_BEHAVED)
-        stats.append(observer.metrics)
-    return outcomes, stats
-
-
-def run_chunk_batched(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
+    *,
     batch: Union[int, str, None] = None,
-) -> Tuple[List[str], BatchReport]:
-    """:func:`run_chunk_reused` through the vectorized batched drain.
-
-    Element-wise identical to the per-seed path (divergent lanes replay on
-    the reference drain; ``tests/test_differential.py`` locks this) and
-    ~an order of magnitude faster on batch-eligible designs. This is the
-    ``measure_yield(workers=1)`` production path.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return [], BatchReport()
-    sim = Simulation(factory())
-    outcomes, _stats, report = run_batch(
-        sim, predicate, sigma, seeds, collect_stats=False, batch=batch
-    )
-    return outcomes, report
-
-
-def run_chunk_stats_batched(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-    batch: Union[int, str, None] = None,
+    collect_stats: bool = False,
 ) -> Tuple[List[str], List["SimMetrics"], BatchReport]:
-    """:func:`run_chunk_batched` plus one ``SimMetrics`` per seed."""
+    """Classify a contiguous chunk of seeds in-process.
+
+    Elaborates and compiles the circuit once, then drains every seed
+    through :func:`~repro.core.batchsim.run_batch`. Returns its
+    ``(outcomes, per_seed_stats, report)`` triple: outcomes in seed
+    order, one fresh ``SimMetrics`` per seed when ``collect_stats`` (empty
+    otherwise), and the chunk's :class:`BatchReport`. This is the serial,
+    calibration and degraded path of every Monte-Carlo backend; pool
+    workers run the same ``run_batch`` against their pre-elaborated
+    circuit (:func:`_engine_chunk`).
+
+    Per-seed metrics are deliberately not pre-merged: histogram totals
+    are float sums, so the merge association order matters for
+    bit-determinism. The caller folds them in seed order
+    (:func:`merge_stats`).
+    """
     seeds = list(seeds)
     if not seeds:
         return [], [], BatchReport()
-    sim = Simulation(factory())
     return run_batch(
-        sim, predicate, sigma, seeds, collect_stats=True, batch=batch
+        Simulation(factory()), predicate, sigma, seeds,
+        collect_stats=collect_stats, batch=batch,
     )
 
 
@@ -352,10 +185,18 @@ def chunk_seeds(seeds: Sequence[int], chunks: int) -> List[Sequence[int]]:
     return out
 
 
-def _require_picklable(factory, predicate) -> None:
+def _pickle_task(factory, predicate, required: bool) -> Optional[bytes]:
+    """The task's pickle: the pool's identity key and the cost-model key.
+
+    An unpicklable task still runs in-process (``None``: no cost memo),
+    but is rejected up front with a clear error whenever the pool is a
+    possibility, instead of failing mid-pool.
+    """
     try:
-        pickle.dumps((factory, predicate))
+        return pickle.dumps((factory, predicate))
     except Exception as err:
+        if not required:
+            return None
         raise PylseError(
             "Parallel Monte-Carlo needs a picklable factory and predicate "
             "(module-level functions, not lambdas or closures) so they can "
@@ -385,77 +226,6 @@ def _check_chunk(
         )
 
 
-def run_seeds_parallel(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-    workers: int,
-    chunks_per_worker: int = 1,
-) -> List[str]:
-    """Classify every seed using a throwaway process pool; seed order kept.
-
-    This is the original one-shot backend, kept as the simple reference
-    for the pooled path: :class:`YieldEngine` is the production backend
-    (persistent pool, initializer-shipped task, adaptive fallback) and is
-    what ``measure_yield(..., workers=N)`` uses.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return []
-    _require_picklable(factory, predicate)
-    chunks = chunk_seeds(seeds, workers * max(1, chunks_per_worker))
-    outcomes: List[str] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_chunk, factory, predicate, sigma, chunk)
-            for chunk in chunks
-        ]
-        for index, future in enumerate(futures):  # submission order == seed order
-            chunk_outcomes = future.result()
-            _check_chunk(index, chunks[index], len(chunk_outcomes))
-            outcomes.extend(chunk_outcomes)
-    return outcomes
-
-
-def run_seeds_parallel_stats(
-    factory: Callable[[], object],
-    predicate: Callable[[Events], bool],
-    sigma: float,
-    seeds: Sequence[int],
-    workers: int,
-    chunks_per_worker: int = 1,
-) -> Tuple[List[str], Optional["SimMetrics"]]:
-    """:func:`run_seeds_parallel` that also aggregates per-cell metrics.
-
-    Workers return one ``SimMetrics`` per seed; the parent folds them in
-    seed order via :func:`merge_stats`, so the aggregate is bit-identical
-    to ``workers=1`` for the same seed list. Returns ``(outcomes,
-    merged_stats)``; stats is None for an empty seed list.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return [], None
-    _require_picklable(factory, predicate)
-    chunks = chunk_seeds(seeds, workers * max(1, chunks_per_worker))
-    outcomes: List[str] = []
-    per_seed: List["SimMetrics"] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_chunk_stats, factory, predicate, sigma, chunk)
-            for chunk in chunks
-        ]
-        for index, future in enumerate(futures):  # submission order == seed order
-            chunk_outcomes, chunk_stats = future.result()
-            _check_chunk(index, chunks[index], len(chunk_outcomes))
-            _check_chunk(
-                index, chunks[index], len(chunk_stats), what="metrics"
-            )
-            outcomes.extend(chunk_outcomes)
-            per_seed.extend(chunk_stats)
-    return outcomes, merge_stats(per_seed)
-
-
 # ----------------------------------------------------------------------
 # The persistent YieldEngine
 # ----------------------------------------------------------------------
@@ -481,11 +251,10 @@ COST_EWMA_WEIGHT = 0.5
 class _WorkerContext:
     """Per-worker-process task state, installed by the pool initializer."""
 
-    __slots__ = ("predicate", "circuit", "sim")
+    __slots__ = ("predicate", "sim")
 
     def __init__(self, circuit, predicate):
         self.predicate = predicate
-        self.circuit = circuit
         self.sim = Simulation(circuit)
 
 
@@ -502,7 +271,7 @@ def _engine_worker_init(init_blob: bytes) -> None:
     the fallback ``("factory", factory, predicate)`` for designs whose
     circuit does not pickle (e.g. closure-bodied holes), where each
     worker elaborates once. Afterwards every chunk task is just
-    ``(sigma, seeds)``.
+    ``(sigma, seeds, batch, collect_stats)``.
     """
     global _WORKER_CTX
     kind, payload, predicate = pickle.loads(init_blob)
@@ -514,33 +283,24 @@ def _engine_worker_init(init_blob: bytes) -> None:
 
 
 def _engine_chunk(
-    sigma: float, seeds: Sequence[int], batch: Union[int, str, None] = None
-) -> Tuple[List[str], BatchReport]:
-    """Classify a chunk against the worker's pre-elaborated circuit.
+    sigma: float,
+    seeds: Sequence[int],
+    batch: Union[int, str, None] = None,
+    collect_stats: bool = False,
+) -> Tuple[List[str], List["SimMetrics"], BatchReport]:
+    """The pool task: :func:`run_chunk` against the worker's circuit.
 
     Each worker drains its chunk as one (or a few) batched passes —
     multiplicative with the pool parallelism. ``Simulation.reset``
     restores the initial element configuration, so each seed sees exactly
     the state a fresh ``factory()`` circuit would have — the re-simulation
-    stability locked by ``tests/test_determinism.py`` plus the batched ==
-    sequential property of ``tests/test_differential.py`` is what makes
-    this bit-identical to :func:`run_chunk`.
+    stability locked by ``tests/test_determinism.py`` is what makes this
+    bit-identical to :func:`run_chunk`.
     """
     ctx = _WORKER_CTX
-    outcomes, _stats, report = run_batch(
-        ctx.sim, ctx.predicate, sigma, seeds, collect_stats=False,
-        batch=batch,
-    )
-    return outcomes, report
-
-
-def _engine_chunk_stats(
-    sigma: float, seeds: Sequence[int], batch: Union[int, str, None] = None
-) -> Tuple[List[str], List["SimMetrics"], BatchReport]:
-    """:func:`_engine_chunk` plus one fresh ``SimMetrics`` per seed."""
-    ctx = _WORKER_CTX
     return run_batch(
-        ctx.sim, ctx.predicate, sigma, seeds, collect_stats=True, batch=batch
+        ctx.sim, ctx.predicate, sigma, seeds, collect_stats=collect_stats,
+        batch=batch,
     )
 
 
@@ -560,7 +320,7 @@ class YieldEngine:
 
     ``adaptive=True`` (default) calibrates the per-seed cost on the first
     seed of each call (classified in-process, so its outcome is free) and
-    falls back to the sequential reference path whenever the estimated
+    falls back to in-process :func:`run_chunk` whenever the estimated
     pool time — startup or dispatch overhead plus work divided by worker
     count — is not comfortably below the estimated serial time. Pass
     ``adaptive=False`` (or ``policy="pool"`` per call) to force the pool.
@@ -688,8 +448,8 @@ class YieldEngine:
         """Classify every seed; returns ``(outcomes, merged_stats_or_None)``.
 
         ``policy`` overrides the adaptive choice for this call:
-        ``"pool"`` forces the process pool, ``"serial"`` forces the
-        sequential reference path, ``None`` lets the engine decide.
+        ``"pool"`` forces the process pool, ``"serial"`` forces
+        in-process :func:`run_chunk`, ``None`` lets the engine decide.
         ``min_seeds_parallel`` overrides the engine-level floor below
         which the pool is never considered. ``batch`` is the batched-drain
         lane width each worker uses per chunk (``None``/``"auto"`` picks
@@ -709,67 +469,57 @@ class YieldEngine:
             self.last_report = BatchReport()
             if not seeds:
                 return [], None
-            if (
+            serial = (
                 policy == "serial"
                 or self.workers <= 1
                 or len(seeds) < 2
                 or self.parallel_disabled
-            ):
-                return self._run_serial(factory, predicate, sigma, seeds,
-                                        collect_stats, batch)
-            # From here on the pool is a possibility: reject unpicklable
-            # tasks up front, exactly like the one-shot backend does.
-            _require_picklable(factory, predicate)
-            task_blob = pickle.dumps((factory, predicate))
+            )
+            # Pickled once per run: the pool's task identity and the cost
+            # model's key. Unpicklable tasks are rejected only when the
+            # pool is a possibility.
+            task_blob = _pickle_task(factory, predicate, required=not serial)
+            if serial:
+                return self._run_serial(task_blob, factory, predicate, sigma,
+                                        seeds, collect_stats, batch)
             if policy == "pool" or not self.adaptive:
-                return self._run_pool(
-                    factory, predicate, task_blob, sigma, seeds,
-                    collect_stats, batch=batch,
-                )
+                return self._run_pool(task_blob, factory, predicate, sigma,
+                                      seeds, collect_stats, batch)
             return self._run_adaptive(
-                factory, predicate, task_blob, sigma, seeds, collect_stats,
-                min_seeds_parallel, batch,
+                task_blob, factory, predicate, sigma, seeds, collect_stats,
+                batch, min_seeds_parallel,
             )
 
     # -- backends ------------------------------------------------------
     def _serial_chunk(
-        self, factory, predicate, sigma, seeds, collect_stats, batch=None
+        self, task_blob, factory, predicate, sigma, seeds, collect_stats,
+        batch,
     ) -> Tuple[List[str], List["SimMetrics"]]:
-        """In-process batched classification, timing fed to the cost model."""
+        """In-process :func:`run_chunk`, timing fed to the cost model."""
         started = time.perf_counter()
-        if collect_stats:
-            outcomes, per_seed, report = run_chunk_stats_batched(
-                factory, predicate, sigma, seeds, batch
-            )
-        else:
-            outcomes, report = run_chunk_batched(
-                factory, predicate, sigma, seeds, batch
-            )
-            per_seed = []
+        outcomes, per_seed, report = run_chunk(
+            factory, predicate, sigma, seeds, batch=batch,
+            collect_stats=collect_stats,
+        )
         self.last_report.merge(report)
-        if seeds:
-            task_blob = (
-                pickle.dumps((factory, predicate))
-                if _is_picklable(factory, predicate)
-                else None
-            )
-            self._update_cost(
-                task_blob, (time.perf_counter() - started) / len(seeds)
-            )
+        self._update_cost(
+            task_blob, (time.perf_counter() - started) / len(seeds)
+        )
         return outcomes, per_seed
 
     def _run_serial(
-        self, factory, predicate, sigma, seeds, collect_stats, batch=None
+        self, task_blob, factory, predicate, sigma, seeds, collect_stats,
+        batch,
     ) -> Tuple[List[str], Optional["SimMetrics"]]:
         self.last_backend = "serial"
         outcomes, per_seed = self._serial_chunk(
-            factory, predicate, sigma, seeds, collect_stats, batch
+            task_blob, factory, predicate, sigma, seeds, collect_stats, batch
         )
-        return outcomes, merge_stats(per_seed) if collect_stats else None
+        return outcomes, merge_stats(per_seed)
 
     def _run_adaptive(
-        self, factory, predicate, task_blob, sigma, seeds, collect_stats,
-        min_seeds_parallel, batch=None,
+        self, task_blob, factory, predicate, sigma, seeds, collect_stats,
+        batch, min_seeds_parallel,
     ) -> Tuple[List[str], Optional["SimMetrics"]]:
         floor = min_seeds_parallel
         if floor is None:
@@ -777,28 +527,17 @@ class YieldEngine:
         if floor is None:
             floor = 2 * self.workers
         if len(seeds) < floor:
-            return self._run_serial(factory, predicate, sigma, seeds,
-                                    collect_stats, batch)
+            return self._run_serial(task_blob, factory, predicate, sigma,
+                                    seeds, collect_stats, batch)
         # Calibrate on the first seed, in-process. Its outcome (and
         # metrics) are kept, so calibration costs nothing extra and the
         # cost estimate tracks the actual design being swept.
-        started = time.perf_counter()
-        if collect_stats:
-            first_outcome, first_metrics = classify_seed_stats(
-                factory, predicate, sigma, seeds[0]
-            )
-            prefix_stats: List["SimMetrics"] = [first_metrics]
-        else:
-            first_outcome = classify_seed(factory, predicate, sigma, seeds[0])
-            prefix_stats = []
-        sample = time.perf_counter() - started
-        cost = self._update_cost(task_blob, sample)
-        # The calibration seed was classified per-seed, outside any batch:
-        # account for it in the report (no divergence cause — nothing
-        # diverged, it simply never entered a batch).
-        self.last_report.fallback_seeds.append(seeds[0])
+        outcomes, per_seed = self._serial_chunk(
+            task_blob, factory, predicate, sigma, seeds[:1], collect_stats,
+            batch,
+        )
         rest = seeds[1:]
-        est_serial = cost * len(rest)
+        est_serial = self._cost_by_task[task_blob] * len(rest)
         warm = self._pool is not None and self._task_key == task_blob
         overhead = (
             WARM_DISPATCH_OVERHEAD_S
@@ -808,42 +547,37 @@ class YieldEngine:
         est_pool = overhead + est_serial / self.workers
         if est_pool < est_serial * PARALLEL_MARGIN:
             return self._run_pool(
-                factory, predicate, task_blob, sigma, rest, collect_stats,
-                prefix_outcomes=[first_outcome], prefix_stats=prefix_stats,
-                batch=batch,
+                task_blob, factory, predicate, sigma, rest, collect_stats,
+                batch, prefix_outcomes=outcomes, prefix_stats=per_seed,
             )
         self.last_backend = "serial"
         rest_outcomes, rest_per_seed = self._serial_chunk(
-            factory, predicate, sigma, rest, collect_stats, batch
+            task_blob, factory, predicate, sigma, rest, collect_stats, batch
         )
-        outcomes = [first_outcome] + rest_outcomes
-        if not collect_stats:
-            return outcomes, None
         # One fold over the full per-seed list keeps the association
         # order exactly seed order (prefix aggregate + rest aggregate
         # would associate the float sums differently).
-        return outcomes, merge_stats(prefix_stats + rest_per_seed)
+        return outcomes + rest_outcomes, merge_stats(per_seed + rest_per_seed)
 
     def _run_pool(
         self,
+        task_blob: bytes,
         factory,
         predicate,
-        task_blob: bytes,
         sigma: float,
         seeds: Sequence[int],
         collect_stats: bool,
-        prefix_outcomes: Optional[List[str]] = None,
-        prefix_stats: Optional[List["SimMetrics"]] = None,
-        batch: Union[int, str, None] = None,
+        batch: Union[int, str, None],
+        prefix_outcomes: Sequence[str] = (),
+        prefix_stats: Sequence["SimMetrics"] = (),
     ) -> Tuple[List[str], Optional["SimMetrics"]]:
         """Pool execution with per-chunk retry-once and crash degradation."""
         self.last_backend = "pool"
-        outcomes: List[str] = list(prefix_outcomes or [])
-        per_seed: List["SimMetrics"] = list(prefix_stats or [])
+        outcomes: List[str] = list(prefix_outcomes)
+        per_seed: List["SimMetrics"] = list(prefix_stats)
         if not seeds:
-            return outcomes, merge_stats(per_seed) if collect_stats else None
+            return outcomes, merge_stats(per_seed)
         chunks = chunk_seeds(seeds, self.workers * self.chunks_per_worker)
-        task = _engine_chunk_stats if collect_stats else _engine_chunk
         retried = False
         index = 0
         futures: List = []
@@ -860,11 +594,14 @@ class YieldEngine:
                         self._task_init_blob(factory, predicate, task_blob),
                     )
                     futures[index:] = [
-                        pool.submit(task, sigma, c, batch)
+                        pool.submit(_engine_chunk, sigma, c, batch,
+                                    collect_stats)
                         for c in chunks[index:]
                     ]
                     need_submit = False
-                result = futures[index].result()
+                chunk_outcomes, chunk_stats, chunk_report = (
+                    futures[index].result()
+                )
             except (BrokenProcessPool, OSError, pickle.PicklingError) as err:
                 self._shutdown_pool()
                 if not retried:
@@ -878,9 +615,9 @@ class YieldEngine:
                         stacklevel=3,
                     )
                     continue
-                # Retry also failed: degrade to the sequential reference
-                # path for this and every remaining chunk, and stop trying
-                # to parallelize on this engine (the task evidently kills
+                # Retry also failed: degrade to the in-process path for
+                # this and every remaining chunk, and stop trying to
+                # parallelize on this engine (the task evidently kills
                 # workers; thrashing pools would be worse than serial).
                 warnings.warn(
                     f"parallel Monte-Carlo worker failure persisted after "
@@ -895,32 +632,22 @@ class YieldEngine:
                 self.parallel_disabled = True
                 self.last_backend = "degraded"
                 for tail in chunks[index:]:
-                    if collect_stats:
-                        tail_outcomes, tail_stats, tail_report = (
-                            run_chunk_stats_batched(
-                                factory, predicate, sigma, tail, batch
-                            )
-                        )
-                        per_seed.extend(tail_stats)
-                    else:
-                        tail_outcomes, tail_report = run_chunk_batched(
-                            factory, predicate, sigma, tail, batch
-                        )
+                    tail_outcomes, tail_stats, tail_report = run_chunk(
+                        factory, predicate, sigma, tail, batch=batch,
+                        collect_stats=collect_stats,
+                    )
                     self.last_report.merge(tail_report)
                     outcomes.extend(tail_outcomes)
+                    per_seed.extend(tail_stats)
                 break
+            _check_chunk(index, chunk, len(chunk_outcomes))
             if collect_stats:
-                chunk_outcomes, chunk_stats, chunk_report = result
-                _check_chunk(index, chunk, len(chunk_outcomes))
                 _check_chunk(index, chunk, len(chunk_stats), what="metrics")
-                per_seed.extend(chunk_stats)
-            else:
-                chunk_outcomes, chunk_report = result
-                _check_chunk(index, chunk, len(chunk_outcomes))
             self.last_report.merge(chunk_report)
             outcomes.extend(chunk_outcomes)
+            per_seed.extend(chunk_stats)
             index += 1
-        return outcomes, merge_stats(per_seed) if collect_stats else None
+        return outcomes, merge_stats(per_seed)
 
     # -- cost model ----------------------------------------------------
     def _update_cost(self, task_blob: Optional[bytes], sample: float) -> float:
@@ -935,14 +662,6 @@ class YieldEngine:
         )
         self._cost_by_task[task_blob] = cost
         return cost
-
-
-def _is_picklable(factory, predicate) -> bool:
-    try:
-        pickle.dumps((factory, predicate))
-    except Exception:
-        return False
-    return True
 
 
 # ----------------------------------------------------------------------

@@ -122,10 +122,11 @@ def lint_circuit(
     layer within ``reach_budget`` (state/time caps with explicit
     ``truncated`` reporting); the underlying analysis is served from the
     incremental cache when the circuit's structural hash, rule subset,
-    tolerance, and budget all match a previous run. ``reach_cache_dir``
-    additionally persists finished analyses on disk (the ``lint``
-    namespace of a :mod:`repro.cache` store), so the warm path survives
-    process restarts.
+    and budget all match a previous run (analyses cut short by the time
+    limit are never cached). ``reach_cache_dir`` additionally persists
+    finished analyses on disk (the ``lint`` namespace of a
+    :mod:`repro.cache` store), so the warm path survives process
+    restarts.
     """
     circuit = circuit if circuit is not None else working_circuit()
     select = _patterns(select)
@@ -338,7 +339,7 @@ def lint_circuit(
         else:
             analysis, cached = analyze_reach(
                 circuit, budget=reach_budget, rules=enabled,
-                tolerance=tolerance, cache_dir=reach_cache_dir,
+                cache_dir=reach_cache_dir,
             )
             if analysis.skipped is not None:
                 reach_skipped = analysis.skipped

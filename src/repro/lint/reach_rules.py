@@ -28,11 +28,14 @@ atomically.
 
 The whole analysis sits behind an **incremental cache** keyed by
 :func:`repro.core.ir.lint_cache_key` — ``(hash_version, structural_hash,
-rule subset, tolerance, budget)`` — with the same contract as the serve
-result cache: a warm re-lint of an unchanged design is a dict hit.
+rule subset, budget)`` — with the same contract as the serve result
+cache: a warm re-lint of an unchanged design is a dict hit.
 Budgets are explicit, never silent: a truncated exploration is reported
 as ``truncated`` with its reason, PL401 is withheld (absence unproven),
-and the remaining findings are a lower bound.
+and the remaining findings are a lower bound. An analysis cut short by
+the wall-clock ``time_limit`` is never cached — where it stops depends
+on machine load, not on the key — while a ``max_states`` truncation is
+deterministic and cached like any other analysis.
 """
 
 from __future__ import annotations
@@ -447,7 +450,6 @@ def analyze_reach(
     circuit: Circuit,
     budget: Optional[ReachBudget] = None,
     rules: Optional[Sequence[str]] = None,
-    tolerance: float = 0.0,
     use_cache: bool = True,
     cache_dir=None,
 ) -> Tuple[ReachAnalysis, bool]:
@@ -460,6 +462,8 @@ def analyze_reach(
     cache key. With ``cache_dir`` set, finished analyses also persist to
     the ``lint`` namespace of that store (:mod:`repro.cache.disk`), so a
     warm re-lint of an unchanged design is a hit even in a fresh process.
+    An analysis truncated by ``time_limit`` is not stored in either tier:
+    the same key could finish on a less loaded machine.
     """
     budget = budget if budget is not None else ReachBudget()
     rules = _normalize_rules(rules)
@@ -467,7 +471,6 @@ def analyze_reach(
     key = lint_cache_key(
         compiled.structural_hash,
         rules=rules,
-        tolerance=tolerance,
         max_states=budget.max_states,
         time_limit=budget.time_limit,
     )
@@ -477,7 +480,7 @@ def analyze_reach(
         if hit is not MISSING:
             return hit, True  # type: ignore[return-value]
     analysis = _compute_analysis(circuit, compiled, budget, rules)
-    if use_cache:
+    if use_cache and analysis.truncation_reason != "time_limit":
         store.put(key, analysis)
     return analysis, False
 

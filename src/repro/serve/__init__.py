@@ -17,9 +17,6 @@ See docs/serving.md for the API reference and cache-key semantics, and
 instance.
 """
 
-# LRUCache/MISSING/hit_rate live in repro.cache now; re-exported here for
-# backward compatibility (repro.serve.cache is a deprecated shim).
-from ..cache import MISSING, LRUCache, hit_rate
 from .http import YieldHTTPServer, run_server, serving
 from .service import (
     DEFAULT_CACHE_SIZE,
@@ -36,15 +33,12 @@ __all__ = [
     "BadRequest",
     "DEFAULT_CACHE_SIZE",
     "DEFAULT_COMPILED_CACHE_SIZE",
-    "LRUCache",
-    "MISSING",
     "RequestError",
     "ResolvedDesign",
     "SERVE_VERSION",
     "UnknownDesign",
     "YieldHTTPServer",
     "YieldService",
-    "hit_rate",
     "run_server",
     "serving",
 ]

@@ -22,10 +22,11 @@ from repro.core.parallel import (
     _engine_chunk,
     _engine_worker_init,
     default_engine,
-    run_chunk,
     shutdown_default_engines,
 )
 from repro.designs import min_max
+
+from test_parallel import reference_chunk
 
 #: Captured at import time in the parent; a forked pool worker inherits
 #: this value but has a different pid — which is how ``crashing_predicate``
@@ -236,8 +237,8 @@ class TestAdaptiveFallback:
                 minmax_factory, minmax_ok, 12.0, range(20), policy="serial"
             )
             assert engine.pools_created == 1  # unchanged
-        assert outcomes == run_chunk(minmax_factory, minmax_ok, 12.0,
-                                     list(range(20)))
+        assert outcomes == reference_chunk(minmax_factory, minmax_ok, 12.0,
+                                           range(20))[0]
         assert result.runs == 20
 
     def test_bad_policy_rejected(self):
@@ -377,9 +378,9 @@ class TestDegradation:
             )
         assert not engine.parallel_disabled
         assert engine.fallbacks == 0
-        assert outcomes == run_chunk(
-            minmax_factory, minmax_ok, 12.0, list(range(12))
-        )
+        assert outcomes == reference_chunk(
+            minmax_factory, minmax_ok, 12.0, range(12)
+        )[0]
 
     def test_closed_engine_rejected(self):
         engine = YieldEngine(workers=2)
@@ -390,14 +391,26 @@ class TestDegradation:
 
 class TestWorkerReuseSemantics:
     def test_engine_chunk_matches_reference_chunk(self):
-        """The reused-circuit worker loop is bit-identical to fresh
-        elaboration per seed (run in-process via the initializer)."""
+        """The reused-circuit worker task is bit-identical to fresh
+        elaboration per seed, with and without per-seed metrics (run
+        in-process via the initializer)."""
         blob = pickle.dumps(("factory", minmax_factory, minmax_ok))
         _engine_worker_init(blob)
         seeds = list(range(25))
-        outcomes, report = _engine_chunk(12.0, seeds)
-        assert outcomes == run_chunk(minmax_factory, minmax_ok, 12.0, seeds)
-        assert report.batched_lanes + len(report.fallback_seeds) == len(seeds)
+        for collect_stats in (False, True):
+            outcomes, stats, report = _engine_chunk(
+                12.0, seeds, None, collect_stats
+            )
+            want_outcomes, want_stats = reference_chunk(
+                minmax_factory, minmax_ok, 12.0, seeds, collect_stats
+            )
+            assert outcomes == want_outcomes
+            assert [m.to_jsonable() for m in stats] == [
+                m.to_jsonable() for m in want_stats
+            ]
+            assert report.batched_lanes + len(report.fallback_seeds) == len(
+                seeds
+            )
 
     def test_simulation_reset_allows_reuse(self):
         from repro.core.simulation import Simulation

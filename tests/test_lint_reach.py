@@ -13,7 +13,9 @@ The contract under test:
   plus a reason — and withholds PL401 (absence is unproven on a partial
   exploration) while keeping the findings the explored prefix did prove;
 * the analysis is served from an incremental cache keyed by structural
-  hash, rule subset, tolerance, and budget.
+  hash, rule subset, and budget — never by the interval rules'
+  ``tolerance`` — and an analysis cut short by the wall-clock time limit
+  is never cached, in memory or on disk.
 """
 
 import pytest
@@ -251,6 +253,47 @@ class TestIncrementalCache:
                                    rules=("PL401", "PL403"))
         assert not cached
         assert a1.timing and not a1.dead
+
+    def test_tolerance_is_not_part_of_the_key(self):
+        """``tolerance`` only tunes the interval rules (PL302); the exact
+        PL4xx analysis is shared across tolerances."""
+        kwargs = dict(reach=True, reach_budget=BUDGET)
+        first = lint_circuit(build_broken_and(), tolerance=0.0, **kwargs)
+        again = lint_circuit(build_broken_and(), tolerance=5.0, **kwargs)
+        assert first.reach["cached"] is False
+        assert again.reach["cached"] is True
+
+    def test_time_limit_truncation_is_never_cached(self, tmp_path):
+        """Where a wall-clock cut lands depends on machine load, not on
+        the key, so such an analysis (PL401 withheld) is stored in
+        neither tier."""
+        budget = ReachBudget(max_states=8000, time_limit=1e-9)
+        first, cached1 = analyze_reach(build_broken_and(), budget=budget,
+                                       cache_dir=tmp_path)
+        assert first.truncation_reason == "time_limit"
+        assert first.dead == ()
+        second, cached2 = analyze_reach(build_broken_and(), budget=budget,
+                                        cache_dir=tmp_path)
+        assert (cached1, cached2) == (False, False)
+        assert second.truncation_reason == "time_limit"
+        assert [p for p in (tmp_path / "lint").rglob("*") if p.is_file()] == []
+
+    def test_max_states_truncation_is_still_cached(self, tmp_path):
+        """A state-budget cut is deterministic: cached in memory and on
+        disk like a completed analysis."""
+        budget = ReachBudget(max_states=5, time_limit=None)
+        first, cached1 = analyze_reach(build_broken_and(), budget=budget,
+                                       cache_dir=tmp_path)
+        assert first.truncation_reason == "max_states"
+        _, cached2 = analyze_reach(build_broken_and(), budget=budget,
+                                   cache_dir=tmp_path)
+        assert (cached1, cached2) == (False, True)
+        assert [p for p in (tmp_path / "lint").rglob("*") if p.is_file()]
+        clear_reach_cache()  # a fresh process: only the disk tier remains
+        from_disk, cached3 = analyze_reach(build_broken_and(), budget=budget,
+                                           cache_dir=tmp_path)
+        assert cached3
+        assert from_disk.truncation_reason == "max_states"
 
     def test_report_marks_cache_hits(self):
         kwargs = dict(reach=True, reach_budget=BUDGET)

@@ -1,18 +1,37 @@
-"""Tests for the parallel Monte-Carlo backend (repro.core.parallel).
+"""Tests for the Monte-Carlo chunk path and backends (repro.core.parallel).
 
-The headline contract: ``measure_yield(..., workers=N)`` is bit-identical
-to the sequential reference path for the same seed list — same counts, same
-``failures`` dict, same insertion order.
+Two headline contracts. ``run_chunk`` — the one in-process chunk function
+every backend uses — equals the plain per-seed reference loop
+(:func:`reference_chunk`: a fresh ``factory()`` and ``Simulation.simulate``
+per seed). And ``measure_yield(..., workers=N)`` is bit-identical to the
+sequential path for the same seed list — same counts, same ``failures``
+dict, same insertion order.
 """
 
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.batchsim import MIS_BEHAVED, OK, VIOLATION, mc_variability
 from repro.core.circuit import Circuit, fresh_circuit
-from repro.core.errors import PylseError
+from repro.core.errors import PylseError, SimulationError
 from repro.core.helpers import inp_at
 from repro.core.montecarlo import critical_sigma, measure_yield, yield_curve
-from repro.core.parallel import chunk_seeds, resolve_workers, run_seeds_parallel
+from repro.core.parallel import (
+    YieldEngine,
+    chunk_seeds,
+    resolve_workers,
+    run_chunk,
+)
+from repro.core.simulation import Simulation
 from repro.designs import min_max
+from repro.sfq import dro, jtl
+from repro.obs import Observer
+
+from test_batchsim import hole_factory, hole_ok
+from test_random_circuits import build_random_circuit
 
 
 def minmax_factory() -> Circuit:
@@ -33,6 +52,151 @@ def minmax_ok(events) -> bool:
     )
 
 
+def reference_chunk(factory, predicate, sigma, seeds, collect_stats=False):
+    """The per-seed reference: a fresh ``factory()`` and one plain
+    ``Simulation.simulate`` per seed. Returns ``(outcomes, per_seed_stats)``;
+    a run ending in a timing violation still yields its partial metrics."""
+    outcomes, stats = [], []
+    for seed in seeds:
+        circuit = factory()
+        observer = (
+            Observer(provenance=False, metrics=True) if collect_stats else None
+        )
+        try:
+            events = Simulation(circuit).simulate(
+                variability=mc_variability(circuit, sigma), seed=seed,
+                observer=observer,
+            )
+        except SimulationError:
+            outcomes.append(VIOLATION)
+        else:
+            outcomes.append(OK if predicate(events) else MIS_BEHAVED)
+        if collect_stats:
+            stats.append(observer.metrics)
+    return outcomes, stats
+
+
+def _recording(store):
+    """A predicate that records each judged event dict (bit-exact JSON)
+    and passes an event-dependent half of the runs."""
+
+    def predicate(events):
+        store.append(json.dumps(events, sort_keys=True))
+        return sum(len(times) for times in events.values()) % 2 == 0
+
+    return predicate
+
+
+def assert_chunk_matches_reference(factory, sigma, seeds, batch,
+                                   collect_stats):
+    got_events, want_events = [], []
+    outcomes, stats, report = run_chunk(
+        factory, _recording(got_events), sigma, seeds, batch=batch,
+        collect_stats=collect_stats,
+    )
+    want_outcomes, want_stats = reference_chunk(
+        factory, _recording(want_events), sigma, seeds, collect_stats
+    )
+    assert outcomes == want_outcomes
+    # Batched and replayed lanes may reach the predicate in another order.
+    assert sorted(got_events) == sorted(want_events)
+    assert [m.to_jsonable() for m in stats] == [
+        m.to_jsonable() for m in want_stats
+    ]
+    if batch == 0:
+        assert report.batched_lanes == 0
+    else:
+        assert report.batched_lanes + len(report.fallback_seeds) == len(seeds)
+
+
+BATCHES = pytest.mark.parametrize("batch", [0, "auto", 3])
+COLLECT = pytest.mark.parametrize("collect_stats", [False, True])
+
+
+class TestRunChunkMatchesReference:
+    """``run_chunk`` == the per-seed reference loop, for every lane width
+    and with or without per-seed metrics."""
+
+    @BATCHES
+    @COLLECT
+    @given(
+        circuit_seed=st.integers(0, 10_000),
+        n_inputs=st.integers(2, 4),
+        n_cells=st.integers(1, 10),
+        sigma=st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+        n_seeds=st.integers(1, 12),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_random_circuits(self, batch, collect_stats, circuit_seed,
+                             n_inputs, n_cells, sigma, n_seeds):
+        def factory():
+            return build_random_circuit(circuit_seed, n_inputs, n_cells)
+
+        assert_chunk_matches_reference(
+            factory, sigma, range(n_seeds), batch, collect_stats
+        )
+
+    @BATCHES
+    @COLLECT
+    @given(
+        sigma=st.floats(0.0, 8.0, allow_nan=False, allow_infinity=False),
+        start=st.integers(0, 500),
+        n_seeds=st.integers(1, 8),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_hole_design(self, batch, collect_stats, sigma, start, n_seeds):
+        """An ineligible (Functional hole) design: python-rng noise on
+        every path, every seed reported as an ``ineligible`` fallback."""
+        seeds = list(range(start, start + n_seeds))
+        assert_chunk_matches_reference(
+            hole_factory, sigma, seeds, batch, collect_stats
+        )
+        _outcomes, _stats, report = run_chunk(
+            hole_factory, hole_ok, sigma, seeds, batch=batch
+        )
+        assert report.fallback_seeds == seeds
+        assert report.divergence == {"ineligible": n_seeds}
+
+    @BATCHES
+    @COLLECT
+    def test_violations_keep_partial_metrics(self, batch, collect_stats):
+        """Data racing the clock into a DRO: violations, mis-behaved runs,
+        batched and replayed lanes all in one chunk. A violating run
+        still contributes its partial metrics."""
+        seeds = list(range(30))
+        outcomes, stats, _ = run_chunk(
+            dro_race_factory, dro_race_ok, 2.0, seeds, batch=batch,
+            collect_stats=collect_stats,
+        )
+        want_outcomes, want_stats = reference_chunk(
+            dro_race_factory, dro_race_ok, 2.0, seeds, collect_stats
+        )
+        assert outcomes == want_outcomes
+        assert {OK, MIS_BEHAVED, VIOLATION} <= set(outcomes)
+        assert [m.to_jsonable() for m in stats] == [
+            m.to_jsonable() for m in want_stats
+        ]
+        assert len(stats) == (len(seeds) if collect_stats else 0)
+
+    def test_empty_chunk(self):
+        outcomes, stats, report = run_chunk(
+            minmax_factory, minmax_ok, 1.0, [], collect_stats=True
+        )
+        assert (outcomes, stats, report.batched_lanes) == ([], [], 0)
+
+
+def dro_race_factory() -> Circuit:
+    with fresh_circuit() as circuit:
+        data = inp_at(38.0, name="A")
+        clk = inp_at(50.0, name="CLK")
+        dro(jtl(jtl(data)), clk, name="Q")
+    return circuit
+
+
+def dro_race_ok(events) -> bool:
+    return len(events["Q"]) == 1
+
+
 class TestChunking:
     def test_contiguous_cover(self):
         seeds = list(range(11))
@@ -51,7 +215,13 @@ class TestChunking:
             chunk_seeds([1], 0)
 
     def test_empty_seed_list(self):
-        assert run_seeds_parallel(minmax_factory, minmax_ok, 0.0, [], 2) == []
+        with YieldEngine(workers=2) as engine:
+            assert engine.run(minmax_factory, minmax_ok, 0.0, []) == ([], None)
+            assert engine.run(
+                minmax_factory, minmax_ok, 0.0, [], collect_stats=True,
+                policy="pool",
+            ) == ([], None)
+            assert engine.pools_created == 0
 
 
 class TestResolveWorkers:

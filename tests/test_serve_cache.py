@@ -1,6 +1,6 @@
 """Cache-correctness tests: LRU mechanics and structural-hash keying.
 
-Two layers. The :class:`~repro.serve.cache.LRUCache` unit tests pin the
+Two layers. The :class:`~repro.cache.LRUCache` unit tests pin the
 mechanics the service leans on — hard capacity bound under churn,
 recency refresh on ``get`` (and *not* on ``peek``), eviction counters,
 capacity-0 disablement. The :class:`~repro.serve.service.YieldService`
@@ -12,12 +12,13 @@ never be served a stale entry while the original stays cached.
 
 import pytest
 
+from repro.cache import MISSING, LRUCache, hit_rate
 from repro.core.circuit import fresh_circuit
 from repro.core.errors import PylseError
 from repro.core.helpers import inp_at
 from repro.core.serialize import circuit_to_json
 from repro.designs import min_max
-from repro.serve import MISSING, LRUCache, YieldService, hit_rate
+from repro.serve import YieldService
 
 
 # -- LRUCache mechanics ------------------------------------------------
