@@ -150,11 +150,30 @@ def sarif_payload(reports: Sequence[LintReport]) -> dict:
 
     Findings become ``results`` whose ``logicalLocations`` carry the
     design-qualified element path; the full rule catalog rides along in
-    ``tool.driver.rules`` so viewers can show titles and rationales.
+    ``tool.driver.rules`` so viewers can show titles and rationales. A
+    truncated reach analysis adds a ``toolExecutionNotifications`` entry to
+    ``invocations[0]``; the run has no ``invocations`` otherwise.
     """
     rules, index = sarif_rule_index()
     results = []
+    notifications = []
     for report in reports:
+        if report.reach.get("truncated"):
+            title = report.design if report.design is not None else "<circuit>"
+            reason = report.reach.get("truncation_reason")
+            states = report.reach.get("states", 0)
+            notifications.append({
+                "level": "warning",
+                "message": {"text": (
+                    f"{title}: reach analysis truncated ({reason}) after "
+                    f"{states} state(s); PL4xx findings may be incomplete"
+                )},
+                "properties": {
+                    "design": report.design,
+                    "truncation_reason": reason,
+                    "states": states,
+                },
+            })
         for finding in report.findings:
             qualified = finding.location.qualified_name()
             if report.design is not None:
@@ -182,18 +201,19 @@ def sarif_payload(reports: Sequence[LintReport]) -> dict:
             if properties:
                 result["properties"] = properties
             results.append(result)
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": TOOL_NAME,
-                    "informationUri":
-                        "https://doi.org/10.1145/3519939.3523438",
-                    "rules": rules,
-                },
+    run: dict = {
+        "tool": {
+            "driver": {
+                "name": TOOL_NAME,
+                "informationUri": "https://doi.org/10.1145/3519939.3523438",
+                "rules": rules,
             },
-            "results": results,
-        }],
+        },
+        "results": results,
     }
+    if notifications:
+        run["invocations"] = [{
+            "executionSuccessful": True,
+            "toolExecutionNotifications": notifications,
+        }]
+    return {"$schema": SARIF_SCHEMA, "version": SARIF_VERSION, "runs": [run]}

@@ -22,6 +22,10 @@ from ..core.errors import PylseError
 #: "No bound" sentinel; large enough that encoded addition cannot overflow.
 INF = np.int64(1) << 40
 
+#: Any sum above this came from an INF operand: finite bounds stay far
+#: below it, so a closure may add INF unguarded and clamp once at the end.
+_INF_FLOOR = INF >> 1
+
 #: Encoded bound (0, <=): the diagonal value of every consistent DBM.
 LE_ZERO = np.int64(1)
 
@@ -41,13 +45,22 @@ def bound_is_strict(encoded: int) -> bool:
 
 
 def add_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized encoded-bound addition (with INF absorption)."""
+    """Vectorized encoded-bound addition (with INF absorption).
+
+    ``(c1, s1) + (c2, s2)`` is ``2(c1 + c2) + (s1 & s2)``, which equals
+    ``a + b - ((a | b) & 1)``: the closures below use that form and keep
+    INF sums out of the result without an ``np.where`` per step.
+    """
     result = (np.right_shift(a, 1) + np.right_shift(b, 1)) * 2 + (a & 1) * (b & 1)
     return np.where((a >= INF) | (b >= INF), INF, result)
 
 
 class DBM:
-    """A zone over ``n`` real clocks, kept in canonical form by callers.
+    """A zone over ``n`` real clocks, kept in canonical form.
+
+    ``up``, ``reset`` and ``constrain`` map a canonical DBM to a canonical
+    one (Bengtsson & Yi, "Timed Automata: Semantics, Algorithms and
+    Tools", 2004); only ``extrapolate`` needs a full ``canonicalize``.
 
     Index 0 is the reference clock; user clocks are 1..n. The matrix entry
     ``m[i, j]`` encodes the bound on ``x_i - x_j``.
@@ -70,11 +83,20 @@ class DBM:
     # canonical form and emptiness
     # ------------------------------------------------------------------
     def canonicalize(self) -> "DBM":
-        """Floyd–Warshall closure (in place); returns self."""
+        """Floyd–Warshall closure (in place); returns self.
+
+        Sums through INF are not absorbed per pivot: they stay above
+        ``INF >> 1`` through every later ``min`` and are set back to INF
+        once, after the loop.
+        """
         m = self.m
         for k in range(self.n + 1):
-            via_k = add_bounds(m[:, k : k + 1], m[k : k + 1, :])
+            col = m[:, k : k + 1]
+            row = m[k : k + 1, :]
+            via_k = col + row
+            via_k -= (col | row) & 1
             np.minimum(m, via_k, out=m)
+        m[m > _INF_FLOOR] = INF
         return self
 
     def is_empty(self) -> bool:
@@ -82,7 +104,7 @@ class DBM:
         return bool((np.diagonal(self.m) < LE_ZERO).any())
 
     # ------------------------------------------------------------------
-    # operations (each returns self; callers copy() first when needed)
+    # operations (in place; callers copy() first when needed)
     # ------------------------------------------------------------------
     def up(self) -> "DBM":
         """Delay: remove upper bounds on all clocks (future closure)."""
@@ -98,17 +120,42 @@ class DBM:
         self.m[clock, clock] = LE_ZERO
         return self
 
-    def constrain(self, i: int, j: int, encoded: int) -> "DBM":
-        """Intersect with ``x_i - x_j <= / < c`` (re-canonicalize afterwards)."""
-        if encoded < self.m[i, j]:
-            self.m[i, j] = encoded
-        return self
+    def constrain(self, i: int, j: int, encoded: int) -> bool:
+        """Intersect with ``x_i - x_j <= / < c``, keeping the DBM canonical.
 
-    def constrain_upper(self, clock: int, value: int, strict: bool) -> "DBM":
+        A new shortest path uses the tightened edge at most once, so one
+        O(n²) pass ``m = min(m, m[:, i] + c + m[j, :])`` re-closes the
+        matrix. If the bound closes a negative cycle with ``m[j, i]`` the
+        zone is marked empty (a negative diagonal entry) instead. Returns
+        False iff the zone is now empty (it must be non-empty before).
+        """
+        m = self.m
+        if encoded >= m[i, j]:
+            return True
+        back = m[j, i]
+        if back < INF:
+            cycle = back + encoded - ((back | encoded) & 1)
+            if cycle < LE_ZERO:
+                m[i, i] = cycle
+                return False
+        # Paths through an INF entry are pushed to >= 2*INF so that the
+        # ``min`` below discards them without a clamp over the matrix.
+        to_i = m[:, i]
+        col = to_i + encoded - ((to_i | encoded) & 1)
+        col[to_i >= INF] = 2 * INF
+        row = m[j, :].copy()
+        row[row >= INF] = 2 * INF
+        col = col[:, None]
+        via = col + row
+        via -= (col | row) & 1
+        np.minimum(m, via, out=m)
+        return True
+
+    def constrain_upper(self, clock: int, value: int, strict: bool) -> bool:
         """``x_clock <= value`` (or ``<``)."""
         return self.constrain(clock, 0, bound(value, strict))
 
-    def constrain_lower(self, clock: int, value: int, strict: bool) -> "DBM":
+    def constrain_lower(self, clock: int, value: int, strict: bool) -> bool:
         """``x_clock >= value`` (or ``>``), i.e. ``x_0 - x_clock <= -value``."""
         return self.constrain(0, clock, bound(-value, strict))
 
@@ -140,7 +187,7 @@ class DBM:
         ``max_constants[i]`` is the largest constant clock ``i`` is ever
         compared against (index 0 must be 0). Bounds above ``M(i)`` are
         dropped to INF; lower bounds below ``-M(j)`` are relaxed. The result
-        must be re-canonicalized.
+        must be re-canonicalized: the one full closure a successor needs.
         """
         m = self.m
         maxima = np.asarray(max_constants, dtype=np.int64)

@@ -499,11 +499,7 @@ class ModelChecker:
                 if send_a.ta_index == send_b.ta_index:
                     continue
                 z = zone.copy()
-                for edge in (send_a, send_b):
-                    for i, j, encoded in edge.guard_ops:
-                        z.constrain(i, j, encoded)
-                z.canonicalize()
-                if not z.is_empty():
+                if self._apply_guards(z, (send_a, send_b)):
                     return z.clock_bounds(self.global_idx)
         return None
 
@@ -592,11 +588,7 @@ class ModelChecker:
 
     def _fire(self, zone: DBM, locvec, edges: List[_CompiledEdge]):
         z = zone.copy()
-        for edge in edges:
-            for i, j, encoded in edge.guard_ops:
-                z.constrain(i, j, encoded)
-        z.canonicalize()
-        if z.is_empty():
+        if not self._apply_guards(z, edges):
             return None
         for edge in edges:
             for clock in edge.resets:
@@ -611,24 +603,36 @@ class ModelChecker:
         return new_locvec, z
 
     def _settle(self, z: DBM, locvec) -> Optional[DBM]:
-        """Apply invariants, delay-close, re-apply, extrapolate, canonicalize."""
-        self._apply_invariants(z, locvec)
-        z.canonicalize()
-        if z.is_empty():
+        """Apply invariants, delay-close, re-apply, extrapolate, canonicalize.
+
+        ``constrain``, ``up`` and ``reset`` keep the zone canonical, so the
+        only full closure is the one ExtraM's loosened bounds need.
+        """
+        if not self._apply_invariants(z, locvec):
             return None
         z.up()
-        self._apply_invariants(z, locvec)
-        z.canonicalize()
-        if z.is_empty():
+        if not self._apply_invariants(z, locvec):
             return None
         z.extrapolate(self.max_constants)
         z.canonicalize()
         return z
 
-    def _apply_invariants(self, z: DBM, locvec) -> None:
-        for ta_index, loc in enumerate(locvec):
-            for i, j, encoded in self.invariant_ops[ta_index][loc]:
-                z.constrain(i, j, encoded)
+    @staticmethod
+    def _apply_guards(z: DBM, edges) -> bool:
+        """Conjoin the edges' guards; False as soon as the zone empties."""
+        return all(
+            z.constrain(i, j, encoded)
+            for edge in edges
+            for i, j, encoded in edge.guard_ops
+        )
+
+    def _apply_invariants(self, z: DBM, locvec) -> bool:
+        """Conjoin the location invariants; False as soon as the zone empties."""
+        return all(
+            z.constrain(i, j, encoded)
+            for ta_index, loc in enumerate(locvec)
+            for i, j, encoded in self.invariant_ops[ta_index][loc]
+        )
 
     # ------------------------------------------------------------------
     # property checks

@@ -217,3 +217,97 @@ class TestZoneProperties:
         z.extrapolate([0, 10, 10, 10])
         z.canonicalize()
         assert z.includes(original)
+
+
+# --------------------------------------------------------------------------
+# the O(n²) constrain and the fused closure against plain Floyd–Warshall
+# --------------------------------------------------------------------------
+def reference_close(m):
+    """Textbook Floyd–Warshall over ``add_bounds`` (INF absorbed per step)."""
+    m = m.copy()
+    for k in range(m.shape[0]):
+        np.minimum(m, add_bounds(m[:, k : k + 1], m[k : k + 1, :]), out=m)
+    return m
+
+
+def reference_is_empty(m):
+    return bool((np.diagonal(m) < LE_ZERO).any())
+
+
+@st.composite
+def canonical_zones(draw):
+    """A closed, non-empty DBM over 1..8 clocks with INF and strict entries.
+
+    Every bound is loosened from one valuation ``v`` by a nonnegative
+    slack (positive when strict), so ``v`` lies in the zone. Half the
+    zones are then delay-closed, which leaves INF upper bounds the way the
+    explorer's zones have them.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    v = [0] + draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+    m = np.full((n + 1, n + 1), LE_ZERO, dtype=np.int64)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i == j:
+                continue
+            if draw(st.booleans()):
+                m[i, j] = INF
+                continue
+            strict = draw(st.booleans())
+            slack = draw(st.integers(1 if strict else 0, 6))
+            m[i, j] = bound(v[i] - v[j] + slack, strict)
+    zone = DBM(n, reference_close(m))
+    assert not zone.is_empty()
+    if draw(st.booleans()):
+        zone.up()
+    return zone
+
+
+@st.composite
+def raw_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    entries = st.one_of(
+        st.just(int(INF)),
+        st.builds(bound, st.integers(-20, 20), st.booleans()),
+    )
+    cells = draw(st.lists(entries, min_size=(n + 1) ** 2,
+                          max_size=(n + 1) ** 2))
+    return np.array(cells, dtype=np.int64).reshape(n + 1, n + 1)
+
+
+class TestIncrementalClosure:
+    @given(zone=canonical_zones(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_constrain_equals_constrain_then_full_close(self, zone, data):
+        i = data.draw(st.integers(0, zone.n))
+        j = data.draw(st.integers(0, zone.n).filter(lambda k: k != i))
+        encoded = bound(data.draw(st.integers(-25, 25)), data.draw(st.booleans()))
+        expected = zone.m.copy()
+        expected[i, j] = min(expected[i, j], encoded)
+        expected = reference_close(expected)
+        nonempty = zone.constrain(i, j, encoded)
+        assert nonempty == (not zone.is_empty())
+        assert zone.is_empty() == reference_is_empty(expected)
+        if nonempty:
+            assert np.array_equal(zone.m, expected)
+
+    @given(m=raw_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_fused_canonicalize_equals_reference(self, m):
+        fused = DBM(m.shape[0] - 1, m.copy()).canonicalize()
+        assert np.array_equal(fused.m, reference_close(m))
+
+    def test_constrain_without_tightening_is_a_no_op(self):
+        z = zero_zone(2).up()
+        z.constrain_lower(1, 5, strict=False)
+        before = z.m.copy()
+        z.constrain_lower(1, 3, strict=False)   # implied by x1 >= 5
+        z.constrain(1, 0, INF)                  # no bound at all
+        assert np.array_equal(z.m, before)
+
+    def test_contradiction_marks_empty_without_full_close(self):
+        z = zero_zone(1).up()
+        assert z.constrain_lower(1, 10, strict=False)
+        assert not z.is_empty()
+        assert not z.constrain_upper(1, 10, strict=True)   # 10 <= x1 < 10
+        assert z.is_empty()

@@ -8,8 +8,10 @@ tools/gen_lint_goldens.py).
 import json
 import pathlib
 
+from repro.core.circuit import reset_working_circuit
 from repro.core.helpers import inp_at
 from repro.lint import (
+    ReachBudget,
     json_payload,
     lint_circuit,
     render_text,
@@ -112,3 +114,35 @@ class TestJsonAndText:
         assert "PL301 error" in text
         assert "in:clk@12" in text
         assert "summary: 2 error(s)" in text
+
+
+class TestSarifTruncation:
+    @staticmethod
+    def _reach_report(design, max_states):
+        a = inp_at(10.0, 50.0, name="a")
+        jtl(jtl(a), name="q")
+        report = lint_circuit(
+            design=design, reach=True,
+            reach_budget=ReachBudget(max_states=max_states, time_limit=None),
+        )
+        reset_working_circuit()
+        return report
+
+    def test_truncated_reach_adds_an_execution_notification(self):
+        truncated = self._reach_report("cut", max_states=2)
+        complete = self._reach_report("whole", max_states=None)
+        assert truncated.reach["truncated"] and not complete.reach["truncated"]
+        run = sarif_payload([complete, truncated])["runs"][0]
+        (invocation,) = run["invocations"]
+        assert invocation["executionSuccessful"] is True
+        (note,) = invocation["toolExecutionNotifications"]
+        assert note["level"] == "warning"
+        assert note["properties"] == {
+            "design": "cut",
+            "truncation_reason": "max_states",
+            "states": truncated.reach["states"],
+        }
+        assert note["message"]["text"].startswith(
+            "cut: reach analysis truncated (max_states) after 2 state(s)"
+        )
+        assert "invocations" not in sarif_payload([complete])["runs"][0]
