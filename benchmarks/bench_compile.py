@@ -2,17 +2,21 @@
 
 ``compile_circuit`` memoizes its result on the circuit keyed by the
 mutation version, so only the *first* ``simulate()`` after elaboration (or
-after a structural change) pays for validation, dense-id assignment,
-topology analysis, and hashing. These benchmarks measure the three legs on
-the bitonic-8 sorter:
+after a structural change) pays for validation, dense-id assignment and the
+dispatch tables. The structural hash and the analysis views are computed
+on first read, which a plain ``simulate()`` never does. These benchmarks
+measure four legs on the bitonic-8 sorter:
 
 * ``test_compile_cold`` — the compile pass alone (memo invalidated each
   round);
+* ``test_structural_hash_cold`` — the compile pass plus the first read of
+  the structural hash, the cost a cache-keyed consumer (serve, explore,
+  lint) pays on a cold design;
 * ``test_simulate_cold`` — compile + simulate, the first-call cost;
 * ``test_simulate_warm`` — simulate on a warm memo, the steady-state cost
   of every repeated ``simulate()`` / ``measure_yield()`` trial.
 
-``tools/bench_guard.py`` records all three in ``BENCH_sim.json`` and fails
+``tools/bench_guard.py`` records all four in ``BENCH_sim.json`` and fails
 if the warm repeat does not beat the cold path — the cache's reason to
 exist.
 """
@@ -42,6 +46,17 @@ def test_compile_cold(benchmark):
 
     compiled = benchmark(compile_cold)
     assert len(compiled) == len(circuit)
+
+
+def test_structural_hash_cold(benchmark):
+    circuit = build_bitonic8()
+
+    def hash_cold():
+        circuit._mutated()
+        return compile_circuit(circuit).structural_hash
+
+    digest = benchmark(hash_cold)
+    assert len(digest) == 64
 
 
 def test_simulate_cold(benchmark):

@@ -7,17 +7,20 @@ static timing analysis, the lint rules, and the timed-automata translation.
 produces a :class:`CompiledCircuit` — an immutable view of the netlist with
 
 * dense integer node and wire ids (position in elaboration order);
-* topology arrays: per-wire source/destination, the circuit's outputs, a
-  deterministic topological order with the feedback-edge set that had to be
-  cut to obtain it, and the cyclic strongly-connected components;
+* topology arrays: per-wire source/destination, the circuit's outputs and
+  its dataflow edges;
 * canonical name indexes (``node_index``, ``node_by_name``) replacing the
   per-backend ``{node.name: node}`` rebuilds;
-* per-node dispatch specs and per-output nominal delay windows, precomputed
-  so :meth:`repro.core.simulation.Simulation.simulate` and
-  :mod:`repro.core.analysis` never re-derive them;
-* the structurally identified clock inputs (every circuit input whose
-  pulses reach a ``clk`` port);
-* a stable :attr:`~CompiledCircuit.structural_hash`.
+* per-node dispatch specs, precomputed so
+  :meth:`repro.core.simulation.Simulation.simulate` never re-derives them.
+
+Views only the analyses and the caches read are computed on first read:
+a deterministic topological order with the feedback-edge set that had to
+be cut to obtain it, the cyclic strongly-connected components, per-output
+nominal delay windows, the structurally identified clock inputs (every
+circuit input whose pulses reach a ``clk`` port), and a stable
+:attr:`~CompiledCircuit.structural_hash`. A plain ``simulate()`` or
+Monte-Carlo run never computes them.
 
 The compile result is memoized on the circuit (keyed by its mutation
 version), so repeated ``simulate()`` / ``measure_yield()`` /
@@ -39,7 +42,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union,
+)
 
 from .circuit import Circuit
 from .element import Element, InGen
@@ -99,6 +104,13 @@ class CompiledCircuit:
     Node and wire ids are dense integers in elaboration order, so every
     per-node or per-wire annotation is a tuple indexed by id. The dataclass
     is frozen: backends share one instance and none may mutate it.
+
+    Only what the simulation drains read is built by :func:`compile_circuit`
+    (the node and wire tables, the dispatch specs, the edge list and the
+    stateful elements). The structural hash and the analysis views
+    (``topo_order``, ``feedback_edges``, ``is_acyclic``, ``cyclic_sccs``,
+    ``delay_windows``, ``clock_wires``) are computed the first time they are
+    read, from the snapshot taken at compile time.
     """
 
     circuit: Circuit
@@ -109,7 +121,6 @@ class CompiledCircuit:
     #: circuits (undriven wires are its PL204 finding, not a crash); a later
     #: strict consumer re-validates once and flips this.
     validated: bool
-    structural_hash: str
 
     # -- nodes ---------------------------------------------------------
     nodes: Tuple[Node, ...]
@@ -122,6 +133,10 @@ class CompiledCircuit:
     wires: Tuple[Wire, ...]
     wire_index: Dict[str, int]
     labels: Tuple[str, ...]
+    #: Per wire id: the user-visible label, or None for an anonymous wire
+    #: (the hash input; snapshotted so a later ``observe()`` cannot leak
+    #: into this revision's hash).
+    user_labels: Tuple[Optional[str], ...]
     #: Per wire id: (driving node id, output port).
     wire_source: Tuple[Tuple[int, str], ...]
     #: Per wire id: (consuming node id, input port), or None (circuit output).
@@ -131,24 +146,16 @@ class CompiledCircuit:
     # -- topology ------------------------------------------------------
     #: Every dataflow edge as (source node id, dest node id, wire id).
     edges: Tuple[Tuple[int, int, int], ...]
-    #: All node ids in a deterministic topological order (feedback edges
-    #: ignored); a valid dataflow order for the acyclic part.
-    topo_order: Tuple[int, ...]
-    #: The edges that point backwards in ``topo_order`` — empty iff acyclic.
-    feedback_edges: FrozenSet[Tuple[int, int, int]]
-    is_acyclic: bool
-    #: Strongly-connected components containing a cycle, node ids sorted by
-    #: node name (the order the lint rules report them in).
-    cyclic_sccs: Tuple[Tuple[int, ...], ...]
 
     # -- precomputed annotations ---------------------------------------
-    #: (cell node id, output port) -> (min, max) nominal firing delay.
-    delay_windows: Dict[Tuple[int, str], Tuple[float, float]]
-    #: Input label -> names of cells whose ``clk`` port its pulses reach.
-    clock_wires: Dict[str, Tuple[str, ...]]
     #: Elements whose ``reset()`` actually does something (cheap re-runs).
     stateful_elements: Tuple[Element, ...]
 
+    #: The structural hash once read. Unlike ``_cache`` it is pickled, so a
+    #: hash the parent has read travels to the Monte-Carlo workers.
+    _hash: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     #: Per-instance scratch for lazily derived views (never pickled).
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -157,6 +164,69 @@ class CompiledCircuit:
         state = dict(self.__dict__)
         state["_cache"] = {}
         return state
+
+    def _memo(self, key: str, compute: Callable[[], object]):
+        """``compute()`` on first read, then the value kept in ``_cache``."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
+
+    # -- computed on first read ----------------------------------------
+    @property
+    def structural_hash(self) -> str:
+        """The stable Weisfeiler–Lehman digest (see the module docstring)."""
+        digest = self._hash
+        if digest is None:
+            digest = _structural_hash(self.nodes, self.dispatch, self.user_labels)
+            object.__setattr__(self, "_hash", digest)
+        return digest
+
+    def _topology(self) -> Tuple[Tuple[int, ...], FrozenSet[Tuple[int, int, int]]]:
+        return self._memo("topology", lambda: _topological_order(
+            len(self.nodes), self.edges
+        ))
+
+    @property
+    def topo_order(self) -> Tuple[int, ...]:
+        """All node ids in a deterministic topological order (feedback edges
+        ignored); a valid dataflow order for the acyclic part."""
+        return self._topology()[0]
+
+    @property
+    def feedback_edges(self) -> FrozenSet[Tuple[int, int, int]]:
+        """The edges that point backwards in ``topo_order`` — empty iff
+        acyclic."""
+        return self._topology()[1]
+
+    @property
+    def is_acyclic(self) -> bool:
+        """True iff the netlist has no dataflow cycle."""
+        return not self.feedback_edges
+
+    @property
+    def cyclic_sccs(self) -> Tuple[Tuple[int, ...], ...]:
+        """Strongly-connected components containing a cycle, node ids sorted
+        by node name (the order the lint rules report them in)."""
+        return self._memo("cyclic_sccs", lambda: _cyclic_sccs(
+            len(self.nodes), self.edges, [nd.name for nd in self.dispatch]
+        ))
+
+    @property
+    def delay_windows(self) -> Dict[Tuple[int, str], Tuple[float, float]]:
+        """(cell node id, output port) -> (min, max) nominal firing delay."""
+        return self._memo("delay_windows", lambda: _delay_windows(
+            self.nodes, self.cell_ids
+        ))
+
+    @property
+    def clock_wires(self) -> Dict[str, Tuple[str, ...]]:
+        """Input label -> names of cells whose ``clk`` port its pulses reach."""
+        return self._memo("clock_wires", lambda: _clock_wires(
+            self.dispatch, self.input_ids, self.edges, self.wire_source,
+            self.wire_dest, self.labels,
+        ))
 
     # -- name lookups --------------------------------------------------
     def node(self, name: str) -> Node:
@@ -169,12 +239,9 @@ class CompiledCircuit:
     @property
     def node_by_name(self) -> Dict[str, Node]:
         """Read-only name -> Node view (built once per compile)."""
-        view = self._cache.get("node_by_name")
-        if view is None:
-            view = self._cache["node_by_name"] = {
-                name: self.nodes[i] for name, i in self.node_index.items()
-            }
-        return view
+        return self._memo("node_by_name", lambda: {
+            name: self.nodes[i] for name, i in self.node_index.items()
+        })
 
     def cells(self) -> List[Node]:
         """Placed cells in elaboration order (matches ``Circuit.cells``)."""
@@ -275,47 +342,91 @@ def _digest(*parts) -> str:
 
 def _structural_hash(
     nodes: Sequence[Node],
-    in_edges: Sequence[List[Tuple[int, str, str, Optional[str]]]],
-    out_edges: Sequence[List[Tuple[int, str, str, Optional[str]]]],
-    open_outputs: Sequence[List[Tuple[str, Optional[str]]]],
+    dispatch: Sequence[NodeDispatch],
+    user_labels: Sequence[Optional[str]],
 ) -> str:
     """Weisfeiler–Lehman digest of the netlist.
 
-    ``in_edges[i]`` / ``out_edges[i]`` hold ``(neighbor id, my port, their
-    port, wire label)`` per dataflow edge; ``open_outputs[i]`` holds
-    ``(port, wire label)`` for outputs feeding no consumer. Wire labels are
-    the user-visible observation names (None for anonymous wires), so a
-    rename that changes the events dict changes the hash while the
-    anonymous counter does not.
+    The adjacency comes from ``dispatch``: per node, ``in_edges`` /
+    ``out_edges`` hold ``(neighbor id, my port, their port, wire label)``
+    per dataflow edge and ``open_outputs`` holds ``(port, wire label)`` for
+    outputs feeding no consumer, in output-port order. Wire labels are the
+    user-visible observation names (None for anonymous wires), so a rename
+    that changes the events dict changes the hash while the anonymous
+    counter does not.
+
+    Identical inputs are digested once per call. A cell's signature is a
+    function of its name and its machine, which every instance without a
+    delay override shares, so a cell's initial label is memoised per (name,
+    machine, open outputs); other elements' initial labels, and each
+    refinement digest, are memoised per parts tuple (strings and None
+    only, so equal parts have equal reprs). The memos live for one call:
+    machine ids are only stable while ``nodes`` keeps the machines alive.
     """
-    labels = [
-        _digest(
-            _element_signature(node.element),
-            tuple(open_outputs[i]),
-        )
-        for i, node in enumerate(nodes)
+    n = len(nodes)
+    in_edges: List[List[Tuple[int, str, str, Optional[str]]]] = [
+        [] for _ in range(n)
     ]
+    out_edges: List[List[Tuple[int, str, str, Optional[str]]]] = [
+        [] for _ in range(n)
+    ]
+    open_outputs: List[List[Tuple[str, Optional[str]]]] = [
+        [] for _ in range(n)
+    ]
+    for nd in dispatch:
+        i = nd.index
+        for o in nd.outs:
+            wlabel = user_labels[o.wire_id]
+            if o.dest < 0:
+                open_outputs[i].append((o.port, wlabel))
+            else:
+                out_edges[i].append((o.dest, o.port, o.dest_port, wlabel))
+                in_edges[o.dest].append((i, o.dest_port, o.port, wlabel))
+
+    initial: Dict[tuple, str] = {}
+    labels: List[str] = []
+    for i, node in enumerate(nodes):
+        element = node.element
+        opens = tuple(open_outputs[i])
+        if isinstance(element, Transitional):
+            key = (element.name, id(element.machine), opens)
+            signature = None
+        else:
+            signature = _element_signature(element)
+            key = (signature, opens)
+        label = initial.get(key)
+        if label is None:
+            if signature is None:
+                signature = _element_signature(element)
+            label = initial[key] = _digest(signature, opens)
+        labels.append(label)
+
+    refined: Dict[tuple, str] = {}
     for _ in range(_HASH_ROUNDS):
-        labels = [
-            _digest(
+        next_labels = []
+        for i in range(n):
+            parts = (
                 labels[i],
                 tuple(sorted(
-                    (labels[n], my_port, their_port, wlabel)
-                    for n, my_port, their_port, wlabel in in_edges[i]
+                    (labels[k], my_port, their_port, wlabel)
+                    for k, my_port, their_port, wlabel in in_edges[i]
                 )),
                 tuple(sorted(
-                    (labels[n], my_port, their_port, wlabel)
-                    for n, my_port, their_port, wlabel in out_edges[i]
+                    (labels[k], my_port, their_port, wlabel)
+                    for k, my_port, their_port, wlabel in out_edges[i]
                 )),
             )
-            for i in range(len(nodes))
-        ]
+            label = refined.get(parts)
+            if label is None:
+                label = refined[parts] = _digest(*parts)
+            next_labels.append(label)
+        labels = next_labels
     edge_digest = tuple(sorted(
-        (labels[i], my_port, labels[n], their_port, wlabel)
-        for i in range(len(nodes))
-        for n, my_port, their_port, wlabel in out_edges[i]
+        (labels[i], my_port, labels[k], their_port, wlabel)
+        for i in range(n)
+        for k, my_port, their_port, wlabel in out_edges[i]
     ))
-    return _digest(_HASH_VERSION, len(nodes), tuple(sorted(labels)), edge_digest)
+    return _digest(_HASH_VERSION, n, tuple(sorted(labels)), edge_digest)
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +434,7 @@ def _structural_hash(
 # ----------------------------------------------------------------------
 def _topological_order(
     n: int, edges: Sequence[Tuple[int, int, int]]
-) -> Tuple[List[int], set]:
+) -> Tuple[Tuple[int, ...], FrozenSet[Tuple[int, int, int]]]:
     """Kahn's algorithm with deterministic forcing on cycles.
 
     Returns ``(order, feedback)`` where ``order`` contains every node id
@@ -364,12 +475,12 @@ def _topological_order(
             if indegree[dst] == 0:
                 heapq.heappush(ready, dst)
     position = {node: k for k, node in enumerate(order)}
-    feedback = {
+    feedback = frozenset(
         (src, dst, wid)
         for src, dst, wid in edges
         if position[src] >= position[dst]
-    }
-    return order, feedback
+    )
+    return tuple(order), feedback
 
 
 def _cyclic_sccs(
@@ -446,18 +557,19 @@ def _cyclic_sccs(
 
 
 def _clock_wires(
-    nodes: Sequence[Node],
+    dispatch: Sequence[NodeDispatch],
     input_ids: Sequence[int],
     edges: Sequence[Tuple[int, int, int]],
     wire_source: Sequence[Tuple[int, str]],
     wire_dest: Sequence[Optional[Tuple[int, str]]],
+    labels: Sequence[str],
 ) -> Dict[str, Tuple[str, ...]]:
     """Structural clock identification (same result as analysis.clock_wires).
 
     An input is a clock iff its pulses reach at least one cell input port
     named ``clk`` through any fabric; the value lists the clocked cells.
     """
-    succs: List[List[int]] = [[] for _ in range(len(nodes))]
+    succs: List[List[int]] = [[] for _ in range(len(dispatch))]
     for src, dst, _ in edges:
         succs[src].append(dst)
     # Source node id -> names of clk-consuming nodes it directly feeds.
@@ -465,7 +577,7 @@ def _clock_wires(
     for wid, dest in enumerate(wire_dest):
         if dest is not None and dest[1] == "clk":
             direct.setdefault(wire_source[wid][0], set()).add(
-                nodes[dest[0]].name
+                dispatch[dest[0]].name
             )
 
     result: Dict[str, Tuple[str, ...]] = {}
@@ -481,9 +593,32 @@ def _clock_wires(
             name for src in reached & direct.keys() for name in direct[src]
         })
         if clocked:
-            label = nodes[input_id].output_wires["out"].observed_as
+            label = labels[dispatch[input_id].outs[0].wire_id]
             result[label] = tuple(clocked)
     return result
+
+
+def _delay_windows(
+    nodes: Sequence[Node], cell_ids: Sequence[int]
+) -> Dict[Tuple[int, str], Tuple[float, float]]:
+    """(cell node id, output port) -> (min, max) nominal firing delay."""
+    delay_windows: Dict[Tuple[int, str], Tuple[float, float]] = {}
+    for i in cell_ids:
+        element = nodes[i].element
+        if isinstance(element, Transitional):
+            windows: Dict[str, Tuple[float, float]] = {}
+            for t in element.machine.transitions:
+                for out, delay in t.firing.items():
+                    d = nominal_delay(delay)
+                    lo, hi = windows.get(out, (d, d))
+                    windows[out] = (min(lo, d), max(hi, d))
+            for out, window in windows.items():
+                delay_windows[(i, out)] = window
+        elif isinstance(element, Functional):
+            for out, delay in element.delays.items():
+                d = nominal_delay(delay)
+                delay_windows[(i, out)] = (d, d)
+    return delay_windows
 
 
 # ----------------------------------------------------------------------
@@ -527,6 +662,9 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
     wires = tuple(circuit.wires)
     wire_ids: Dict[int, int] = {id(w): k for k, w in enumerate(wires)}
     labels = tuple(w.observed_as for w in wires)
+    user_labels = tuple(
+        w.observed_as if w.is_user_named else None for w in wires
+    )
     wire_index: Dict[str, int] = {}
     for k, wire in enumerate(wires):
         for name in {wire.name, wire.observed_as}:
@@ -553,15 +691,8 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
         i for i, node in enumerate(nodes) if isinstance(node.element, InGen)
     )
 
-    # -- dispatch specs and hash adjacency ------------------------------
+    # -- dispatch specs -------------------------------------------------
     dispatch: List[NodeDispatch] = []
-    in_edges: List[List[Tuple[int, str, str, Optional[str]]]] = [
-        [] for _ in nodes
-    ]
-    out_edges: List[List[Tuple[int, str, str, Optional[str]]]] = [
-        [] for _ in nodes
-    ]
-    open_outputs: List[List[Tuple[str, Optional[str]]]] = [[] for _ in nodes]
     edges: List[Tuple[int, int, int]] = []
     for i, node in enumerate(nodes):
         element = node.element
@@ -570,17 +701,13 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
         outs: List[OutSpec] = []
         for port, wire in node.output_wires.items():
             wid = wire_ids[id(wire)]
-            wlabel = wire.observed_as if wire.is_user_named else None
             dest = wire_dest[wid]
             if dest is None:
                 outs.append(OutSpec(port, wid, -1, ""))
-                open_outputs[i].append((port, wlabel))
             else:
                 dest_id, dest_port = dest
                 outs.append(OutSpec(port, wid, dest_id, dest_port))
                 edges.append((i, dest_id, wid))
-                out_edges[i].append((dest_id, port, dest_port, wlabel))
-                in_edges[dest_id].append((i, dest_port, port, wlabel))
         dispatch.append(NodeDispatch(
             index=i,
             name=node.name,
@@ -591,33 +718,6 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
             outs=tuple(outs),
         ))
 
-    edges_tuple = tuple(edges)
-    names = [node.name for node in nodes]
-    order, feedback = _topological_order(len(nodes), edges_tuple)
-    cyclic = _cyclic_sccs(len(nodes), edges_tuple, names)
-
-    # -- per-output nominal delay windows -------------------------------
-    delay_windows: Dict[Tuple[int, str], Tuple[float, float]] = {}
-    for i in cell_ids:
-        element = nodes[i].element
-        if isinstance(element, Transitional):
-            windows: Dict[str, Tuple[float, float]] = {}
-            for t in element.machine.transitions:
-                for out, delay in t.firing.items():
-                    d = nominal_delay(delay)
-                    lo, hi = windows.get(out, (d, d))
-                    windows[out] = (min(lo, d), max(hi, d))
-            for out, window in windows.items():
-                delay_windows[(i, out)] = window
-        elif isinstance(element, Functional):
-            for out, delay in element.delays.items():
-                d = nominal_delay(delay)
-                delay_windows[(i, out)] = (d, d)
-
-    clock_map = _clock_wires(
-        nodes, input_ids, edges_tuple, wire_source, wire_dest
-    )
-
     stateful = tuple(
         node.element for node in nodes
         if type(node.element).reset is not Element.reset
@@ -627,9 +727,6 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
         circuit=circuit,
         version=version,
         validated=validate,
-        structural_hash=_structural_hash(
-            nodes, in_edges, out_edges, open_outputs
-        ),
         nodes=nodes,
         node_index=node_index,
         cell_ids=cell_ids,
@@ -638,16 +735,11 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
         wires=wires,
         wire_index=wire_index,
         labels=labels,
+        user_labels=user_labels,
         wire_source=wire_source,
         wire_dest=tuple(wire_dest),
         output_wire_ids=output_wire_ids,
-        edges=edges_tuple,
-        topo_order=tuple(order),
-        feedback_edges=frozenset(feedback),
-        is_acyclic=not feedback,
-        cyclic_sccs=cyclic,
-        delay_windows=delay_windows,
-        clock_wires=clock_map,
+        edges=tuple(edges),
         stateful_elements=stateful,
     )
     circuit._compiled_ir = compiled

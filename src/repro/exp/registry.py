@@ -7,9 +7,10 @@ translation statistics, model checking) can iterate over the same registry.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.circuit import Circuit, fresh_circuit
 from ..core.helpers import inp, inp_at
@@ -18,7 +19,7 @@ from ..designs import adder_sync, adder_xsfq, bitonic, minmax, racetree
 from ..sfq import BASIC_CELLS, functions as fn
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignEntry:
     """One Table 3 row: a name, a builder, and whether it is a basic cell."""
 
@@ -127,8 +128,7 @@ def _source_lines(obj) -> int:
     return len(inspect.getsource(obj).splitlines())
 
 
-def registry() -> List[DesignEntry]:
-    """All 22 designs in Table 3 order."""
+def _build_entries() -> Tuple[DesignEntry, ...]:
     entries = [
         DesignEntry(
             name=cls.name,
@@ -152,7 +152,25 @@ def registry() -> List[DesignEntry]:
         DesignEntry("Bitonic Sort 8", _build_bitonic(8), False,
                     _source_lines(bitonic.bitonic_sorter)),
     ]
-    return entries
+    return tuple(entries)
+
+
+@functools.lru_cache(maxsize=None)
+def _table() -> Tuple[Tuple[DesignEntry, ...], Dict[str, DesignEntry]]:
+    """(entries in Table 3 order, name -> entry), built once per process:
+    the composite designs' sizes read their source, a few ms each."""
+    entries = _build_entries()
+    return entries, {entry.name: entry for entry in entries}
+
+
+def registry() -> List[DesignEntry]:
+    """All 22 designs in Table 3 order (a fresh list of shared entries)."""
+    return list(_table()[0])
+
+
+def registry_entry(name: str) -> Optional[DesignEntry]:
+    """The registry design called ``name``, or None."""
+    return _table()[1].get(name)
 
 
 def pylse_stats(circuit: Circuit) -> Dict[str, int]:
@@ -184,10 +202,10 @@ class RegistryFactory:
         self.name = name
 
     def __call__(self) -> Circuit:
-        for entry in registry():
-            if entry.name == self.name:
-                return build_in_fresh_circuit(entry)
-        raise ValueError(f"Unknown registry design {self.name!r}")
+        entry = registry_entry(self.name)
+        if entry is None:
+            raise ValueError(f"Unknown registry design {self.name!r}")
+        return build_in_fresh_circuit(entry)
 
     def __repr__(self) -> str:
         return f"RegistryFactory({self.name!r})"

@@ -66,7 +66,9 @@ from ..cache import (
     RESULTS_NAMESPACE,
     TieredCache,
 )
-from ..exp.registry import PulseCountPredicate, RegistryFactory, registry
+from ..exp.registry import (
+    PulseCountPredicate, RegistryFactory, registry, registry_entry,
+)
 from ..obs.serving import ServiceMetrics, cache_tiers_jsonable
 
 #: Version tag reported by ``GET /healthz``.
@@ -245,7 +247,7 @@ class YieldService:
                 resolved = self.compiled_cache.get(digest)
                 if resolved is not MISSING:
                     return resolved
-            if not any(entry.name == name for entry in registry()):
+            if registry_entry(name) is None:
                 raise UnknownDesign(
                     f"unknown design {name!r}; GET /healthz lists the "
                     "registry size, `python -m repro list` the names"

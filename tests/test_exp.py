@@ -1,5 +1,7 @@
 """Tests for the experiment harnesses (repro.exp)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.transitional import Transitional
@@ -36,6 +38,26 @@ class TestRegistry:
         entry = next(e for e in registry() if e.name == "Bitonic Sort 8")
         circuit = build_in_fresh_circuit(entry)
         assert pylse_stats(circuit)["cells"] == 120
+
+    def test_table_is_built_once_per_process(self, monkeypatch):
+        import inspect
+
+        calls = []
+        getsource = inspect.getsource
+
+        def counting(obj):
+            calls.append(obj)
+            return getsource(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counting)
+        registry_mod._table.cache_clear()
+        first, second = registry(), registry()
+        registry_mod.RegistryFactory("Min-Max")()
+        assert registry_mod.registry_entry("Race Tree") is first[-5]
+        assert len(calls) == sum(not e.is_basic_cell for e in first) == 6
+        assert first == second and first is not second
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first[0].dsl_size = 0
 
 
 class TestFigures:

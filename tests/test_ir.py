@@ -302,3 +302,75 @@ class TestWireIndexConsistency:
         q._user_named = True
         problems = circuit.index_problems()
         assert problems
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("computed a lazy IR view on the simulation path")
+
+
+#: Everything ``compile_circuit`` leaves to the first read.
+LAZY_VIEWS = ("_structural_hash", "_clock_wires", "_cyclic_sccs",
+              "_topological_order", "_delay_windows")
+
+
+class TestLaziness:
+    """The simulation and Monte-Carlo paths never compute the structural
+    hash or the analysis views; the caches and lint read them on demand."""
+
+    @pytest.fixture
+    def refuse_lazy_views(self, monkeypatch):
+        def refuse():
+            for name in LAZY_VIEWS:
+                monkeypatch.setattr(f"repro.core.ir.{name}", _refuse)
+        return refuse
+
+    def test_simulate_skips_lazy_views(self, refuse_lazy_views):
+        expected = Simulation(build_fig12()).simulate()
+        refuse_lazy_views()
+        assert Simulation(build_fig12()).simulate() == expected
+
+    @pytest.mark.parametrize("design", ["Bitonic Sort 4", "Adder (Sync)"])
+    def test_monte_carlo_skips_lazy_views(self, design, refuse_lazy_views):
+        from repro.core.montecarlo import measure_yield
+        from repro.core.parallel import run_chunk
+        from repro.exp.registry import PulseCountPredicate, RegistryFactory
+
+        factory = RegistryFactory(design)
+        predicate = PulseCountPredicate(Simulation(factory()).simulate())
+        seeds = range(12)
+
+        def runs():
+            outcomes, _, _ = run_chunk(factory, predicate, 2.0, seeds)
+            return outcomes, [
+                measure_yield(factory, predicate, 2.0, seeds=seeds,
+                              batch=batch)
+                for batch in (0, "auto")
+            ]
+
+        expected = runs()
+        refuse_lazy_views()
+        assert runs() == expected
+
+    def test_views_are_computed_on_first_read_only(self, refuse_lazy_views):
+        compiled = compile_circuit(build_fig12())
+        assert compiled._hash is None and compiled._cache == {}
+        compiled.structural_hash, compiled.topo_order, compiled.cyclic_sccs
+        compiled.clock_wires, compiled.delay_windows
+        refuse_lazy_views()
+        # Memoised: a second read never recomputes.
+        assert compiled.is_acyclic and compiled.structural_hash
+
+    def test_read_hash_travels_in_the_pickle(self, refuse_lazy_views):
+        compiled = compile_circuit(build_fig12())
+        digest = compiled.structural_hash
+        payload = pickle.dumps(compiled)
+        refuse_lazy_views()
+        assert pickle.loads(payload).structural_hash == digest
+
+    def test_views_snapshot_the_compiled_revision(self):
+        circuit = build_fig12()
+        compiled = compile_circuit(circuit)
+        circuit.find_wire("CLK").observe("CLOCK")
+        assert compile_circuit(circuit) is not compiled
+        assert set(compiled.clock_wires) == {"CLK"}
+        assert set(compile_circuit(circuit).clock_wires) == {"CLOCK"}

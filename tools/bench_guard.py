@@ -329,6 +329,10 @@ def compile_cache_block(medians_us: dict) -> dict:
     return {
         "compile_cold_us": round(medians_us["test_compile_cold"], 3)
         if "test_compile_cold" in medians_us else None,
+        # Recorded only: compile plus the first (lazy) structural-hash read.
+        "structural_hash_cold_us":
+        round(medians_us["test_structural_hash_cold"], 3)
+        if "test_structural_hash_cold" in medians_us else None,
         "simulate_cold_us": round(cold, 3) if cold else None,
         "simulate_warm_us": round(warm, 3) if warm else None,
         "warm_vs_cold_speedup": round(cold / warm, 3)
