@@ -34,6 +34,7 @@ from .core.serialize import circuit_to_json
 from .core.statictiming import slack_report
 from .core.simulation import Simulation, render_waveforms
 from .core.vcd import save_vcd
+from .exp.measure import DEFAULT_CACHE_SIZE, DEFAULT_COMPILED_CACHE_SIZE
 from .exp.registry import (
     PulseCountPredicate,
     RegistryFactory,
@@ -354,13 +355,14 @@ def cmd_serve(args) -> int:
         print(f"cannot start server: {err}", file=sys.stderr)
         return 1
     host, port = server.server_address[:2]
-    service = server.service
+    measurer = server.service.measurer
+    cache = measurer.stats()["cache"]
     print(f"serving yield analysis on http://{host}:{port} "
-          f"(workers={service.workers}, "
-          f"result cache={service.result_cache.capacity}, "
-          f"compiled cache={service.compiled_cache.capacity})")
-    if service.cache_dir is not None:
-        print(f"persistent result cache: {service.cache_dir}")
+          f"(workers={measurer.workers}, "
+          f"result cache={cache['result']['capacity']}, "
+          f"compiled cache={cache['compiled']['capacity']})")
+    if measurer.cache_dir is not None:
+        print(f"persistent result cache: {measurer.cache_dir}")
     print("endpoints: POST /yield /yield_curve /critical_sigma, "
           "GET /healthz /stats — Ctrl-C to stop", flush=True)
     try:
@@ -492,12 +494,13 @@ def main(argv=None) -> int:
     p.add_argument("--workers", type=int, default=1,
                    help="Monte-Carlo engine workers per request; 0 = one "
                         "per CPU (default 1)")
-    p.add_argument("--cache-size", type=int, default=1024,
-                   help="LRU capacity of the (hash, sigma, seeds, batch) "
-                        "result cache (default 1024)")
-    p.add_argument("--compiled-cache-size", type=int, default=128,
+    p.add_argument("--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
+                   help="LRU capacity of the (hash, sigma, seeds) result "
+                        "cache (default %(default)s)")
+    p.add_argument("--compiled-cache-size", type=int,
+                   default=DEFAULT_COMPILED_CACHE_SIZE,
                    help="LRU capacity of the compiled-design cache "
-                        "(default 128)")
+                        "(default %(default)s)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persistent on-disk result cache shared with "
                         "`repro explore --cache-dir` (survives restarts; "

@@ -757,29 +757,25 @@ def result_cache_key(
     sigma: float,
     n_seeds: int,
     seed0: int = 0,
-    batch: Union[int, str, None] = None,
-) -> Tuple[str, str, float, int, int, Union[int, str]]:
+) -> Tuple[str, str, float, int, int]:
     """The canonical memo key for one Monte-Carlo yield measurement.
 
     Two measurements with equal keys are guaranteed to produce equal
     :class:`~repro.core.montecarlo.YieldResult` values (sigma, counts,
     failures), so the key is safe to use for cross-request result caching
-    (:mod:`repro.serve`). The key covers exactly the inputs that determine
-    the result:
+    (:mod:`repro.exp.measure`). The key covers exactly the inputs that
+    determine the result:
 
     * ``digest`` — the circuit's :func:`structural_hash`, which already
       folds in element behavior, wiring, overrides, and input schedules;
-    * ``sigma`` and the contiguous seed range ``seed0 .. seed0 + n_seeds``;
-    * the normalized ``batch`` spec (``None``/``"auto"`` collapse to
-      ``"auto"``: the auto-picked lane width is a pure function of the
-      seed count, and batched results are element-wise identical to
-      per-seed ones anyway — only ``batch=0`` selects the reference drain,
-      which is also outcome-identical but kept distinct for auditability).
+    * ``sigma`` and the contiguous seed range ``seed0 .. seed0 + n_seeds``.
 
-    ``workers`` and the engine policy are deliberately **not** part of the
-    key: every backend path is bit-identical for the same seed list (the
-    determinism contract of :mod:`repro.core.parallel`), so a result
-    computed serially may be served to a pooled request and vice versa.
+    ``workers``, the engine policy and ``batch`` are deliberately **not**
+    part of the key: every backend path, batched or per-seed, is
+    bit-identical for the same seed list (the determinism contract of
+    :mod:`repro.core.parallel` and :mod:`repro.core.batchsim`), and the
+    stored document omits the backend diagnostics, so a result computed
+    one way may be served to a request for another.
 
     The hash-recipe version is mixed in so caches survive across releases
     without ever serving a result computed under a different hash recipe.
@@ -788,16 +784,7 @@ def result_cache_key(
         raise PylseError(f"n_seeds must be a positive integer, got {n_seeds!r}")
     if isinstance(seed0, bool) or not isinstance(seed0, int):
         raise PylseError(f"seed0 must be an integer, got {seed0!r}")
-    if batch in (None, "auto"):
-        norm_batch: Union[int, str] = "auto"
-    elif isinstance(batch, int) and not isinstance(batch, bool) and batch >= 0:
-        norm_batch = batch
-    else:
-        raise PylseError(
-            f"batch must be a non-negative integer, 'auto', or None, "
-            f"got {batch!r}"
-        )
-    return (_HASH_VERSION, digest, float(sigma), n_seeds, seed0, norm_batch)
+    return (_HASH_VERSION, digest, float(sigma), n_seeds, seed0)
 
 
 def lint_cache_key(

@@ -151,20 +151,37 @@ def circuit_from_json(
 
     circuit = Circuit()
     wires: Dict[str, Wire] = {}
+    #: (wire, label) aliases to attach once the wire has joined the circuit.
+    pending: List[tuple] = []
 
     def get_wire(name: str, observed_as: Optional[str] = None) -> Wire:
+        # An auto-shaped name (``_`` plus digits) was assigned by the
+        # circuit, not the user: rebuild the wire anonymous so it keeps its
+        # per-circuit ``_k`` name and stays out of the structural hash's
+        # user labels. Its alias, if any, is attached after placement, the
+        # way a cell output is observed after elaboration.
         if name not in wires:
-            wires[name] = Wire(name)
-        if observed_as and observed_as != name:
-            wires[name].observe(observed_as)
+            auto = name[:1] == "_" and name[1:].isdigit()
+            wires[name] = Wire(None if auto else name)
+            if observed_as and observed_as != name:
+                if auto:
+                    pending.append((wires[name], observed_as))
+                else:
+                    wires[name].observe(observed_as)
         return wires[name]
+
+    def place(element, in_wires, out_wires, name) -> None:
+        circuit.add_node(element, in_wires, out_wires, name=name)
+        for wire, label in pending:
+            wire.observe(label)
+        pending.clear()
 
     for spec in payload.get("nodes", []):
         kind = spec.get("kind")
         if kind == "input":
             wire = get_wire(spec["wire"], spec.get("observed_as"))
             element = InGen(spec["times"])
-            circuit.add_node(element, [], [wire], name=spec.get("name"))
+            place(element, [], [wire], spec.get("name"))
         elif kind == "cell":
             cell_name = spec["cell"]
             if cell_name not in registry:
@@ -183,7 +200,7 @@ def circuit_from_json(
                 )
                 for port in element.outputs
             ]
-            circuit.add_node(element, in_wires, out_wires, name=spec.get("name"))
+            place(element, in_wires, out_wires, spec.get("name"))
         else:
             raise PylseError(f"Unknown node kind {kind!r} in circuit JSON")
     return circuit

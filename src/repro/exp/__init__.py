@@ -5,7 +5,9 @@
 * :mod:`repro.exp.table3` — Table 3 (PyLSE vs TA sizes, verification);
 * :mod:`repro.exp.dynamic_checks` — Section 5.2 checks;
 * :mod:`repro.exp.variability` — Section 5.2 robustness sweep;
-* :mod:`repro.exp.registry` — the 22 evaluated designs.
+* :mod:`repro.exp.registry` — the 22 evaluated designs;
+* :mod:`repro.exp.measure` — the cached yield-measurement layer that
+  ``repro serve`` and ``repro explore`` share.
 
 Run everything with ``python -m repro.exp`` or an individual experiment
 with ``python -m repro.exp table2``.

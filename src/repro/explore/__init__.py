@@ -5,19 +5,16 @@ sweep engine over *parameterized* design families (n-bit adders, depth-d
 race trees, n-word memories, n-input bitonic sorters). Each grid point is
 costed statically with :func:`repro.core.energy.circuit_cost`, measured
 with the full Monte-Carlo stack (:func:`repro.core.montecarlo.measure_yield`
-over the batched drain / persistent pool), and cached under
-:func:`repro.core.ir.result_cache_key` — the same contract the yield
-service uses, so sweep points and served requests share semantics.
+over the batched drain / persistent pool), and cached by the same
+:class:`repro.exp.measure.Measurer` the yield service uses, so sweep
+points and served requests share one key contract and one store.
 
 Entry point: ``python -m repro explore <family> --grid n=2,4,8``.
 """
 
 from .engine import (
-    DEFAULT_RESOLVED_CACHE_SIZE,
-    DEFAULT_RESULT_CACHE_SIZE,
     ExploreEngine,
     ExplorePoint,
-    ResolvedPoint,
     SweepResult,
     grid_points,
     parse_grid,
@@ -26,13 +23,10 @@ from .families import DesignFamily, FamilyFactory, families, family_names
 from .pareto import dominates, pareto_frontier
 
 __all__ = [
-    "DEFAULT_RESOLVED_CACHE_SIZE",
-    "DEFAULT_RESULT_CACHE_SIZE",
     "DesignFamily",
     "ExploreEngine",
     "ExplorePoint",
     "FamilyFactory",
-    "ResolvedPoint",
     "SweepResult",
     "dominates",
     "families",

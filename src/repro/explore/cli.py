@@ -21,7 +21,7 @@ from .engine import ExploreEngine, SweepResult, parse_grid
 from .families import families, get_family
 
 #: Format tag of the JSON payload (bump on shape changes).
-EXPLORE_FORMAT = "repro-explore-v1"
+EXPLORE_FORMAT = "repro-explore-v2"
 
 
 def add_explore_parser(sub) -> None:
@@ -236,8 +236,8 @@ def cmd_explore(args) -> int:
                     - before["computations"],
                     "elaborations": after["elaborations"]
                     - before["elaborations"],
-                    "result_cache_hits": after["result_cache"]["hits"]
-                    - before["result_cache"]["hits"],
+                    "result_cache_hits": after["cache"]["result"]["hits"]
+                    - before["cache"]["result"]["hits"],
                 }
             )
     except PylseError as err:

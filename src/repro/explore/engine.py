@@ -1,24 +1,21 @@
 """The sweep engine: cached Monte-Carlo measurement over parameter grids.
 
 One :class:`ExploreEngine` walks a declarative parameter grid over a
-:class:`~repro.explore.families.DesignFamily`, measuring each point with
-the standard Monte-Carlo stack and caching aggressively at three levels —
-the same layering as the yield service (:mod:`repro.serve.service`), so a
-sweep point and a served request for the same circuit share semantics:
+:class:`~repro.explore.families.DesignFamily` and measures each point
+through a :class:`~repro.exp.measure.Measurer`, the measurement layer the
+yield service (:mod:`repro.serve.service`) uses too, so a sweep point and
+a served request for the same circuit share semantics and one store:
 
-* ``(family, params) -> digest`` memo: repeated sweeps over the same grid
-  never re-elaborate or re-hash a design point;
-* the **resolved cache** (digest -> :class:`ResolvedPoint`): factory,
-  baseline predicate, static cost, and latency, keyed by
-  :func:`~repro.core.ir.structural_hash` — two parameter assignments that
-  elaborate to the same circuit share one entry;
-* the **result store** (:func:`~repro.core.ir.result_cache_key` ->
-  :class:`~repro.core.montecarlo.YieldResult`): the canonical measurement
-  memo key, so a warm sweep is pure cache lookups. A
-  :class:`repro.cache.TieredCache` backs it; with ``cache_dir`` set the
-  persistent tier makes a re-run sweep in a *fresh process* recompute
-  nothing, and shares its ``results`` namespace with ``repro serve
-  --cache-dir`` (see docs/caching.md).
+* ``(family, params)`` is the measurer's memo key, so repeated sweeps
+  over the same grid never re-elaborate or re-hash a design point;
+* resolution (factory, baseline predicate, static cost, latency) is
+  cached by :func:`~repro.core.ir.structural_hash` — two parameter
+  assignments that elaborate to the same circuit share one entry;
+* results are cached under :func:`~repro.core.ir.result_cache_key`, so a
+  warm sweep is pure cache lookups. With ``cache_dir`` set the persistent
+  tier makes a re-run sweep in a *fresh process* recompute nothing, and
+  shares its ``results`` namespace with ``repro serve --cache-dir`` (see
+  docs/caching.md).
 
 Every measured point is element-wise identical to a direct
 :func:`~repro.core.montecarlo.measure_yield` call with the same
@@ -41,45 +38,13 @@ from typing import (
     Union,
 )
 
-from ..cache import (
-    DiskCache,
-    LRUCache,
-    MISSING,
-    RESULTS_NAMESPACE,
-    TieredCache,
-)
-from ..core.energy import CircuitCost, circuit_cost
+from ..core.energy import CircuitCost
 from ..core.errors import PylseError
-from ..core.ir import compile_circuit, result_cache_key
-from ..core.montecarlo import YieldResult, measure_yield
-from ..core.parallel import resolve_workers
-from ..core.serialize import (
-    yield_result_from_jsonable,
-    yield_result_to_jsonable,
-)
-from ..core.simulation import Simulation
-from ..exp.registry import PulseCountPredicate
-from .families import DesignFamily, FamilyFactory, get_family
+from ..core.montecarlo import YieldResult
+from ..core.serialize import yield_result_from_jsonable
+from ..exp.measure import Measurer, Resolved
+from .families import FamilyFactory, get_family
 from .pareto import pareto_frontier
-
-#: Default LRU capacities (a sweep grid is small next to a service's
-#: request stream, but repeated sweeps with disjoint grids accumulate).
-DEFAULT_RESULT_CACHE_SIZE = 4096
-DEFAULT_RESOLVED_CACHE_SIZE = 256
-
-
-@dataclass(frozen=True)
-class ResolvedPoint:
-    """A design point reduced to what measurement needs, keyed by digest."""
-
-    digest: str
-    factory: FamilyFactory
-    predicate: PulseCountPredicate
-    #: Static cost model totals (no simulation involved).
-    cost: CircuitCost
-    #: Last labeled pulse of the canonical noiseless run (ps): the
-    #: makespan of the design point's stimulus, the sweep's latency axis.
-    latency_ps: float
 
 
 @dataclass(frozen=True)
@@ -174,73 +139,24 @@ def grid_points(grid: Mapping[str, Sequence[int]]) -> List[Dict[str, int]]:
 class ExploreEngine:
     """See the module docstring; one instance amortizes across sweeps."""
 
-    def __init__(
-        self,
-        workers: Optional[int] = 1,
-        result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
-        resolved_cache_size: int = DEFAULT_RESOLVED_CACHE_SIZE,
-        cache_dir=None,
-    ):
-        self.workers = resolve_workers(workers)
-        self.cache_dir = None if cache_dir is None else str(cache_dir)
-        self.result_cache = LRUCache(result_cache_size)
-        #: The tiered measurement store. With ``cache_dir`` it shares the
-        #: ``results`` namespace with the yield service — both key by
-        #: :func:`result_cache_key` and store the canonical
-        #: ``yield_result_to_jsonable`` document, so a sweep pre-warms a
-        #: server pointed at the same directory (and vice versa). The
-        #: in-memory tier holds live :class:`YieldResult` objects; the
-        #: codec rehydrates disk hits.
-        self.result_store = TieredCache(
-            self.result_cache,
-            None if cache_dir is None
-            else DiskCache(cache_dir, RESULTS_NAMESPACE),
-            encode=yield_result_to_jsonable,
-            decode=yield_result_from_jsonable,
-        )
-        self.resolved_cache = LRUCache(resolved_cache_size)
-        #: (family, params) -> digest; add-only, like the service's
-        #: name -> digest memo (a design point never changes its hash).
-        self._point_digest: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], str] = {}
-        #: Monte-Carlo measurements actually computed (result-cache misses).
-        self.computations = 0
-        #: Design points elaborated + compiled (digest-memo misses).
-        self.elaborations = 0
+    def __init__(self, workers: Optional[int] = 1, cache_dir=None):
+        self.measurer = Measurer(workers, cache_dir=cache_dir)
 
-    # -- resolution -----------------------------------------------------
-    def resolve(self, family: str, params: Mapping[str, int]) -> ResolvedPoint:
+    @property
+    def computations(self) -> int:
+        """Monte-Carlo measurements actually computed (result misses)."""
+        return self.measurer.computations
+
+    @property
+    def elaborations(self) -> int:
+        """Design points elaborated and compiled (memo misses)."""
+        return self.measurer.elaborations
+
+    def resolve(self, family: str, params: Mapping[str, int]) -> Resolved:
         """Elaborate/compile/baseline a design point, memoized by digest."""
-        spec: DesignFamily = get_family(family)
-        memo_key = (family, spec.normalize(params))
-        digest = self._point_digest.get(memo_key)
-        if digest is not None:
-            resolved = self.resolved_cache.get(digest)
-            if resolved is not MISSING:
-                return resolved
         factory = FamilyFactory(family, params)
-        circuit = factory()
-        self.elaborations += 1
-        digest = compile_circuit(circuit).structural_hash
-        self._point_digest[memo_key] = digest
-        resolved = self.resolved_cache.get(digest)
-        if resolved is not MISSING:
-            return resolved
-        baseline = Simulation(circuit).simulate()
-        latency = max(
-            (times[-1] for times in baseline.values() if times),
-            default=0.0,
-        )
-        resolved = ResolvedPoint(
-            digest=digest,
-            factory=factory,
-            predicate=PulseCountPredicate(baseline),
-            cost=circuit_cost(circuit),
-            latency_ps=latency,
-        )
-        self.resolved_cache.put(digest, resolved)
-        return resolved
+        return self.measurer.resolve(factory, (family, factory.params))
 
-    # -- measurement ----------------------------------------------------
     def measure(
         self,
         family: str,
@@ -252,30 +168,16 @@ class ExploreEngine:
     ) -> ExplorePoint:
         """One cached yield measurement for one design point."""
         resolved = self.resolve(family, params)
-        key = result_cache_key(
-            resolved.digest, sigma=sigma, n_seeds=n_seeds, seed0=seed0,
-            batch=batch,
+        document, cached = self.measurer.measure(
+            resolved, sigma, n_seeds, seed0, batch
         )
-        result = self.result_store.get(key)
-        cached = result is not MISSING
-        if not cached:
-            result = measure_yield(
-                resolved.factory,
-                resolved.predicate,
-                sigma,
-                seeds=range(seed0, seed0 + n_seeds),
-                workers=self.workers,
-                batch=batch,
-            )
-            self.computations += 1
-            self.result_store.put(key, result)
         return ExplorePoint(
             family=family,
-            params=resolved.factory.params,
+            params=get_family(family).normalize(params),
             digest=resolved.digest,
             cost=resolved.cost,
             latency_ps=resolved.latency_ps,
-            result=result,
+            result=yield_result_from_jsonable(document),
             cached=cached,
         )
 
@@ -312,12 +214,5 @@ class ExploreEngine:
 
     # -- introspection --------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Cache and computation counters (the CI warm-sweep check's view)."""
-        tiers = self.result_store.stats()
-        return {
-            "computations": self.computations,
-            "elaborations": self.elaborations,
-            "result_cache": tiers["memory"],
-            "result_disk": tiers["disk"],
-            "resolved_cache": self.resolved_cache.stats(),
-        }
+        """The measurer's counters and caches (``Measurer.stats``)."""
+        return self.measurer.stats()

@@ -107,26 +107,6 @@ class EndpointMetrics:
         }
 
 
-def cache_tiers_jsonable(result_store, compiled_cache) -> Dict[str, object]:
-    """The ``/stats`` ``cache`` block: per-tier result counters.
-
-    ``result_store`` is a :class:`repro.cache.TieredCache` (duck-typed —
-    anything with its ``stats()`` shape works) and ``compiled_cache`` an
-    :class:`repro.cache.LRUCache`. The memory tier keeps its historical
-    ``result`` key; the persistent tier appears as ``result_disk`` only
-    when a ``--cache-dir`` is attached, so stats consumers written before
-    the disk tier existed keep parsing.
-    """
-    tiers = result_store.stats()
-    block: Dict[str, object] = {
-        "result": tiers["memory"],
-        "compiled": compiled_cache.stats(),
-    }
-    if tiers["disk"] is not None:
-        block["result_disk"] = tiers["disk"]
-    return block
-
-
 class ServiceMetrics:
     """Thread-safe per-endpoint serving counters (the ``/stats`` payload).
 

@@ -24,7 +24,6 @@ from .service import (
     SERVE_VERSION,
     BadRequest,
     RequestError,
-    ResolvedDesign,
     UnknownDesign,
     YieldService,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_CACHE_SIZE",
     "DEFAULT_COMPILED_CACHE_SIZE",
     "RequestError",
-    "ResolvedDesign",
     "SERVE_VERSION",
     "UnknownDesign",
     "YieldHTTPServer",

@@ -17,13 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import LINT_NAMESPACE, RESULTS_NAMESPACE, store_stats
+from repro.cache import (
+    LINT_NAMESPACE,
+    RESULTS_NAMESPACE,
+    DiskCache,
+    store_stats,
+)
+from repro.core.ir import result_cache_key
 from repro.core.montecarlo import YieldResult, measure_yield
 from repro.core.serialize import (
+    circuit_to_json,
     yield_result_from_jsonable,
     yield_result_to_jsonable,
 )
 from repro.exp.registry import build_in_fresh_circuit, registry
+from repro.explore import FamilyFactory
 from repro.explore.engine import ExploreEngine
 from repro.lint.reach_rules import (
     analyze_reach,
@@ -51,6 +59,16 @@ def test_no_serve_imports_outside_serve(package):
         if "from ..serve" in text or "from repro.serve" in text:
             offenders.append(str(path))
     assert offenders == []
+
+
+def test_measurer_sits_below_serve_and_explore():
+    """`repro.exp.measure` is the layer both front-ends build on, so it
+    imports neither of them."""
+    text = (SRC / "exp" / "measure.py").read_text()
+    for package in ("serve", "explore"):
+        assert f"from ..{package}" not in text
+        assert f"from repro.{package}" not in text
+        assert f"import repro.{package}" not in text
 
 
 # -- serve: results survive a service restart --------------------------
@@ -89,16 +107,34 @@ def test_serve_disk_hit_matches_direct_measurement(tmp_path):
 
 
 def test_serve_critical_sigma_persists(tmp_path):
+    """A warm bisection in a fresh process is pure disk hits: every
+    sample persisted, so the answer costs zero computations."""
     payload = {"design": "Min-Max", "n_seeds": 6, "iterations": 3}
     cold = YieldService(cache_dir=tmp_path)
     first, cached = cold.critical_sigma(payload)
     assert not cached
+    samples = cold.computations
+    assert samples >= 2
 
     warm = YieldService(cache_dir=tmp_path)
     second, cached = warm.critical_sigma(payload)
     assert cached
     assert second == first
     assert warm.computations == 0
+    assert warm.stats()["cache"]["result_disk"]["hits"] == samples
+
+
+def test_critical_sigma_cached_iff_every_sample_hit(tmp_path):
+    payload = {"design": "Min-Max", "n_seeds": 6, "iterations": 2,
+               "sigma_hi": 30.0}
+    service = YieldService(cache_dir=tmp_path)
+    service.critical_sigma(payload)
+    before = service.computations
+    assert before == 4  # both ends plus two bisection steps
+    # One more iteration: the shared prefix hits, the last sample misses.
+    _, cached = service.critical_sigma({**payload, "iterations": 3})
+    assert not cached
+    assert service.computations == before + 1
 
 
 # -- explore: a fresh-process sweep recomputes nothing -----------------
@@ -133,22 +169,66 @@ def test_explore_disk_hit_matches_direct_measurement(tmp_path):
 
 def test_explore_sweep_warms_the_serve_store(tmp_path):
     """Serve and explore share the results namespace: one store, one key
-    contract, so a sweep pre-warms the service for the same circuits."""
+    contract, one stored form, so a sweep pre-warms the service for the
+    same circuits."""
     engine = ExploreEngine(cache_dir=tmp_path)
-    engine.measure("bitonic", {"n": 2}, sigma=0.5, n_seeds=5)
+    point = engine.measure("bitonic", {"n": 2}, sigma=0.5, n_seeds=5)
     digest = engine.resolve("bitonic", {"n": 2}).digest
 
-    from repro.core.ir import result_cache_key
+    key = result_cache_key(digest, sigma=0.5, n_seeds=5)
+    stored = DiskCache(tmp_path, RESULTS_NAMESPACE).get(key)
+    assert stored == yield_result_to_jsonable(point.result)
 
     service = YieldService(cache_dir=tmp_path)
-    key = result_cache_key(digest, sigma=0.5, n_seeds=5)
-    hit = service.result_store.get(key)
-    from repro.cache import MISSING
-
-    assert hit is not MISSING
-    assert hit == yield_result_to_jsonable(
-        engine.result_store.get(key)
+    text = circuit_to_json(FamilyFactory("bitonic", {"n": 2})())
+    served, cached = service.yield_(
+        {"circuit": text, "sigma": 0.5, "n_seeds": 5}
     )
+    assert cached and service.computations == 0
+    assert served["structural_hash"] == digest
+    assert served["result"] == stored
+
+
+# -- foreign documents in the store are quarantined, never served ------
+def _plant_foreign(tmp_path, digest, sigma, n_seeds):
+    key = result_cache_key(digest, sigma=sigma, n_seeds=n_seeds)
+    DiskCache(tmp_path, RESULTS_NAMESPACE).put(key, {"format": "bogus"})
+
+
+def test_serve_quarantines_a_foreign_document(tmp_path):
+    digest = YieldService()._resolve_design("Min-Max").digest
+    _plant_foreign(tmp_path, digest, 0.6, 7)
+
+    service = YieldService(cache_dir=tmp_path)
+    served, cached = service.yield_(
+        {"design": "Min-Max", "sigma": 0.6, "n_seeds": 7}
+    )
+    assert not cached and service.computations == 1
+    resolved = service._resolve_design("Min-Max")
+    direct = measure_yield(
+        resolved.factory, resolved.predicate, 0.6, seeds=range(7)
+    )
+    assert served["result"] == yield_result_to_jsonable(direct)
+    assert service.stats()["cache"]["result_disk"]["quarantined"] == 1
+    assert store_stats(tmp_path)["quarantined"] == 1
+
+
+def test_explore_quarantines_a_foreign_document(tmp_path):
+    digest = ExploreEngine().resolve("bitonic", {"n": 4}).digest
+    _plant_foreign(tmp_path, digest, 0.6, 7)
+
+    engine = ExploreEngine(cache_dir=tmp_path)
+    point = engine.measure("bitonic", {"n": 4}, sigma=0.6, n_seeds=7)
+    assert not point.cached and engine.computations == 1
+    resolved = engine.resolve("bitonic", {"n": 4})
+    direct = measure_yield(
+        resolved.factory, resolved.predicate, 0.6, seeds=range(7)
+    )
+    assert point.result == direct
+    assert engine.stats()["cache"]["result_disk"]["quarantined"] == 1
+    # The recomputed document replaced the foreign one: a fresh engine hits.
+    again = ExploreEngine(cache_dir=tmp_path)
+    assert again.measure("bitonic", {"n": 4}, sigma=0.6, n_seeds=7).cached
 
 
 # -- lint: finished reach analyses survive restarts --------------------

@@ -252,7 +252,10 @@ class TestEngine:
         stats = engine.stats()
         assert stats["computations"] == 1
         assert stats["elaborations"] == 1
-        assert stats["result_cache"]["misses"] == 1
+        assert stats["coalesced"] == 0
+        assert stats["cache"]["result"]["misses"] == 1
+        assert stats["cache"]["compiled"]["size"] == 1
+        assert "result_disk" not in stats["cache"]
 
 
 class TestExploreCli:
@@ -278,7 +281,7 @@ class TestExploreCli:
         assert main(["explore", "bitonic", "--grid", "n=2,4",
                      "--seeds", "5", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["format"] == "repro-explore-v1"
+        assert payload["format"] == "repro-explore-v2"
         assert payload["grid"] == {"n": [2, 4]}
         assert len(payload["points"]) == 2
         point = payload["points"][0]
@@ -287,6 +290,8 @@ class TestExploreCli:
         assert point["result"]["runs"] == 5
         assert any(p["pareto"] for p in payload["points"])
         assert payload["passes"][0]["computations"] == 2
+        assert payload["engine"]["computations"] == 2
+        assert set(payload["engine"]["cache"]) == {"result", "compiled"}
 
     def test_repeat_second_pass_cache_warm(self, capsys):
         assert main(["explore", "racetree", "--grid", "depth=1,2",

@@ -115,10 +115,10 @@ def test_submitted_circuit_keyed_by_structure_not_bytes(server):
 
 def test_concurrent_identical_requests_coalesce(server, monkeypatch):
     """N simultaneous identical misses -> exactly one engine computation."""
-    import repro.serve.service as service_mod
+    import repro.exp.measure as measure_mod
 
     calls = []
-    real_measure = service_mod.measure_yield
+    real_measure = measure_mod.measure_yield
 
     def slow_measure(*args, **kwargs):
         calls.append(threading.get_ident())
@@ -130,7 +130,7 @@ def test_concurrent_identical_requests_coalesce(server, monkeypatch):
         threading.Event().wait(0.5)
         return real_measure(*args, **kwargs)
 
-    monkeypatch.setattr(service_mod, "measure_yield", slow_measure)
+    monkeypatch.setattr(measure_mod, "measure_yield", slow_measure)
 
     port = server.server_address[1]
     request = {"design": "JTL", "sigma": 0.5, "n_seeds": 5}
