@@ -10,11 +10,18 @@ and the end-to-end ``measure_yield`` path by ``bench_mc_scaling.py``):
   batch, with diverging seeds replayed on the per-seed reference drain;
 * ``perseed`` — ``batch=0``: the same counter-scheme noise, one full
   event-loop drain per seed. This is the reference the batched drain is
-  element-wise identical to (tests/test_differential.py).
+  element-wise identical to (tests/test_differential.py), and the path
+  every divergence replay takes.
 
-``tools/bench_guard.py`` records both medians per design in the
-``mc_batched_200_seeds_s`` block of ``BENCH_sim.json`` and fails if the
-batched drain is less than 5x faster than the per-seed reference.
+Next to them, ``test_mc_perseed_python_rng`` runs the bitonic-8 per-seed
+drain under python-rng noise: the cost a per-seed counter-scheme run
+should match.
+
+``tools/bench_guard.py`` records the medians per design in the
+``mc_batched_200_seeds_s`` block of ``BENCH_sim.json``. It fails if the
+batched drain is less than 5x faster than the per-seed reference, or if
+the bitonic-8 per-seed counter run costs more than 1.5x the python-rng
+one.
 
 Two designs bracket the divergence spectrum: the Min-Max pair (shallow,
 fully conformant at this sigma — the pure vectorization win) and the
@@ -24,7 +31,7 @@ bitonic-8 sorter (deep, a few lanes diverge and pay the replay cost).
 import pytest
 
 from bench_mc_scaling import MC_SIGMA, bitonic8_factory, bitonic8_ok
-from repro.core.batchsim import run_batch
+from repro.core.batchsim import _replay_seeds, run_batch
 from repro.core.circuit import fresh_circuit
 from repro.core.helpers import inp_at
 from repro.core.simulation import Simulation
@@ -87,3 +94,21 @@ def test_mc_batched(benchmark, design, mode):
             == MC_BATCHED_SEEDS
     else:
         assert report.batched_lanes == 0 and not report.fallback_seeds
+
+
+def test_mc_perseed_python_rng(benchmark):
+    """Bitonic-8 per-seed drain with python-rng noise, classified the way
+    ``batch=0`` classifies its counter-scheme runs."""
+    factory, predicate = DESIGNS["bitonic8"]
+    sim = Simulation(factory())
+    variability = {"stddev": MC_SIGMA}  # no "scheme": python-rng
+
+    def sweep():
+        return _replay_seeds(
+            sim, predicate, variability, range(MC_BATCHED_SEEDS), False
+        )
+
+    outcomes, _ = benchmark.pedantic(
+        sweep, rounds=1, iterations=1, warmup_rounds=1
+    )
+    assert len(outcomes) == MC_BATCHED_SEEDS

@@ -20,7 +20,13 @@ possible:
   when ``variability={"scheme": "counter"}`` is passed
   (:func:`mc_variability` selects that scheme for batch-eligible designs),
   which is what lets a width-N batch and a width-1 replay produce the same
-  bits for the same seed.
+  bits for the same seed. Because draws are addressed by position, the
+  width-1 instance of a per-seed run computes them ahead: one vector call
+  through the same stream-address function pre-draws a table of normals
+  for every node, and each firing then reads a Python float from it. That
+  makes a replay cost about what a python-rng run costs. A scalar
+  Box-Muller on ``math.log`` would skip the table but is not
+  bit-identical to numpy's vectorised ``log``.
 
 * **Conformance tracking + replay.** The batch steers control flow along
   the *nominal* (noise-free) schedule. Each lane is checked, group by
@@ -43,6 +49,7 @@ are re-exported by ``parallel`` so both spellings stay importable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -82,10 +89,20 @@ _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 _TWO_PI = 2.0 * np.pi
 
-#: seed -> SeedSequence-derived 64-bit root, cached so every backend
-#: (batched, sequential counter-scheme, replay) derives identical streams
-#: without re-hashing the entropy per call.
-_ROOT_CACHE: Dict[int, int] = {}
+#: Normals a width-1 instance pre-draws per node when a per-seed run
+#: starts, in one vector call for all nodes. Most registry nodes draw one
+#: or two per run, none more than ten. A stream that runs out draws twice
+#: as many as it has drawn so far, so a node drawing n times refills
+#: O(log n) times (the synchronous adder's clock splitters: once).
+_BLOCK = 8
+
+#: Stream-position offsets of one Box-Muller pair, laid out ``(2, 1)``:
+#: row 0 feeds the radius and row 1 the angle (see :func:`_box_muller`).
+_PAIR = np.array([[0], [1]], dtype=np.uint64)
+
+#: Distinct seeds whose SeedSequence-derived roots stay memoised. Bounded
+#: because a long-lived service takes any ``seed0`` from its requests.
+_ROOT_CACHE_SIZE = 4096
 
 
 def _mix64(x: "np.ndarray") -> "np.ndarray":
@@ -102,39 +119,87 @@ def _u01(bits: "np.ndarray") -> "np.ndarray":
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
+def _golden(k):
+    """``_GOLDEN * k`` mod 2**64, for an int or a uint64 array."""
+    if isinstance(k, int):
+        return np.uint64((_GOLDEN * k) & _M64)
+    return k * np.uint64(_GOLDEN)
+
+
+def _stream_bits(roots, index, kind: int, positions) -> "np.ndarray":
+    """The uint64 draws at ``positions`` of the ``(root, index, kind)`` streams.
+
+    This is the one stream-address function. A draw is two splitmix64
+    rounds: the first keys the stream by seed root, node index and kind,
+    the second picks a position within it. Arguments broadcast the numpy
+    way (``roots`` against ``index`` gives the stream keys, the keys
+    against ``positions`` give the draws), so one call serves a width-N
+    draw at one position and a width-1 block over many nodes and
+    positions alike.
+    """
+    keys = _mix64(roots + _golden(3 * index + kind + 1))
+    return _mix64(keys + _golden(positions + 1))
+
+
+def _box_muller(bits: "np.ndarray") -> "np.ndarray":
+    """Standard normals from stream bits laid out ``(2, ...)`` (see ``_PAIR``).
+
+    Both rows are contiguous, so numpy runs the same ``log``/``cos`` loops
+    for a width-1 block as for a width-N batch draw.
+    """
+    u = _u01(bits)
+    return np.sqrt(-2.0 * np.log(u[0])) * np.cos(_TWO_PI * u[1])
+
+
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
+def _seed_root(entropy: int) -> "np.uint64":
+    return np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0]
+
+
 def _root(seed: Optional[int]) -> "np.uint64":
     """The 64-bit stream root for one seed (None: fresh entropy)."""
     if seed is None:
         return np.random.SeedSequence().generate_state(1, np.uint64)[0]
     # SeedSequence entropy must be non-negative; fold negatives in evenly.
-    entropy = 2 * seed if seed >= 0 else -2 * seed - 1
-    root = _ROOT_CACHE.get(entropy)
-    if root is None:
-        root = _ROOT_CACHE[entropy] = np.random.SeedSequence(
-            entropy
-        ).generate_state(1, np.uint64)[0]
-    return root
+    return _seed_root(2 * seed if seed >= 0 else -2 * seed - 1)
 
 
 class CounterNoise:
     """Order-invariant noise streams for N seeds, one lane per seed.
 
     Each draw is addressed by ``(seed root, node index, kind, position)``
-    and computed as two rounds of splitmix64 mixing, so the value of lane
-    ``l``'s j-th draw at node ``i`` does not depend on batch width or on
-    the order other nodes drew in. All vector helpers return ``float64[N]``
-    arrays whose lane ``l`` is bit-identical to what a width-1 instance
-    built from ``[seeds[l]]`` produces at the same positions — the
-    invariant the batched == sequential property rests on.
+    through :func:`_stream_bits`, so the value of lane ``l``'s j-th draw
+    at node ``i`` does not depend on batch width or on the order other
+    nodes drew in. The vector draws return ``float64[N]`` arrays whose
+    lane ``l`` is bit-identical to what a width-1 instance built from
+    ``[seeds[l]]`` produces at the same positions — the invariant the
+    batched == sequential property rests on.
+
+    The per-seed drain uses a width-1 instance from :meth:`for_run` and
+    the scalar draws (:meth:`resolve_scalar`, :meth:`tie_scalar`). These
+    serve Python values from a table drawn ahead: one vector call draws
+    the first ``_BLOCK`` normals of every node the spec perturbs, and a
+    stream that runs out draws its next block through the same function.
+    A draw then costs a list pop, not a dozen numpy calls on 1-element
+    arrays. A scalar Box-Muller on ``math.log`` would be cheaper still,
+    but it is not bit-identical: libm's ``log`` and numpy's SIMD ``log``
+    differ in the last bit on about one input in 300, which would let a
+    replayed seed drift from its batched lane. One instance serves
+    either vector or scalar draws, never both.
     """
 
-    __slots__ = ("n", "_roots", "_keys", "_pos")
+    __slots__ = ("n", "_roots", "_pos", "_blocks", "_applies", "_spec", "_rng")
 
     def __init__(self, roots: "np.ndarray"):
         self.n = len(roots)
         self._roots = roots
-        self._keys: Dict[Tuple[int, int], "np.ndarray"] = {}
+        #: (index, kind) -> next stream position (a normal takes two).
         self._pos: Dict[Tuple[int, int], int] = {}
+        #: (index, kind) -> pre-drawn width-1 values, next draw last.
+        self._blocks: Dict[Tuple[int, int], list] = {}
+        self._applies: Sequence[bool] = ()
+        self._spec: Optional[VariabilitySpec] = None
+        self._rng = None
 
     @classmethod
     def for_seeds(cls, seeds: Sequence[Optional[int]]) -> "CounterNoise":
@@ -143,34 +208,96 @@ class CounterNoise:
             roots[lane] = _root(seed)
         return cls(roots)
 
-    # -- raw draws -----------------------------------------------------
-    def _stream_key(self, index: int, kind: int) -> "np.ndarray":
-        key = self._keys.get((index, kind))
-        if key is None:
-            salt = np.uint64((_GOLDEN * (3 * index + kind + 1)) & _M64)
-            key = self._keys[(index, kind)] = _mix64(self._roots + salt)
-        return key
+    @classmethod
+    def for_run(
+        cls,
+        seed: Optional[int],
+        applies: Sequence[bool],
+        spec: VariabilitySpec,
+        rng,
+    ) -> "CounterNoise":
+        """The width-1 instance one per-seed counter-scheme run consumes.
 
-    def _bits(self, index: int, kind: int) -> "np.ndarray":
-        """The next uint64 draw of every lane on one (node, kind) stream."""
-        key = self._stream_key(index, kind)
-        position = self._pos.get((index, kind), 0)
-        self._pos[(index, kind)] = position + 1
-        return _mix64(key + np.uint64((_GOLDEN * (position + 1)) & _M64))
+        ``applies[i]`` says whether ``spec`` perturbs node ``i``'s
+        constant delays, resolved once per run instead of per firing;
+        ``rng`` only backs custom distributions. The first ``_BLOCK``
+        normals of every perturbed node are drawn here, in one call.
+        """
+        noise = cls.for_seeds([seed])
+        noise._applies = applies
+        noise._spec = spec
+        noise._rng = rng
+        noise._fill([i for i, hit in enumerate(applies) if hit], _NORMAL, _BLOCK)
+        return noise
+
+    # -- vector draws (the batched drain) ------------------------------
+    def _advance(self, index: int, kind: int, steps: int) -> int:
+        key = (index, kind)
+        position = self._pos.get(key, 0)
+        self._pos[key] = position + steps
+        return position
 
     def normal(self, index: int) -> "np.ndarray":
         """Standard-normal draw per lane (Box-Muller, two stream steps)."""
-        u1 = _u01(self._bits(index, _NORMAL))
-        u2 = _u01(self._bits(index, _NORMAL))
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+        position = self._advance(index, _NORMAL, 2)
+        return _box_muller(
+            _stream_bits(self._roots, index, _NORMAL, _PAIR + position)
+        )
 
     def uniform(self, index: int) -> "np.ndarray":
         """Uniform (0, 1) draw per lane."""
-        return _u01(self._bits(index, _UNIFORM))
+        position = self._advance(index, _UNIFORM, 1)
+        return _u01(_stream_bits(self._roots, index, _UNIFORM, position))
 
     def tie(self, index: int, choices: int) -> "np.ndarray":
         """Per-lane pick in ``range(choices)`` for a priority tie-break."""
-        return (self._bits(index, _TIE) % np.uint64(choices)).astype(np.int64)
+        position = self._advance(index, _TIE, 1)
+        bits = _stream_bits(self._roots, index, _TIE, position)
+        return (bits % np.uint64(choices)).astype(np.int64)
+
+    # -- scalar draws (width 1, the per-seed drain) --------------------
+    def _fill(self, indices: Sequence[int], kind: int, count: int) -> None:
+        """Draw the next ``count`` values of each listed stream in one call.
+
+        The listed streams must stand at the same position: all at 0 for
+        the pre-draw, one stream for a refill. Stores Python floats
+        (normals, uniforms) or ints (tie bits), so numpy results are
+        converted once per block, not once per draw.
+        """
+        if not indices:
+            return
+        keys = [(index, kind) for index in indices]
+        start = self._pos.get(keys[0], 0)
+        index = np.array(indices, dtype=np.uint64)[:, None]
+        if kind == _NORMAL:
+            steps = 2 * count
+            # (2, 1, count) offsets keep each Box-Muller row contiguous.
+            offsets = np.arange(start, start + steps, dtype=np.uint64)
+            offsets = offsets.reshape(count, 2).T[:, None, :]
+            values = _box_muller(_stream_bits(self._roots, index, kind, offsets))
+        else:
+            steps = count
+            offsets = np.arange(start, start + steps, dtype=np.uint64)
+            values = _stream_bits(self._roots, index, kind, offsets)
+            if kind == _UNIFORM:
+                values = _u01(values)
+        self._blocks.update(zip(keys, values[:, ::-1].tolist()))
+        self._pos.update(dict.fromkeys(keys, start + steps))
+
+    def _scalar(self, index: int, kind: int):
+        """The next width-1 draw of one stream: a Python float (normals,
+        uniforms) or the raw bits as an int (ties)."""
+        key = (index, kind)
+        block = self._blocks.get(key)
+        if not block:
+            drawn = self._pos.get(key, 0) // (2 if kind == _NORMAL else 1)
+            self._fill((index,), kind, max(_BLOCK, 2 * drawn))
+            block = self._blocks[key]
+        return block.pop()
+
+    def tie_scalar(self, index: int, choices: int) -> int:
+        """Width-1 :meth:`tie`, as a Python int."""
+        return self._scalar(index, _TIE) % choices
 
     # -- delay resolution ----------------------------------------------
     def resolve(
@@ -203,21 +330,35 @@ class CounterNoise:
         )
         return np.maximum(0.0, value + sigma * self.normal(index))
 
-    def resolve_scalar(self, delay, index, node, spec, rng) -> float:
-        """Width-1 resolution for the sequential counter-scheme drain.
+    def resolve_scalar(self, delay, index: int) -> float:
+        """Width-1 :meth:`resolve` for an instance from :meth:`for_run`.
 
-        Same streams, same positions, same float operations as the batched
-        :meth:`resolve` — ``float(vector[0])`` of a width-1 vector IS the
-        lane value a batch would compute — so a replayed seed reproduces
-        its batched lane exactly. ``rng`` only backs custom distributions.
+        Same streams, same positions, same float operations as lane 0 of
+        :meth:`resolve`: Python floats are IEEE doubles like numpy's, and
+        ``0.0 if v < 0.0 else v`` is ``np.maximum(0.0, v)``, NaN and -0.0
+        included. So a replayed seed reproduces its batched lane exactly.
+        Custom distributions sample the run's python ``rng``.
         """
-        applies = spec.applies_to(node.element.name, node.name)
-        value = self.resolve(delay, index, spec, applies)
-        if value is None:
-            return sample_delay(delay, rng)
-        if isinstance(value, float):
-            return value
-        return float(value[0])
+        if isinstance(delay, Distribution):
+            if isinstance(delay, Normal):
+                value = delay.mean + delay.stddev * self._scalar(index, _NORMAL)
+            elif isinstance(delay, Uniform):
+                return delay.low + (delay.high - delay.low) * self._scalar(
+                    index, _UNIFORM
+                )
+            else:
+                return sample_delay(delay, self._rng)
+        else:
+            value = float(delay)
+            if not self._applies[index]:
+                return value
+            spec = self._spec
+            sigma = (
+                spec.stddev if spec.stddev is not None
+                else value * spec.fraction
+            )
+            value = value + sigma * self._scalar(index, _NORMAL)
+        return 0.0 if value < 0.0 else value
 
     def tie_rng(self, index: int) -> "_CounterTieRng":
         """A per-node tie-break chooser backed by this instance's streams."""
@@ -239,7 +380,7 @@ class _CounterTieRng:
         self._index = index
 
     def choice(self, tied):
-        return tied[int(self._noise.tie(self._index, len(tied))[0])]
+        return tied[self._noise.tie_scalar(self._index, len(tied))]
 
 
 # ----------------------------------------------------------------------
@@ -637,32 +778,34 @@ def _drain(
 # ----------------------------------------------------------------------
 # Per-lane finalization
 # ----------------------------------------------------------------------
-def _finalize_events(result: _DrainResult, n: int) -> Dict[str, list]:
-    """Per-label, per-lane sorted time lists, built in one pass per label.
+def _lane_events(result: _DrainResult, n: int) -> Callable[[int], dict]:
+    """A builder of one lane's events dict, labels in the drain's order.
 
-    Each label's pulse entries form a ``(pulses, lanes)`` matrix sorted
-    once along the pulse axis; one transpose + ``tolist`` then yields
-    every lane's series, instead of a per-lane column copy (the lane loop
-    in :func:`_run_one_batch` only indexes into the result).
+    Every label's pulse entries go into one ``(pulses, lanes)`` matrix,
+    sorted along the pulse axis within each label and stored lane-major.
+    A lane's dict then takes one ``tolist`` and C-level slicing, and lives
+    only while its predicate runs, so a wide batch never holds every
+    lane's lists at once.
     """
-    per_label: Dict[str, list] = {}
-    for label, entries in result.series_acc.items():
-        if not entries:
-            per_label[label] = None
-            continue
-        matrix = np.empty((len(entries), n))
-        for row, entry in enumerate(entries):
-            matrix[row, :] = entry  # broadcasts pure-nominal scalars
-        matrix.sort(axis=0)
-        per_label[label] = matrix.T.tolist()
-    return per_label
+    labels = list(result.series_acc)
+    total = sum(len(entries) for entries in result.series_acc.values())
+    matrix = np.empty((total, n))
+    spans = []
+    row = 0
+    for entries in result.series_acc.values():
+        start = row
+        for entry in entries:
+            matrix[row] = entry  # broadcasts pure-nominal scalars
+            row += 1
+        if row - start > 1:
+            matrix[start:row].sort(axis=0)
+        spans.append(slice(start, row))
+    lanes = np.ascontiguousarray(matrix.T)
 
+    def events(lane: int) -> dict:
+        return dict(zip(labels, map(lanes[lane].tolist().__getitem__, spans)))
 
-def _events_for_lane(per_label: Dict[str, list], lane: int) -> dict:
-    return {
-        label: (columns[lane] if columns is not None else [])
-        for label, columns in per_label.items()
-    }
+    return events
 
 
 def _lane_heap_depth(result: _DrainResult, lane: int) -> int:
@@ -773,15 +916,14 @@ def _run_one_batch(
     noise = CounterNoise.for_seeds(seeds)
     result = _drain(compiled, spec, noise, collect_stats, max_pulses)
 
-    per_label = None
+    lane_events = None
     outcomes: List[Optional[str]] = [None] * len(seeds)
     stats: List = [None] * len(seeds) if collect_stats else []
     for lane, seed in enumerate(seeds):
         if result.active[lane]:
-            if per_label is None:
-                per_label = _finalize_events(result, noise.n)
-            events = _events_for_lane(per_label, lane)
-            outcomes[lane] = OK if predicate(events) else MIS_BEHAVED
+            if lane_events is None:
+                lane_events = _lane_events(result, noise.n)
+            outcomes[lane] = OK if predicate(lane_events(lane)) else MIS_BEHAVED
             if collect_stats:
                 stats[lane] = _stats_for_lane(result, lane)
             report.batched_lanes += 1

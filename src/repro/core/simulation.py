@@ -188,14 +188,6 @@ class Simulation:
         spec = VariabilitySpec.normalize(variability, seed)
         rng = random.Random(seed)
         tie_rng = random.Random(rng.random()) if seed is not None else None
-        counter = None
-        if spec.enabled and spec.scheme == "counter":
-            # Counter-based per-(seed, node) noise streams: the width-1
-            # form of the vectorized Monte-Carlo drain, bit-identical to
-            # one lane of a batched pass over the same seed.
-            from .batchsim import CounterNoise
-
-            counter = CounterNoise.for_seeds([seed])
 
         # ---- instantiate the per-run dispatch plan --------------------
         # Wires sharing an observation label share one series list, exactly
@@ -210,6 +202,22 @@ class Simulation:
             series_by_wire[wid] = series
 
         nodes = compiled.nodes
+        counter = None
+        if spec.enabled and spec.scheme == "counter":
+            # Counter-based per-(seed, node) noise streams: the width-1
+            # form of the vectorized Monte-Carlo drain, bit-identical to
+            # one lane of a batched pass over the same seed. Whether the
+            # spec perturbs a node is settled here, once per run.
+            from .batchsim import CounterNoise
+
+            applies = [False] * len(nodes)
+            for nd in compiled.dispatch:
+                if not nd.is_input:
+                    node = nodes[nd.index]
+                    applies[nd.index] = spec.applies_to(
+                        node.element.name, node.name
+                    )
+            counter = CounterNoise.for_run(seed, applies, spec, rng)
         records: List[Optional[list]] = [None] * len(nodes)
         activity: Dict[str, List[int]] = {}
         for nd in compiled.dispatch:
@@ -471,9 +479,7 @@ class Simulation:
             obs_emitted = [] if observe else None
             for out_port, delay in firings:
                 if counter is not None:
-                    resolved = counter.resolve_scalar(
-                        delay, rec[_REC_INDEX], node, spec, rng
-                    )
+                    resolved = counter.resolve_scalar(delay, rec[_REC_INDEX])
                 else:
                     resolved = self._resolve_delay(delay, node, spec, rng)
                 t = time + resolved
