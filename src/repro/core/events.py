@@ -12,7 +12,7 @@ is the destination node id (grouping + tie-break), ``seq`` is a running
 counter that breaks any remaining ties by insertion order, and ``payload``
 is whatever the pusher wants back from :meth:`PulseHeap.pop_simultaneous`
 (the destination :class:`~repro.core.node.Node` for normal use; the
-simulator's fast path pushes its precomputed per-node dispatch record
+simulator's drain pushes its precomputed per-node dispatch record
 instead). The :class:`Pulse` dataclass remains as the convenience wrapper
 for :meth:`PulseHeap.push`.
 """
@@ -50,7 +50,7 @@ class PulseHeap:
         self._seq = 0
         #: High-water mark of pending pulses, reported by the observability
         #: layer as ``max_heap_depth``. Maintained by the simulator's drain
-        #: loops when an observer is attached (a per-push check here would
+        #: loop when an observer is attached (a per-push check here would
         #: tax the no-observer hot path); 0 otherwise.
         self.max_depth = 0
 

@@ -13,7 +13,7 @@ Section 5.2 dynamic-correctness checks are written against.
 
 The inner loop is the hot path behind every workload in this repo (Table 2,
 the bitonic scaling study, the Section 5.2 Monte-Carlo sweeps), so
-``simulate`` front-loads all per-node decisions before draining the heap:
+``simulate`` front-loads every decision before draining the heap:
 
 * each node gets a *dispatch record* carrying its bound deliver method
   (``raw_firings`` vs ``handle_inputs`` — no ``isinstance`` per group), its
@@ -21,18 +21,16 @@ the bitonic scaling study, the Section 5.2 Monte-Carlo sweeps), so
   destination record)`` so ``emit`` costs one dict probe instead of two;
 * the heap holds flat primitive tuples (see :mod:`repro.core.events`), not
   ``Pulse`` objects;
-* variability, tracing, and per-group object bookkeeping live in a separate
-  general loop — the common ``simulate()`` call with no noise and no trace
-  pays for none of it. Both loops produce bit-identical events for the same
-  inputs (the fast path is the reference semantics, minus the bookkeeping).
+* how a firing delay is resolved is settled once per run: a nominal run
+  adds scalar delays directly, a variability run calls one per-run
+  ``resolve(delay, index)`` (python-rng or counter noise). Tracing and
+  observer bookkeeping sit behind one local flag, so the common
+  ``simulate()`` call with no noise and no trace pays for none of it.
 
-Observability (:mod:`repro.obs`) is threaded through *both* loops: pass
-``observer=Observer()`` to record pulse provenance (every pulse's causal
-parents, back to the circuit inputs) and per-cell metrics. The hook
-protocol — which observer methods are called, in what order, with what
-arguments — is identical in the two loops, so fast and general drains
-build identical provenance graphs. With no observer the loops skip all of
-it behind a single local flag check.
+There is one drain loop. Observability (:mod:`repro.obs`) is threaded
+through it: pass ``observer=Observer()`` to record pulse provenance (every
+pulse's causal parents, back to the circuit inputs) and per-cell metrics.
+With no observer and no trace the loop skips all of it behind that flag.
 """
 
 from __future__ import annotations
@@ -45,12 +43,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .circuit import Circuit, working_circuit
 from .errors import PylseError, SimulationError
 from .events import PulseHeap
-from .functional import Functional
 from .ir import CompiledCircuit, compile_circuit
 from .node import Node
 from .timing import Distribution, VariabilitySpec, sample_delay
-from .transitional import Transitional
-from .wire import Wire
 
 Events = Dict[str, List[float]]
 
@@ -175,9 +170,10 @@ class Simulation:
         ``max_pulses`` (default one million) guards against unbounded
         feedback loops simulated without an ``until`` horizon; pass None to
         disable. ``observer`` attaches a :class:`repro.obs.Observer` that
-        collects pulse provenance and per-cell metrics from either drain
-        loop; timing-violation errors then carry the causal chain of the
-        offending pulse group.
+        collects pulse provenance and per-cell metrics from the drain;
+        timing-violation errors then carry the causal chain of the
+        offending pulse group. Every combination of these options runs
+        the same drain loop; what differs is settled before it starts.
         """
         circuit = self.circuit
         # Validates the circuit (once per revision) and yields the frozen
@@ -202,14 +198,12 @@ class Simulation:
             series_by_wire[wid] = series
 
         nodes = compiled.nodes
+        # Per-run delay resolution, ``resolve(delay, index)``; None keeps
+        # the drain's inline nominal path. Whether the spec perturbs a
+        # node is settled here, once per run, for both noise schemes.
+        resolve = None
         counter = None
-        if spec.enabled and spec.scheme == "counter":
-            # Counter-based per-(seed, node) noise streams: the width-1
-            # form of the vectorized Monte-Carlo drain, bit-identical to
-            # one lane of a batched pass over the same seed. Whether the
-            # spec perturbs a node is settled here, once per run.
-            from .batchsim import CounterNoise
-
+        if spec.enabled:
             applies = [False] * len(nodes)
             for nd in compiled.dispatch:
                 if not nd.is_input:
@@ -217,7 +211,28 @@ class Simulation:
                     applies[nd.index] = spec.applies_to(
                         node.element.name, node.name
                     )
-            counter = CounterNoise.for_run(seed, applies, spec, rng)
+            if spec.scheme == "counter":
+                # Counter-based per-(seed, node) noise streams: the
+                # width-1 form of the vectorized Monte-Carlo drain,
+                # bit-identical to one lane of a batched pass over the
+                # same seed.
+                from .batchsim import CounterNoise
+
+                counter = CounterNoise.for_run(seed, applies, spec, rng)
+                resolve = counter.resolve_scalar
+            else:
+                def resolve(delay, index: int) -> float:
+                    # One python-rng stream in global event order: sample
+                    # the delay from ``rng``, then perturb constant delays
+                    # from the spec's own stream.
+                    value = sample_delay(delay, rng)
+                    if applies[index] and not isinstance(delay, Distribution):
+                        value = spec.perturb(value, nodes[index])
+                    if value < 0:
+                        raise PylseError(
+                            f"Resolved firing delay is negative: {value}"
+                        )
+                    return value
         records: List[Optional[list]] = [None] * len(nodes)
         activity: Dict[str, List[int]] = {}
         for nd in compiled.dispatch:
@@ -290,13 +305,7 @@ class Simulation:
                     observer.on_input(node.name, label, t, dkey, dport)
 
         try:
-            if spec.enabled or record:
-                self._drain_general(
-                    heap, spec, rng, until, record, max_pulses, observer,
-                    counter,
-                )
-            else:
-                self._drain_fast(heap, rng, until, max_pulses, observer)
+            self._drain(heap, rng, until, max_pulses, observer, record, resolve)
         finally:
             if observer is not None:
                 observer.end(heap.max_depth, self.pulses_processed)
@@ -307,24 +316,28 @@ class Simulation:
         return events
 
     # ------------------------------------------------------------------
-    def _drain_fast(
+    def _drain(
         self,
         heap: PulseHeap,
         rng: random.Random,
         until: Optional[float],
         max_pulses: Optional[int],
-        observer=None,
+        observer,
+        record: bool,
+        resolve: Optional[Callable[[object, int], float]],
     ) -> None:
-        """Drain the heap with no variability and no trace recording.
+        """Drain the heap: pop a simultaneous group, dispatch it, push.
 
-        This is the hot path: no per-group objects, no spec/trace checks,
-        scalar delays added directly (they were validated non-negative when
-        the machine / hole was built). Distribution-valued delays are still
-        sampled from ``rng``, matching the general path. An attached
-        observer costs one local flag check per group and per firing when
-        present, and nothing measurable when absent (``until`` and
-        ``max_pulses`` are normalized to infinities so the common case
-        drops two per-iteration None-checks in exchange).
+        With ``resolve`` None (a nominal run) scalar delays are added
+        directly (they were validated non-negative when the machine / hole
+        was built) and distribution-valued delays are sampled from ``rng``;
+        otherwise ``resolve(delay, index)`` is the run's noise scheme. The
+        observer hooks and the ``record=True`` trace share one local flag
+        checked per group and per firing, so a plain run pays for neither.
+        ``until`` and ``max_pulses`` are normalized to infinities, which
+        saves two None-checks per iteration. The pulse count and heap
+        high-water mark are written back on every exit, the error paths
+        included.
         """
         pending = heap._heap
         pop = heap.pop_simultaneous
@@ -332,48 +345,55 @@ class Simulation:
         stop = math.inf if until is None else until
         limit = math.inf if max_pulses is None else max_pulses
         observe = observer is not None
-        processed = self.pulses_processed
+        book = observe or record
+        trace = self.trace
+        processed = 0
         # Heap high-water mark, sampled at the top of each iteration (i.e.
-        # after the previous group's pushes) so the disabled path pays
-        # nothing per push; identical checkpoints in both drain loops.
+        # after the previous group's pushes) so an unobserved run pays
+        # nothing per push.
         max_depth = len(pending) if observe else 0
-        while pending:
-            if observe:
-                depth = len(pending)
-                if depth > max_depth:
-                    max_depth = depth
-            rec, ports, time = pop()
-            if time > stop:
-                break
-            if processed >= limit:
-                self._overflow(max_pulses, time)
-            processed += len(ports)
-            if observe:
-                node = rec[_REC_NODE]
-                parents = observer.group_parents(node.node_id, ports, time)
-                try:
-                    firings = rec[_REC_DELIVER](ports, time)
-                except SimulationError as err:
-                    self.pulses_processed = processed
-                    heap.max_depth = max_depth
-                    chain = observer.on_violation(
-                        node.name, node.element.name, ports, time, parents, err
+        try:
+            while pending:
+                if observe:
+                    depth = len(pending)
+                    if depth > max_depth:
+                        max_depth = depth
+                rec, ports, time = pop()
+                if time > stop:
+                    break
+                if processed >= limit:
+                    self._overflow(max_pulses, time)
+                processed += len(ports)
+                if book:
+                    node = rec[_REC_NODE]
+                    element = node.element
+                    transitional = rec[_REC_TRANSITIONAL]
+                    state_before = (
+                        element.state if record and transitional else None
                     )
-                    self._dispatch_error(node, ports, err, chain)
-            else:
+                    parents = (
+                        observer.group_parents(node.node_id, ports, time)
+                        if observe else ()
+                    )
+                    emitted = []
                 try:
                     firings = rec[_REC_DELIVER](ports, time)
                 except SimulationError as err:
-                    self.pulses_processed = processed
-                    self._dispatch_error(rec[_REC_NODE], ports, err)
-            counts = rec[_REC_COUNTS]
-            counts[0] += len(ports)
-            counts[1] += len(firings)
-            outs = rec[_REC_OUTS]
-            if observe:
-                emitted = []
+                    chain = (
+                        observer.on_violation(
+                            node.name, element.name, ports, time, parents, err
+                        )
+                        if observe else None
+                    )
+                    self._dispatch_error(rec[_REC_NODE], ports, err, chain)
+                counts = rec[_REC_COUNTS]
+                counts[0] += len(ports)
+                counts[1] += len(firings)
+                outs = rec[_REC_OUTS]
                 for out_port, delay in firings:
-                    if isinstance(delay, Distribution):
+                    if resolve is not None:
+                        delay = resolve(delay, rec[_REC_INDEX])
+                    elif isinstance(delay, Distribution):
                         delay = delay.sample(rng)
                         if delay < 0:
                             raise PylseError(
@@ -382,148 +402,44 @@ class Simulation:
                     t = time + delay
                     series, dkey, drec, dport, label = outs[out_port]
                     series.append(t)
-                    pushed = drec is not None
-                    if pushed:
-                        push(t, dkey, drec, dport)
-                    emitted.append(
-                        (out_port, label, t, delay, dkey, dport, pushed)
-                    )
-                element = node.element
-                if rec[_REC_TRANSITIONAL]:
-                    log = element._transition_log
-                    tlabels = tuple(log)
-                    log.clear()
-                else:
-                    tlabels = ()
-                observer.record_group(
-                    node.name, element.name, ports, time, tlabels, emitted,
-                    parents,
-                )
-            else:
-                for out_port, delay in firings:
-                    if isinstance(delay, Distribution):
-                        delay = delay.sample(rng)
-                        if delay < 0:
-                            raise PylseError(
-                                f"Resolved firing delay is negative: {delay}"
-                            )
-                    t = time + delay
-                    series, dkey, drec, dport, _label = outs[out_port]
-                    series.append(t)
                     if drec is not None:
                         push(t, dkey, drec, dport)
-        heap.max_depth = max_depth
-        self.pulses_processed = processed
-
-    def _drain_general(
-        self,
-        heap: PulseHeap,
-        spec: VariabilitySpec,
-        rng: random.Random,
-        until: Optional[float],
-        record: bool,
-        max_pulses: Optional[int],
-        observer=None,
-        counter=None,
-    ) -> None:
-        """Drain the heap with variability and/or trace bookkeeping on.
-
-        Observer hooks fire at the same points, in the same order, with
-        the same arguments as in :meth:`_drain_fast`, so both loops build
-        identical provenance graphs and metrics for the same stimulus.
-        ``counter`` (a width-1 :class:`repro.core.batchsim.CounterNoise`)
-        replaces the python-rng delay resolution when the variability spec
-        selects the counter scheme.
-        """
-        pending = heap._heap
-        pop = heap.pop_simultaneous
-        push = heap.push_raw
-        stop = math.inf if until is None else until
-        limit = math.inf if max_pulses is None else max_pulses
-        observe = observer is not None
-        max_depth = len(pending) if observe else 0
-        while pending:
-            if observe:
-                depth = len(pending)
-                if depth > max_depth:
-                    max_depth = depth
-            rec, ports, time = pop()
-            if time > stop:
-                break
-            if self.pulses_processed >= limit:
-                self._overflow(max_pulses, time)
-            self.pulses_processed += len(ports)
-            node = rec[_REC_NODE]
-            is_transitional = rec[_REC_TRANSITIONAL]
-            state_before = node.element.state if record and is_transitional else None
-            parents = (
-                observer.group_parents(node.node_id, ports, time)
-                if observe else ()
-            )
-            try:
-                firings = rec[_REC_DELIVER](ports, time)
-            except SimulationError as err:
-                heap.max_depth = max_depth
-                chain = (
-                    observer.on_violation(
-                        node.name, node.element.name, ports, time, parents, err
-                    )
-                    if observe else None
-                )
-                self._dispatch_error(node, ports, err, chain)
-            counts = rec[_REC_COUNTS]
-            counts[0] += len(ports)
-            counts[1] += len(firings)
-            outs = rec[_REC_OUTS]
-            emitted: List[Tuple[str, float]] = []
-            obs_emitted = [] if observe else None
-            for out_port, delay in firings:
-                if counter is not None:
-                    resolved = counter.resolve_scalar(delay, rec[_REC_INDEX])
-                else:
-                    resolved = self._resolve_delay(delay, node, spec, rng)
-                t = time + resolved
-                emitted.append((out_port, t))
-                series, dkey, drec, dport, label = outs[out_port]
-                series.append(t)
-                pushed = drec is not None
-                if pushed:
-                    push(t, dkey, drec, dport)
-                if observe:
-                    obs_emitted.append(
-                        (out_port, label, t, resolved, dkey, dport, pushed)
-                    )
-            fired_pids: Tuple[int, ...] = ()
-            if observe:
-                element = node.element
-                if is_transitional:
-                    log = element._transition_log
-                    tlabels = tuple(log)
-                    log.clear()
-                else:
-                    tlabels = ()
-                pids = observer.record_group(
-                    node.name, element.name, ports, time, tlabels,
-                    obs_emitted, parents,
-                )
-                if pids:
-                    fired_pids = tuple(pids)
-            if record:
-                self.trace.append(
-                    TraceEntry(
-                        time=time,
-                        node=node.name,
-                        cell=node.element.name,
-                        ports=tuple(ports),
-                        state_before=state_before,
-                        state_after=(
-                            node.element.state if is_transitional else None
-                        ),
-                        fired=tuple(emitted),
-                        fired_pids=fired_pids,
-                    )
-                )
-        heap.max_depth = max_depth
+                    if book:
+                        emitted.append(
+                            (out_port, label, t, delay, dkey, dport,
+                             drec is not None)
+                        )
+                if book:
+                    pids = None
+                    if observe:
+                        if transitional:
+                            log = element._transition_log
+                            tlabels = tuple(log)
+                            log.clear()
+                        else:
+                            tlabels = ()
+                        pids = observer.record_group(
+                            node.name, element.name, ports, time, tlabels,
+                            emitted, parents,
+                        )
+                    if record:
+                        trace.append(
+                            TraceEntry(
+                                time=time,
+                                node=node.name,
+                                cell=element.name,
+                                ports=tuple(ports),
+                                state_before=state_before,
+                                state_after=(
+                                    element.state if transitional else None
+                                ),
+                                fired=tuple((e[0], e[2]) for e in emitted),
+                                fired_pids=tuple(pids) if pids else (),
+                            )
+                        )
+        finally:
+            self.pulses_processed = processed
+            heap.max_depth = max_depth
 
     # ------------------------------------------------------------------
     def _overflow(self, max_pulses: int, time: float) -> None:
@@ -558,41 +474,6 @@ class Simulation:
         wrapped = type(err)(message)
         wrapped.provenance = chain
         raise wrapped from None
-
-    def _deliver(self, node: Node, ports: Sequence[str], time: float):
-        """Send a simultaneous pulse group to a node, with error context.
-
-        Kept as the standalone (un-precomputed) form of the dispatch the
-        drain loops perform via per-node records; used by external callers
-        and tests exercising a single node.
-        """
-        element = node.element
-        try:
-            if isinstance(element, (Transitional, Functional)):
-                return element.raw_firings(ports, time)
-            return element.handle_inputs(ports, time)
-        except SimulationError as err:
-            self._dispatch_error(node, ports, err)
-
-    def _resolve_delay(
-        self,
-        delay,
-        node: Node,
-        spec: VariabilitySpec,
-        rng: random.Random,
-    ) -> float:
-        value = sample_delay(delay, rng)
-        if not isinstance(delay, Distribution) and spec.applies_to(
-            node.element.name, node.name
-        ):
-            value = spec.perturb(value, node)
-        if value < 0:
-            raise PylseError(f"Resolved firing delay is negative: {value}")
-        return value
-
-    @staticmethod
-    def _label(wire: Wire) -> str:
-        return wire.observed_as
 
     # ------------------------------------------------------------------
     def render_trace(self, provenance: bool = False) -> str:

@@ -13,10 +13,11 @@ metrics (what did each cell do?), collected by attaching an
     print(obs.metrics.render())            # per-cell counter table
     payload = obs.metrics.to_json()        # repro-obs-metrics-v1
 
-With no observer attached the simulator's fast path is unchanged (the
-bitonic-8 guard in ``tools/bench_guard.py`` holds the disabled-tracing
-overhead under 5%). See docs/observability.md for the provenance format,
-the metrics JSON schema, and CLI usage (``python -m repro trace --stats``).
+With no observer attached the simulator's drain skips every hook behind
+one local flag (the bitonic-8 guard in ``tools/bench_guard.py`` holds the
+disabled-tracing overhead under 5%). See docs/observability.md for the
+provenance format, the metrics JSON schema, and CLI usage
+(``python -m repro trace --stats``).
 """
 
 from .metrics import DEFAULT_BIN_WIDTH, CellMetrics, DelayHistogram, SimMetrics

@@ -1,9 +1,9 @@
 """The ``Observer``: the opt-in hook object the simulator drains into.
 
-Attach one via ``Simulation.simulate(observer=Observer())`` and both drain
-loops (fast and general) report every circuit-input pulse, dispatch group,
-fired pulse, and timing violation to it. The observer composes the two
-collection back-ends:
+Attach one via ``Simulation.simulate(observer=Observer())`` and the drain
+loop reports every circuit-input pulse, dispatch group, fired pulse, and
+timing violation to it. The observer composes the two collection
+back-ends:
 
 * :class:`~repro.obs.provenance.ProvenanceGraph` — the causal DAG of
   pulses (``provenance=True``);
@@ -13,11 +13,12 @@ collection back-ends:
 Either can be switched off independently; Monte-Carlo sweeps, for
 example, collect metrics only (the graph grows with pulse count).
 
-The hook-call protocol is identical in ``_drain_fast`` and
-``_drain_general`` — same hooks, same order, same arguments — which is
-what makes the two loops produce identical provenance graphs and metrics
-for the same stimulus (property-tested in
-``tests/test_differential.py``).
+``Simulation._drain`` calls the hooks at the same points — same hooks,
+same order, same arguments — with or without variability or a recorded
+trace, so a plain and a ``record=True`` run of the same stimulus build
+identical provenance graphs and metrics (property-tested in
+``tests/test_differential.py`` against a frozen copy of the former
+nominal loop).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .provenance import (
     format_group_chain,
 )
 
-#: An emitted firing as reported by the drain loops:
+#: An emitted firing as reported by the drain loop:
 #: (output port, wire label, absolute time, resolved delay,
 #:  dest node id, dest port, pushed-to-heap flag).
 EmitRecord = Tuple[str, str, float, float, int, str, bool]
@@ -67,7 +68,7 @@ class Observer:
         self._runs_seen = 0
 
     # ------------------------------------------------------------------
-    # hooks called by the simulation drain loops
+    # hooks called by the simulation drain loop
     # ------------------------------------------------------------------
     def begin(self, circuit) -> None:
         """Called once at ``simulate()`` start, before the heap is seeded."""

@@ -63,7 +63,7 @@ class TestSeededVariability:
         assert named(base) != named(other)
 
     def test_variability_matches_trace_recording_run(self):
-        """record=True must not change pulse times (same general path RNG)."""
+        """record=True must not change pulse times (same RNG draw order)."""
         plain = Simulation(build_bitonic()).simulate(
             variability={"stddev": 0.5}, seed=11
         )
@@ -92,7 +92,7 @@ class TestSimultaneousTieBreak:
         assert runs[0] == runs[1] == runs[2]
 
     def test_fast_and_general_paths_agree(self):
-        """The no-variability fast loop and the record=True general loop
+        """A plain run and a record=True run (trace bookkeeping on)
         must produce identical events for the same circuit."""
         with_trace = Simulation(build_simultaneous()).simulate(record=True)
         without = Simulation(build_simultaneous()).simulate()

@@ -1,42 +1,158 @@
-"""Differential harness: the fast and general drain loops must agree.
+"""Differential harness: the drain loop against a frozen nominal oracle.
 
-``_drain_fast`` is the reference semantics minus bookkeeping;
-``_drain_general`` re-implements it with variability/trace/observer
-support. This property locks the two together on random circuits (from
-the generator in ``tests/test_random_circuits.py``, variability off):
-identical event dictionaries, identical provenance graphs, identical
-metrics — node for node, pulse for pulse, parent for parent.
+``FrozenFastSimulation`` below overrides ``Simulation._drain`` with a
+verbatim copy of the former no-variability, no-trace loop — the reference
+semantics minus bookkeeping, kept here as a test-local oracle. The
+properties lock the production drain to it on random circuits (from the
+generator in ``tests/test_random_circuits.py``, variability off), both as
+a plain run and with ``record=True`` trace bookkeeping on: identical event
+dictionaries, identical provenance graphs, identical metrics — node for
+node, pulse for pulse, parent for parent.
 
-Any drift between the loops (a hook called in a different order, a
-different grouping of simultaneous pulses, a missed duplicate collapse)
-shows up as a JSON-payload mismatch here.
+Any drift (a hook called in a different order, a different grouping of
+simultaneous pulses, a missed duplicate collapse) shows up as a
+JSON-payload mismatch here.
 """
 
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import PylseError, SimulationError
 from repro.core.montecarlo import measure_yield
-from repro.core.simulation import Simulation
+from repro.core.simulation import (
+    _REC_COUNTS,
+    _REC_DELIVER,
+    _REC_NODE,
+    _REC_OUTS,
+    _REC_TRANSITIONAL,
+    Simulation,
+)
+from repro.core.timing import Distribution
 from repro.obs import Observer
 
 from test_parallel import minmax_factory, minmax_ok
 from test_random_circuits import build_random_circuit
 
 
-def run_fast(circuit):
-    """Fast drain: no variability, no trace."""
+class FrozenFastSimulation(Simulation):
+    """``Simulation`` whose drain is the frozen nominal oracle loop.
+
+    Only nominal, unrecorded runs are in its domain; it must not change
+    with the production drain it checks.
+    """
+
+    def _drain(self, heap, rng, until, max_pulses, observer, record, resolve):
+        assert not record and resolve is None, "oracle covers nominal runs"
+        self.oracle_drained = True
+        pending = heap._heap
+        pop = heap.pop_simultaneous
+        push = heap.push_raw
+        stop = math.inf if until is None else until
+        limit = math.inf if max_pulses is None else max_pulses
+        observe = observer is not None
+        processed = self.pulses_processed
+        max_depth = len(pending) if observe else 0
+        while pending:
+            if observe:
+                depth = len(pending)
+                if depth > max_depth:
+                    max_depth = depth
+            rec, ports, time = pop()
+            if time > stop:
+                break
+            if processed >= limit:
+                self._overflow(max_pulses, time)
+            processed += len(ports)
+            if observe:
+                node = rec[_REC_NODE]
+                parents = observer.group_parents(node.node_id, ports, time)
+                try:
+                    firings = rec[_REC_DELIVER](ports, time)
+                except SimulationError as err:
+                    self.pulses_processed = processed
+                    heap.max_depth = max_depth
+                    chain = observer.on_violation(
+                        node.name, node.element.name, ports, time, parents, err
+                    )
+                    self._dispatch_error(node, ports, err, chain)
+            else:
+                try:
+                    firings = rec[_REC_DELIVER](ports, time)
+                except SimulationError as err:
+                    self.pulses_processed = processed
+                    self._dispatch_error(rec[_REC_NODE], ports, err)
+            counts = rec[_REC_COUNTS]
+            counts[0] += len(ports)
+            counts[1] += len(firings)
+            outs = rec[_REC_OUTS]
+            if observe:
+                emitted = []
+                for out_port, delay in firings:
+                    if isinstance(delay, Distribution):
+                        delay = delay.sample(rng)
+                        if delay < 0:
+                            raise PylseError(
+                                f"Resolved firing delay is negative: {delay}"
+                            )
+                    t = time + delay
+                    series, dkey, drec, dport, label = outs[out_port]
+                    series.append(t)
+                    pushed = drec is not None
+                    if pushed:
+                        push(t, dkey, drec, dport)
+                    emitted.append(
+                        (out_port, label, t, delay, dkey, dport, pushed)
+                    )
+                element = node.element
+                if rec[_REC_TRANSITIONAL]:
+                    log = element._transition_log
+                    tlabels = tuple(log)
+                    log.clear()
+                else:
+                    tlabels = ()
+                observer.record_group(
+                    node.name, element.name, ports, time, tlabels, emitted,
+                    parents,
+                )
+            else:
+                for out_port, delay in firings:
+                    if isinstance(delay, Distribution):
+                        delay = delay.sample(rng)
+                        if delay < 0:
+                            raise PylseError(
+                                f"Resolved firing delay is negative: {delay}"
+                            )
+                    t = time + delay
+                    series, dkey, drec, dport, _label = outs[out_port]
+                    series.append(t)
+                    if drec is not None:
+                        push(t, dkey, drec, dport)
+        heap.max_depth = max_depth
+        self.pulses_processed = processed
+
+
+def run_oracle(circuit):
+    """The frozen nominal loop, observer attached."""
     observer = Observer()
-    events = Simulation(circuit).simulate(observer=observer)
+    sim = FrozenFastSimulation(circuit)
+    events = sim.simulate(observer=observer)
+    assert sim.oracle_drained, "simulate() bypassed the oracle drain"
     return events, observer
 
 
-def run_general(circuit):
-    """General drain: record=True forces the bookkeeping loop."""
+def run_drain(circuit, record):
+    """The production drain, observer attached, trace on or off."""
     observer = Observer()
-    events = Simulation(circuit).simulate(record=True, observer=observer)
+    events = Simulation(circuit).simulate(record=record, observer=observer)
     return events, observer
+
+
+def runs_under_test(circuit):
+    """The drain as a plain run and as a record=True run."""
+    return [run_drain(circuit, record) for record in (False, True)]
 
 
 class TestDrainLoopsAgree:
@@ -48,10 +164,10 @@ class TestDrainLoopsAgree:
     @settings(max_examples=40, deadline=None)
     def test_events_and_provenance_identical(self, seed, n_inputs, n_cells):
         circuit = build_random_circuit(seed, n_inputs, n_cells)
-        fast_events, fast_obs = run_fast(circuit)
-        gen_events, gen_obs = run_general(circuit)
-        assert fast_events == gen_events
-        assert fast_obs.graph.to_jsonable() == gen_obs.graph.to_jsonable()
+        ref_events, ref_obs = run_oracle(circuit)
+        for events, obs in runs_under_test(circuit):
+            assert events == ref_events
+            assert obs.graph.to_jsonable() == ref_obs.graph.to_jsonable()
 
     @given(
         seed=st.integers(0, 10_000),
@@ -61,11 +177,9 @@ class TestDrainLoopsAgree:
     @settings(max_examples=40, deadline=None)
     def test_metrics_identical(self, seed, n_inputs, n_cells):
         circuit = build_random_circuit(seed, n_inputs, n_cells)
-        _, fast_obs = run_fast(circuit)
-        _, gen_obs = run_general(circuit)
-        assert (
-            fast_obs.metrics.to_jsonable() == gen_obs.metrics.to_jsonable()
-        )
+        _, ref_obs = run_oracle(circuit)
+        for _, obs in runs_under_test(circuit):
+            assert obs.metrics.to_jsonable() == ref_obs.metrics.to_jsonable()
 
     @given(
         seed=st.integers(0, 10_000),
@@ -76,18 +190,17 @@ class TestDrainLoopsAgree:
     def test_chains_of_every_output_identical(self, seed, n_inputs, n_cells):
         """Rendered causal chains agree wire-by-wire, pulse-by-pulse."""
         circuit = build_random_circuit(seed, n_inputs, n_cells)
-        _, fast_obs = run_fast(circuit)
-        _, gen_obs = run_general(circuit)
-        labels = sorted(fast_obs.graph.by_label)
-        assert labels == sorted(gen_obs.graph.by_label)
-        for label in labels:
-            fast_pids = fast_obs.graph.pulses_on(label)
-            gen_pids = gen_obs.graph.pulses_on(label)
-            assert len(fast_pids) == len(gen_pids)
-            for occurrence in range(len(fast_pids)):
-                assert fast_obs.chain(label, occurrence) == gen_obs.chain(
-                    label, occurrence
-                )
+        _, ref_obs = run_oracle(circuit)
+        labels = sorted(ref_obs.graph.by_label)
+        for _, obs in runs_under_test(circuit):
+            assert sorted(obs.graph.by_label) == labels
+            for label in labels:
+                ref_pids = ref_obs.graph.pulses_on(label)
+                assert len(obs.graph.pulses_on(label)) == len(ref_pids)
+                for occurrence in range(len(ref_pids)):
+                    assert obs.chain(label, occurrence) == ref_obs.chain(
+                        label, occurrence
+                    )
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -101,7 +214,7 @@ class TestDrainLoopsAgree:
         simulator delivers, merging the duplicates' parents.
         """
         circuit = build_random_circuit(seed, n_inputs=3, n_cells=8)
-        events, observer = run_fast(circuit)
+        events, observer = run_drain(circuit, record=False)
         graph = observer.graph
         for label, times in events.items():
             pids = graph.pulses_on(label)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.simulation import Simulation
 from repro.exp.registry import build_in_fresh_circuit, registry
+from repro.obs import Observer
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -20,18 +21,35 @@ def slug(name: str) -> str:
     return name.lower().replace(" ", "_").replace("(", "").replace(")", "")
 
 
-@pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
-def test_events_match_golden(entry):
+#: Every drain mode must reproduce the goldens: a plain run, a run with
+#: the dispatch trace recorded, and a run with an observer attached.
+MODES = {
+    "plain": lambda: {},
+    "record": lambda: {"record": True},
+    "observer": lambda: {"observer": Observer()},
+}
+CASES = [(entry, mode) for mode in MODES for entry in registry()]
+
+
+def case_id(case):
+    """Plain runs keep the bare design name as their test id."""
+    entry, mode = case
+    return entry.name if mode == "plain" else f"{entry.name}-{mode}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_events_match_golden(case):
+    entry, mode = case
     path = GOLDEN_DIR / f"{slug(entry.name)}.json"
     assert path.exists(), f"missing golden for {entry.name}; run tools/gen_goldens.py"
     golden = json.loads(path.read_text())
     circuit = build_in_fresh_circuit(entry)
-    events = Simulation(circuit).simulate()
+    events = Simulation(circuit).simulate(**MODES[mode]())
     named = {
         name: times for name, times in sorted(events.items())
         if not name.startswith("_")
     }
-    assert named == golden["events"], f"{entry.name} diverged from golden"
+    assert named == golden["events"], f"{entry.name} diverged from golden ({mode})"
 
 
 def test_no_stale_goldens():

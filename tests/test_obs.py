@@ -67,7 +67,7 @@ class TestFigure13Provenance:
         assert "circuit input" in err.provenance
 
     def test_violation_chain_in_general_drain(self):
-        """record=True routes through _drain_general: same chain."""
+        """record=True adds the trace bookkeeping: same chain."""
         sim = Simulation(figure13_circuit())
         with pytest.raises(PriorInputViolation) as excinfo:
             sim.simulate(record=True, observer=Observer())
@@ -152,7 +152,7 @@ class TestChains:
         assert "(see above)" in chain
 
     def test_provenance_with_variability(self):
-        """The general drain records chains under delay noise too."""
+        """Chains are recorded under delay noise too."""
         observer = Observer()
         sim = Simulation(two_jtl_circuit())
         sim.simulate(variability={"stddev": 0.5}, seed=7, observer=observer)
@@ -243,6 +243,20 @@ class TestMetrics:
         assert metrics.max_heap_depth >= 1
         assert metrics.pulses_processed > 0
         assert metrics.input_pulses > 0
+
+    @pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
+    def test_overflow_keeps_counts(self, record):
+        """A max_pulses overflow still reports what the drain processed:
+        the pulse count and the heap high-water mark are written back
+        before the error propagates, in every drain mode."""
+        entry = next(e for e in registry() if e.name == "Bitonic Sort 4")
+        sim = Simulation(build_in_fresh_circuit(entry))
+        observer = Observer()
+        with pytest.raises(PylseError, match="exceeded 10 pulses"):
+            sim.simulate(max_pulses=10, observer=observer, record=record)
+        assert sim.pulses_processed == 10
+        assert observer.metrics.pulses_processed == 10
+        assert observer.metrics.max_heap_depth >= 1
 
     def test_json_roundtrip_is_identity(self):
         metrics = self._collect()
