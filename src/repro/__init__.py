@@ -32,7 +32,6 @@ from .core import (
     structural_hash,
     SkewFinding,
     balance_report,
-    circuit_graph,
     clock_skew,
     events_to_html,
     events_to_vcd,
@@ -128,7 +127,7 @@ __version__ = "1.0.0"
 __all__ = [
     # core
     "Circuit", "CompiledCircuit", "compile_circuit", "structural_hash",
-    "SkewFinding", "balance_report", "circuit_graph",
+    "SkewFinding", "balance_report",
     "clock_skew", "critical_sigma", "events_to_html", "events_to_vcd",
     "measure_yield", "path_delays", "save_html", "save_vcd", "total_jjs",
     "yield_curve", "YieldEngine", "YieldResult", "circuit_to_json",

@@ -3,7 +3,6 @@
 from .analysis import (
     SkewFinding,
     balance_report,
-    circuit_graph,
     clock_skew,
     path_delays,
     total_jjs,
@@ -54,7 +53,6 @@ __all__ = [
     "structural_hash",
     "SkewFinding",
     "balance_report",
-    "circuit_graph",
     "clock_skew",
     "MarginRecord",
     "TraceEntry",

@@ -2,10 +2,10 @@
 
 Section 4.2 describes PyLSE's static checks and Figure 11 shows manual
 path-balancing arithmetic (11 + 14 = 25 vs 11 + 12 + 2 = 25). This module
-automates that arithmetic over whole circuits:
+automates that arithmetic over whole circuits, as passes over the compiled
+IR (:mod:`repro.core.ir`) in which every wire is one edge weighted by the
+nominal firing delay of the output driving it (0 for a circuit input):
 
-* :func:`circuit_graph` — the circuit as a :mod:`networkx` DiGraph whose
-  edges carry nominal firing delays;
 * :func:`path_delays` — min/max accumulated delay from each circuit input
   to each output;
 * :func:`balance_report` — per-cell input-arrival skew, flagging
@@ -21,59 +21,56 @@ cell's output delay is the max over its transitions firing that output).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .circuit import Circuit, working_circuit
 from .errors import PylseError
-from .ir import compile_circuit
+from .ir import CompiledCircuit, compile_circuit
 
 
-def circuit_graph(circuit: Optional[Circuit] = None) -> nx.DiGraph:
-    """The circuit as a delay-weighted DiGraph.
+def _weighted_ir(circuit: Optional[Circuit]) -> Tuple[CompiledCircuit, List[float]]:
+    """The compiled IR and, per wire id, the nominal delay of a pulse
+    crossing that wire."""
+    compiled = compile_circuit(
+        circuit if circuit is not None else working_circuit(), validate=False
+    )
+    delays = [
+        0.0 if compiled.dispatch[src].is_input
+        else compiled.delay_window(src, port)[1]
+        for src, port in compiled.wire_source
+    ]
+    return compiled, delays
 
-    Nodes are circuit node names (plus ``wire:<name>`` terminals for circuit
-    inputs and outputs); an edge ``u -> v`` with weight ``d`` means a pulse
-    leaving ``u`` arrives at ``v`` after ``d`` ps (the firing delay of the
-    producing output).
 
-    The graph is derived from the compiled IR and cached on it, so every
-    analysis and lint pass over the same circuit revision shares one
-    instance — treat it as read-only (copy before mutating).
+def _input_label(compiled: CompiledCircuit, node_id: int) -> str:
+    return compiled.labels[compiled.dispatch[node_id].outs[0].wire_id]
+
+
+def _arrivals(
+    compiled: CompiledCircuit, delays: List[float], sources: Iterable[int]
+) -> Dict[int, Tuple[float, float]]:
+    """Node id -> (earliest, latest) arrival over every path from a source.
+
+    One forward pass in topological order (acyclic circuits only). Float
+    ``+`` is monotone, so each bound equals the min/max over paths of the
+    path's delays added left to right, bit for bit.
     """
-    circuit = circuit if circuit is not None else working_circuit()
-    compiled = compile_circuit(circuit, validate=False)
-    graph = compiled._cache.get("nx_graph")
-    if graph is not None:
-        return graph
-    graph = nx.DiGraph()
-    for nd in compiled.dispatch:
-        if nd.is_input:
-            graph.add_node(f"in:{compiled.labels[nd.outs[0].wire_id]}",
-                           kind="input")
-        else:
-            graph.add_node(nd.name, kind="cell", cell=nd.cell)
-    for wid, (src, src_port) in enumerate(compiled.wire_source):
-        label = compiled.labels[wid]
-        if compiled.dispatch[src].is_input:
-            u, delay_min, delay = f"in:{label}", 0.0, 0.0
-        else:
-            u = compiled.nodes[src].name
-            delay_min, delay = compiled.delay_window(src, src_port)
-        dest = compiled.wire_dest[wid]
-        if dest is None:
-            v = f"out:{label}"
-            graph.add_node(v, kind="output")
-            graph.add_edge(u, v, delay=delay, delay_min=delay_min,
-                           wire=label, port=None)
-        else:
-            dst, dst_port = dest
-            graph.add_edge(u, compiled.nodes[dst].name, delay=delay,
-                           delay_min=delay_min, wire=label, port=dst_port)
-    compiled._cache["nx_graph"] = graph
-    return graph
+    window = {i: (0.0, 0.0) for i in sources}
+    for i in compiled.topo_order:
+        if i not in window:
+            continue
+        lo, hi = window[i]
+        for out in compiled.dispatch[i].outs:
+            if out.dest < 0:
+                continue
+            d = delays[out.wire_id]
+            seen = window.get(out.dest)
+            window[out.dest] = (lo + d, hi + d) if seen is None else (
+                min(seen[0], lo + d), max(seen[1], hi + d)
+            )
+    return window
 
 
 def path_delays(circuit: Optional[Circuit] = None) -> Dict[Tuple[str, str], Tuple[float, float]]:
@@ -82,22 +79,19 @@ def path_delays(circuit: Optional[Circuit] = None) -> Dict[Tuple[str, str], Tupl
     Only defined for acyclic circuits (feedback loops have unbounded path
     sets); raises on cycles.
     """
-    graph = circuit_graph(circuit)
-    if not nx.is_directed_acyclic_graph(graph):
+    compiled, delays = _weighted_ir(circuit)
+    if not compiled.is_acyclic:
         raise PylseError("Circuit contains feedback loops; path delays are unbounded")
-    inputs = [n for n, d in graph.nodes(data=True) if d.get("kind") == "input"]
-    outputs = [n for n, d in graph.nodes(data=True) if d.get("kind") == "output"]
     result: Dict[Tuple[str, str], Tuple[float, float]] = {}
-    for src in inputs:
-        for dst in outputs:
-            paths = list(nx.all_simple_paths(graph, src, dst))
-            if not paths:
-                continue
-            totals = [
-                sum(graph[u][v]["delay"] for u, v in zip(path, path[1:]))
-                for path in paths
-            ]
-            result[(src[3:], dst[4:])] = (min(totals), max(totals))
+    for i in compiled.input_ids:
+        window = _arrivals(compiled, delays, (i,))
+        for wid in compiled.output_wire_ids:
+            src = compiled.wire_source[wid][0]
+            if src in window:
+                lo, hi = window[src]
+                result[(_input_label(compiled, i), compiled.labels[wid])] = (
+                    lo + delays[wid], hi + delays[wid]
+                )
     return result
 
 
@@ -129,61 +123,31 @@ def balance_report(
     excluded — clock-to-data skew is intentional in synchronous designs;
     use :func:`clock_skew` for the clock network itself.
     """
-    circuit = circuit if circuit is not None else working_circuit()
-    graph = circuit_graph(circuit)
-    if not nx.is_directed_acyclic_graph(graph):
+    compiled, delays = _weighted_ir(circuit)
+    if not compiled.is_acyclic:
         raise PylseError("Circuit contains feedback loops; skew is undefined")
-    inputs = [n for n, d in graph.nodes(data=True) if d.get("kind") == "input"]
-
-    # Earliest/latest arrival at each graph node.
-    order = list(nx.topological_sort(graph))
-    earliest: Dict[str, float] = {}
-    latest: Dict[str, float] = {}
-    for n in order:
-        if n in inputs:
-            earliest[n] = latest[n] = 0.0
-    # Arrival at a node via each in-edge (port-resolved).
-    port_arrivals: Dict[str, Dict[str, Tuple[float, float]]] = {}
-    for n in order:
-        preds = list(graph.pred[n])
-        reachable = [p for p in preds if p in earliest]
-        if n not in inputs and reachable:
-            earliest[n] = min(earliest[p] + graph[p][n]["delay"] for p in reachable)
-            latest[n] = max(latest[p] + graph[p][n]["delay"] for p in reachable)
-        ports: Dict[str, Tuple[float, float]] = {}
-        for p in reachable:
-            port = graph[p][n]["port"]
-            if port is None:
-                continue
-            lo = earliest[p] + graph[p][n]["delay"]
-            hi = latest[p] + graph[p][n]["delay"]
-            if port in ports:
-                lo = min(lo, ports[port][0])
-                hi = max(hi, ports[port][1])
-            ports[port] = (lo, hi)
-        port_arrivals[n] = ports
+    window = _arrivals(compiled, delays, compiled.input_ids)
+    ports: Dict[int, Dict[str, Tuple[float, float]]] = {}
+    for wid, dest in enumerate(compiled.wire_dest):
+        src = compiled.wire_source[wid][0]
+        if dest is None or src not in window or dest[1] in ignore_ports:
+            continue
+        lo, hi = window[src]
+        ports.setdefault(dest[0], {})[dest[1]] = (lo + delays[wid], hi + delays[wid])
 
     findings: List[SkewFinding] = []
-    for node in circuit.cells():
-        ports = {
-            port: window
-            for port, window in port_arrivals.get(node.name, {}).items()
-            if port not in ignore_ports
-        }
-        if len(ports) < 2:
+    for i in compiled.cell_ids:
+        arrivals = ports.get(i, {})
+        if len(arrivals) < 2:
             continue
-        lows = [lo for lo, _ in ports.values()]
-        highs = [hi for _, hi in ports.values()]
-        skew = max(highs) - min(lows)
+        skew = (max(hi for _, hi in arrivals.values())
+                - min(lo for lo, _ in arrivals.values()))
         if skew > tolerance:
-            findings.append(
-                SkewFinding(
-                    node=node.name,
-                    cell=node.element.name,
-                    arrivals=ports,
-                    skew=skew,
-                )
-            )
+            node = compiled.nodes[i]
+            findings.append(SkewFinding(
+                node=node.name, cell=node.element.name, arrivals=arrivals,
+                skew=skew,
+            ))
     findings.sort(key=lambda f: -f.skew)
     return findings
 
@@ -191,28 +155,35 @@ def balance_report(
 def clock_skew(clock_name: str, circuit: Optional[Circuit] = None) -> Tuple[float, float]:
     """(min, max) arrival delay of a clock input across all cells it reaches.
 
+    A cell's arrival is the shortest delay to the driver of its ``clk``
+    wire plus that wire's delay (Dijkstra, so feedback loops are fine).
     The clock tree's leaf skew — the quantity that made the naive adder
     design fail (see ``repro.designs.adder_sync``).
     """
-    circuit = circuit if circuit is not None else working_circuit()
-    graph = circuit_graph(circuit)
-    src = f"in:{clock_name}"
-    if src not in graph:
+    compiled, delays = _weighted_ir(circuit)
+    start = next(
+        (i for i in compiled.input_ids
+         if _input_label(compiled, i) == clock_name), None,
+    )
+    if start is None:
         raise PylseError(f"No circuit input named {clock_name!r}")
-    arrivals: List[float] = []
-    lengths = nx.single_source_dijkstra_path_length(graph, src, weight="delay")
-    for node in circuit.cells():
-        if node.name not in lengths:
+    dist = {start: 0.0}
+    heap = [(0.0, start)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if d > dist[i]:
             continue
-        consumed_ports = [
-            data["port"]
-            for _, _, data in graph.in_edges(node.name, data=True)
-        ]
-        if "clk" in consumed_ports:
-            # Arrival via the clk edge specifically.
-            for pred, _, data in graph.in_edges(node.name, data=True):
-                if data["port"] == "clk" and pred in lengths:
-                    arrivals.append(lengths[pred] + data["delay"])
+        for out in compiled.dispatch[i].outs:
+            reach = d + delays[out.wire_id]
+            if out.dest >= 0 and reach < dist.get(out.dest, float("inf")):
+                dist[out.dest] = reach
+                heapq.heappush(heap, (reach, out.dest))
+    arrivals = [
+        dist[src] + delays[wid]
+        for wid, dest in enumerate(compiled.wire_dest)
+        if dest is not None and dest[1] == "clk"
+        and (src := compiled.wire_source[wid][0]) in dist
+    ]
     if not arrivals:
         raise PylseError(f"Clock {clock_name!r} reaches no clocked cell")
     return min(arrivals), max(arrivals)

@@ -43,7 +43,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 from .circuit import Circuit
@@ -223,10 +224,18 @@ class CompiledCircuit:
     @property
     def clock_wires(self) -> Dict[str, Tuple[str, ...]]:
         """Input label -> names of cells whose ``clk`` port its pulses reach."""
-        return self._memo("clock_wires", lambda: _clock_wires(
-            self.dispatch, self.input_ids, self.edges, self.wire_source,
-            self.wire_dest, self.labels,
-        ))
+        return self._memo("clock_wires", lambda: _clock_wires(self))
+
+    def reachable(self, roots: Iterable[int]) -> Set[int]:
+        """Ids of the nodes some root's pulses reach (the roots included)."""
+        reached = set(roots)
+        stack = list(reached)
+        while stack:
+            for out in self.dispatch[stack.pop()].outs:
+                if out.dest >= 0 and out.dest not in reached:
+                    reached.add(out.dest)
+                    stack.append(out.dest)
+        return reached
 
     # -- name lookups --------------------------------------------------
     def node(self, name: str) -> Node:
@@ -556,44 +565,28 @@ def _cyclic_sccs(
     return tuple(cyclic)
 
 
-def _clock_wires(
-    dispatch: Sequence[NodeDispatch],
-    input_ids: Sequence[int],
-    edges: Sequence[Tuple[int, int, int]],
-    wire_source: Sequence[Tuple[int, str]],
-    wire_dest: Sequence[Optional[Tuple[int, str]]],
-    labels: Sequence[str],
-) -> Dict[str, Tuple[str, ...]]:
+def _clock_wires(compiled: "CompiledCircuit") -> Dict[str, Tuple[str, ...]]:
     """Structural clock identification (same result as analysis.clock_wires).
 
     An input is a clock iff its pulses reach at least one cell input port
     named ``clk`` through any fabric; the value lists the clocked cells.
     """
-    succs: List[List[int]] = [[] for _ in range(len(dispatch))]
-    for src, dst, _ in edges:
-        succs[src].append(dst)
     # Source node id -> names of clk-consuming nodes it directly feeds.
     direct: Dict[int, set] = {}
-    for wid, dest in enumerate(wire_dest):
+    for wid, dest in enumerate(compiled.wire_dest):
         if dest is not None and dest[1] == "clk":
-            direct.setdefault(wire_source[wid][0], set()).add(
-                dispatch[dest[0]].name
+            direct.setdefault(compiled.wire_source[wid][0], set()).add(
+                compiled.dispatch[dest[0]].name
             )
 
     result: Dict[str, Tuple[str, ...]] = {}
-    for input_id in input_ids:
-        reached = {input_id}
-        stack = [input_id]
-        while stack:
-            for w in succs[stack.pop()]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
+    for input_id in compiled.input_ids:
+        reached = compiled.reachable((input_id,))
         clocked = sorted({
             name for src in reached & direct.keys() for name in direct[src]
         })
         if clocked:
-            label = labels[dispatch[input_id].outs[0].wire_id]
+            label = compiled.labels[compiled.dispatch[input_id].outs[0].wire_id]
             result[label] = tuple(clocked)
     return result
 

@@ -28,9 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-import networkx as nx
-
-from ..core.analysis import balance_report, circuit_graph, clock_wires
+from ..core.analysis import balance_report, clock_skew
 from ..core.circuit import Circuit, working_circuit
 from ..core.element import InGen
 from ..core.errors import PylseError
@@ -242,20 +240,16 @@ def lint_circuit(
                  data={"nodes": members})
 
     # PL203: clk ports no circuit input can reach.
-    graph = circuit_graph(circuit)
-    input_nodes = [
-        n for n, d in graph.nodes(data=True) if d.get("kind") == "input"
-    ]
-    fed = set(input_nodes)
-    for src in input_nodes:
-        fed |= nx.descendants(graph, src)
-    for u, v, data in sorted(graph.edges(data=True),
-                             key=lambda e: (e[1], str(e[2].get("port")))):
-        if data.get("port") == "clk" and u not in fed:
+    fed = compiled.reachable(compiled.input_ids)
+    for wid, dest in enumerate(compiled.wire_dest):
+        src = compiled.wire_source[wid][0]
+        if dest is not None and dest[1] == "clk" and src not in fed:
+            clocked = compiled.nodes[dest[0]].name
             emit("PL203",
-                 f"clk port of {v} is driven by {u}, which no circuit "
-                 f"input reaches: the gate will never read out",
-                 node=v, port="clk")
+                 f"clk port of {clocked} is driven by "
+                 f"{compiled.nodes[src].name}, which no circuit input "
+                 f"reaches: the gate will never read out",
+                 node=clocked, port="clk")
 
     # PL205: imbalanced convergent data arrivals (Figure 11 arithmetic).
     if not has_cycles:
@@ -350,25 +344,10 @@ def lint_circuit(
     # ------------------------------------------------------------------
     # Structural clock summary (replaces the old name-prefix heuristic).
     # ------------------------------------------------------------------
-    clocks: Dict[str, Dict[str, object]] = {}
-    try:
-        for label, sinks in clock_wires(circuit).items():
-            src = f"in:{label}"
-            lengths = nx.single_source_dijkstra_path_length(
-                graph, src, weight="delay"
-            )
-            arrivals = [
-                lengths[u] + data["delay"]
-                for u, v, data in graph.edges(data=True)
-                if data.get("port") == "clk" and u in lengths
-            ]
-            if arrivals:
-                clocks[label] = {
-                    "sinks": len(sinks),
-                    "skew": (min(arrivals), max(arrivals)),
-                }
-    except PylseError:
-        pass
+    clocks: Dict[str, Dict[str, object]] = {
+        label: {"sinks": len(sinks), "skew": clock_skew(label, circuit)}
+        for label, sinks in compiled.clock_wires.items()
+    }
 
     findings.sort(key=lambda f: (-int(f.severity), f.rule,
                                  f.location.qualified_name()))

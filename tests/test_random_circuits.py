@@ -22,11 +22,19 @@ from repro.core.helpers import inp_at
 from repro.core.serialize import circuit_from_json, circuit_to_json
 from repro.core.simulation import Simulation
 from repro.mc import verify_design
-from repro.sfq import c, c_inv, jtl, m, s
+from repro.sfq import c, c_inv, dro, jtl, m, s
 
 
-def build_random_circuit(seed: int, n_inputs: int, n_cells: int):
-    """Deterministically build a random acyclic async circuit."""
+ASYNC_KINDS = ("jtl", "s", "m", "c", "c_inv")
+
+
+def build_random_circuit(seed: int, n_inputs: int, n_cells: int,
+                         kinds=ASYNC_KINDS, jtl_delays: bool = False):
+    """Deterministically build a random acyclic circuit.
+
+    ``kinds`` may also name ``"dro"``, whose second operand drives its clk
+    port; ``jtl_delays`` gives every JTL a random firing delay.
+    """
     rng = stdlib_random.Random(seed)
     with fresh_circuit() as circuit:
         pool = [
@@ -34,12 +42,15 @@ def build_random_circuit(seed: int, n_inputs: int, n_cells: int):
             for k in range(n_inputs)
         ]
         for _ in range(n_cells):
-            kind = rng.choice(["jtl", "s", "m", "c", "c_inv"])
-            if kind in ("m", "c", "c_inv") and len(pool) < 2:
+            kind = rng.choice(kinds)
+            if kind in ("m", "c", "c_inv", "dro") and len(pool) < 2:
                 kind = "jtl"
             if kind == "jtl":
                 wire = pool.pop(rng.randrange(len(pool)))
-                pool.append(jtl(wire))
+                if jtl_delays:
+                    pool.append(jtl(wire, firing_delay=rng.uniform(0.5, 12.0)))
+                else:
+                    pool.append(jtl(wire))
             elif kind == "s":
                 wire = pool.pop(rng.randrange(len(pool)))
                 left, right = s(wire)
@@ -47,7 +58,7 @@ def build_random_circuit(seed: int, n_inputs: int, n_cells: int):
             else:
                 first = pool.pop(rng.randrange(len(pool)))
                 second = pool.pop(rng.randrange(len(pool)))
-                builder = {"m": m, "c": c, "c_inv": c_inv}[kind]
+                builder = {"m": m, "c": c, "c_inv": c_inv, "dro": dro}[kind]
                 pool.append(builder(first, second))
         for k, wire in enumerate(pool):
             wire.observe(f"out{k}")
