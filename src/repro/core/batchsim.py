@@ -16,17 +16,15 @@ possible:
   from independent per-``(seed, node, kind)`` streams derived via
   ``numpy.random.SeedSequence`` and a splitmix64 counter construction, so
   a draw is addressed by *position within its node's stream*, not by
-  global event order. The sequential drain consumes the very same streams
-  when ``variability={"scheme": "counter"}`` is passed
-  (:func:`mc_variability` selects that scheme for batch-eligible designs),
-  which is what lets a width-N batch and a width-1 replay produce the same
-  bits for the same seed. Because draws are addressed by position, the
-  width-1 instance of a per-seed run computes them ahead: one vector call
-  through the same stream-address function pre-draws a table of normals
-  for every node, and each firing then reads a Python float from it. That
-  makes a replay cost about what a python-rng run costs. A scalar
-  Box-Muller on ``math.log`` would skip the table but is not
-  bit-identical to numpy's vectorised ``log``.
+  global event order. Every noisy sequential run consumes the very same
+  streams, which is what lets a width-N batch and a width-1 replay
+  produce the same bits for the same seed. Because draws are addressed
+  by position, the width-1 instance of a per-seed run computes them
+  ahead: one vector call through the same stream-address function
+  pre-draws a table of normals for every node, and each firing then
+  reads a Python float from it. A scalar Box-Muller on ``math.log``
+  would skip the table but is not bit-identical to numpy's vectorised
+  ``log``.
 
 * **Conformance tracking + replay.** The batch steers control flow along
   the *nominal* (noise-free) schedule. Each lane is checked, group by
@@ -175,7 +173,7 @@ class CounterNoise:
     ``[seeds[l]]`` produces at the same positions — the invariant the
     batched == sequential property rests on.
 
-    The per-seed drain uses a width-1 instance from :meth:`for_run` and
+    Every noisy per-seed run uses a width-1 instance from :meth:`for_run` and
     the scalar draws (:meth:`resolve_scalar`, :meth:`tie_scalar`). These
     serve Python values from a table drawn ahead: one vector call draws
     the first ``_BLOCK`` normals of every node the spec perturbs, and a
@@ -188,7 +186,10 @@ class CounterNoise:
     either vector or scalar draws, never both.
     """
 
-    __slots__ = ("n", "_roots", "_pos", "_blocks", "_applies", "_spec", "_rng")
+    __slots__ = (
+        "n", "_roots", "_pos", "_blocks", "_applies", "_spec", "_rng",
+        "_nodes",
+    )
 
     def __init__(self, roots: "np.ndarray"):
         self.n = len(roots)
@@ -200,6 +201,7 @@ class CounterNoise:
         self._applies: Sequence[bool] = ()
         self._spec: Optional[VariabilitySpec] = None
         self._rng = None
+        self._nodes: Sequence = ()
 
     @classmethod
     def for_seeds(cls, seeds: Sequence[Optional[int]]) -> "CounterNoise":
@@ -215,19 +217,26 @@ class CounterNoise:
         applies: Sequence[bool],
         spec: VariabilitySpec,
         rng,
+        nodes: Sequence,
     ) -> "CounterNoise":
-        """The width-1 instance one per-seed counter-scheme run consumes.
+        """The width-1 instance one noisy per-seed run consumes.
 
         ``applies[i]`` says whether ``spec`` perturbs node ``i``'s
         constant delays, resolved once per run instead of per firing;
-        ``rng`` only backs custom distributions. The first ``_BLOCK``
-        normals of every perturbed node are drawn here, in one call.
+        ``rng`` only backs custom distributions, and ``nodes[i]`` is the
+        node a callable ``spec`` receives. Unless the spec is a callable,
+        the first ``_BLOCK`` normals of every perturbed node are drawn
+        here, in one call.
         """
         noise = cls.for_seeds([seed])
         noise._applies = applies
         noise._spec = spec
         noise._rng = rng
-        noise._fill([i for i, hit in enumerate(applies) if hit], _NORMAL, _BLOCK)
+        noise._nodes = nodes
+        if spec.custom is None:
+            noise._fill(
+                [i for i, hit in enumerate(applies) if hit], _NORMAL, _BLOCK
+            )
         return noise
 
     # -- vector draws (the batched drain) ------------------------------
@@ -306,22 +315,19 @@ class CounterNoise:
         index: int,
         spec: VariabilitySpec,
         applies: bool,
-    ) -> Union["np.ndarray", float, None]:
+    ) -> Union["np.ndarray", float]:
         """Resolve one firing delay across all lanes.
 
-        Returns a ``float64[N]`` vector when a draw was consumed, a plain
-        float when the delay is a constant the spec does not perturb (no
-        draw — callers broadcast), or None for a custom ``Distribution``
-        subclass the counter streams cannot reproduce (the sequential
-        caller falls back to the python-rng sample; batch-eligibility
-        excludes such designs from the batched drain entirely).
+        Returns a ``float64[N]`` vector when a draw was consumed, or a
+        plain float when the delay is a constant the spec does not perturb
+        (no draw — callers broadcast). Custom ``Distribution`` subclasses
+        never get here: :func:`batch_eligible` keeps their designs off the
+        batched drain.
         """
         if isinstance(delay, Normal):
             return np.maximum(0.0, delay.mean + delay.stddev * self.normal(index))
         if isinstance(delay, Uniform):
             return delay.low + (delay.high - delay.low) * self.uniform(index)
-        if isinstance(delay, Distribution):
-            return None
         value = float(delay)
         if not applies:
             return value
@@ -337,7 +343,8 @@ class CounterNoise:
         :meth:`resolve`: Python floats are IEEE doubles like numpy's, and
         ``0.0 if v < 0.0 else v`` is ``np.maximum(0.0, v)``, NaN and -0.0
         included. So a replayed seed reproduces its batched lane exactly.
-        Custom distributions sample the run's python ``rng``.
+        A callable spec perturbs constant delays in place of the Gaussian
+        noise; custom distributions sample the run's python ``rng``.
         """
         if isinstance(delay, Distribution):
             if isinstance(delay, Normal):
@@ -347,12 +354,19 @@ class CounterNoise:
                     index, _UNIFORM
                 )
             else:
-                return sample_delay(delay, self._rng)
+                value = sample_delay(delay, self._rng)
+                if value < 0:
+                    raise PylseError(
+                        f"Resolved firing delay is negative: {value}"
+                    )
+                return value
         else:
             value = float(delay)
             if not self._applies[index]:
                 return value
             spec = self._spec
+            if spec.custom is not None:
+                return spec.perturb(value, self._nodes[index])
             sigma = (
                 spec.stddev if spec.stddev is not None
                 else value * spec.fraction
@@ -368,7 +382,7 @@ class CounterNoise:
 class _CounterTieRng:
     """Adapter giving :meth:`PylseMachine.choose` its ``rng.choice`` shape.
 
-    Installed per node by the sequential counter-scheme drain; consumes
+    Installed per node by every noisy sequential run; consumes
     the node's ``_TIE`` stream only when an actual tie occurs, mirroring
     exactly when the batched drain consumes it.
     """
@@ -387,34 +401,20 @@ class _CounterTieRng:
 # Batch eligibility
 # ----------------------------------------------------------------------
 def batch_eligible(compiled: CompiledCircuit) -> bool:
-    """Whether the batched drain (and counter scheme) covers this design.
+    """Whether the batched drain covers this design.
 
     Eligible means every non-input node is a :class:`Transitional` machine
     (``Functional`` holes run arbitrary Python per dispatch) and every
     firing delay is a constant, :class:`Normal`, or :class:`Uniform` — the
     delay shapes the counter streams can resolve lane-wise. The answer is
-    memoized on the compile cache; :func:`mc_variability` uses it to pick
-    the noise scheme, so ineligible designs keep the original python-rng
-    semantics on every backend.
+    memoized on the compile cache. It only decides whether to batch:
+    ineligible designs replay every seed on the per-seed drain, which
+    draws from the same counter streams.
     """
     cached = compiled._cache.get("batch_eligible")
     if cached is None:
         cached = compiled._cache["batch_eligible"] = _compute_eligible(compiled)
     return cached
-
-
-def mc_variability(circuit, sigma: float) -> dict:
-    """The ``variability`` argument of every Monte-Carlo run of ``circuit``.
-
-    This is the one place that maps a design to its noise scheme.
-    Batch-eligible designs get the counter scheme — the per-(seed, node)
-    streams the vectorized drain consumes — so batched and per-seed runs
-    draw identical noise for identical seeds and stay mutually
-    bit-identical. Ineligible designs keep the original python-rng scheme.
-    """
-    if batch_eligible(compile_circuit(circuit)):
-        return {"stddev": sigma, "scheme": "counter"}
-    return {"stddev": sigma}
 
 
 def _compute_eligible(compiled: CompiledCircuit) -> bool:
@@ -469,7 +469,7 @@ def resolve_batch(batch: Union[int, str, None], n_seeds: int) -> int:
     """Normalize a ``batch=`` argument to a concrete lane count.
 
     ``None`` / ``"auto"`` pick ``min(n_seeds, DEFAULT_MAX_BATCH)``; ``0``
-    disables batching (per-seed counter-scheme reference); a positive int
+    disables batching (per-seed reference drain); a positive int
     is an explicit width. Bools and negatives are rejected.
     """
     if batch is None or batch == "auto":
@@ -954,17 +954,17 @@ def run_batch(
     returns ``(outcomes, per_seed_stats, report)`` with outcomes in seed
     order and ``per_seed_stats`` empty unless ``collect_stats``. Seeds in
     excess of the batch width run as further batches. Ineligible designs
-    (see :func:`batch_eligible`) fall back wholesale to the sequential
-    drain under the original python-rng scheme, so their results match
-    every other backend; ``batch=0`` forces the per-seed counter-scheme
-    reference (the CI smoke job diffs it against the batched output).
+    (see :func:`batch_eligible`) fall back wholesale to the per-seed
+    drain; ``batch=0`` forces that per-seed reference for any design
+    (the CI smoke job diffs it against the batched output). Both draw
+    the same counter-stream noise, so every path gives the same bits.
     """
     seeds = list(seeds)
     report = BatchReport()
     if not seeds:
         return [], [], report
     compiled = compile_circuit(sim.circuit)
-    variability = mc_variability(sim.circuit, sigma)
+    variability = {"stddev": sigma}
     if not batch_eligible(compiled):
         report.count("ineligible", len(seeds))
         report.fallback_seeds.extend(seeds)

@@ -66,6 +66,11 @@ _HASH_ROUNDS = 3
 #: Bumped whenever the hash recipe changes, so stale manifests fail loudly.
 _HASH_VERSION = "repro-ir-v1"
 
+#: Bumped whenever the noise a seed draws changes, so a cached yield
+#: computed under older noise is a miss instead of a stale hit. v2: every
+#: noisy run draws from the counter streams (hole designs included).
+_NOISE_VERSION = "noise-v2"
+
 
 @dataclass(frozen=True)
 class OutSpec:
@@ -750,7 +755,7 @@ def result_cache_key(
     sigma: float,
     n_seeds: int,
     seed0: int = 0,
-) -> Tuple[str, str, float, int, int]:
+) -> Tuple[str, str, str, float, int, int]:
     """The canonical memo key for one Monte-Carlo yield measurement.
 
     Two measurements with equal keys are guaranteed to produce equal
@@ -770,14 +775,17 @@ def result_cache_key(
     stored document omits the backend diagnostics, so a result computed
     one way may be served to a request for another.
 
-    The hash-recipe version is mixed in so caches survive across releases
-    without ever serving a result computed under a different hash recipe.
+    The hash-recipe and noise versions are mixed in so caches survive
+    across releases without ever serving a result computed under a
+    different hash recipe or different Monte-Carlo noise.
     """
     if isinstance(n_seeds, bool) or not isinstance(n_seeds, int) or n_seeds < 1:
         raise PylseError(f"n_seeds must be a positive integer, got {n_seeds!r}")
     if isinstance(seed0, bool) or not isinstance(seed0, int):
         raise PylseError(f"seed0 must be an integer, got {seed0!r}")
-    return (_HASH_VERSION, digest, float(sigma), n_seeds, seed0)
+    return (
+        _HASH_VERSION, _NOISE_VERSION, digest, float(sigma), n_seeds, seed0
+    )
 
 
 def lint_cache_key(

@@ -22,10 +22,10 @@ the bitonic scaling study, the Section 5.2 Monte-Carlo sweeps), so
 * the heap holds flat primitive tuples (see :mod:`repro.core.events`), not
   ``Pulse`` objects;
 * how a firing delay is resolved is settled once per run: a nominal run
-  adds scalar delays directly, a variability run calls one per-run
-  ``resolve(delay, index)`` (python-rng or counter noise). Tracing and
-  observer bookkeeping sit behind one local flag, so the common
-  ``simulate()`` call with no noise and no trace pays for none of it.
+  adds scalar delays directly, a variability run calls its counter-noise
+  instance's ``resolve(delay, index)``. Tracing and observer bookkeeping
+  sit behind one local flag, so the common ``simulate()`` call with no
+  noise and no trace pays for none of it.
 
 There is one drain loop. Observability (:mod:`repro.obs`) is threaded
 through it: pass ``observer=Observer()`` to record pulse provenance (every
@@ -45,7 +45,7 @@ from .errors import PylseError, SimulationError
 from .events import PulseHeap
 from .ir import CompiledCircuit, compile_circuit
 from .node import Node
-from .timing import Distribution, VariabilitySpec, sample_delay
+from .timing import Distribution, VariabilitySpec
 
 Events = Dict[str, List[float]]
 
@@ -163,7 +163,9 @@ class Simulation:
         ``True`` for all cells, a dict selecting ``cell_types`` /
         ``instances`` and the noise magnitude, or a callable
         ``f(delay, node) -> delay`` for full control. ``seed`` makes both
-        variability and nondeterministic priority tie-breaks reproducible.
+        variability and nondeterministic priority tie-breaks reproducible;
+        a noisy run draws from the seed's counter streams, so it equals
+        that seed's lane of a batched Monte-Carlo drain.
         ``record=True`` keeps a dispatch-level trace in ``self.trace`` (one
         :class:`TraceEntry` per simultaneous pulse group, with machine
         states before/after) — the debugging view of the Network Relation.
@@ -181,7 +183,7 @@ class Simulation:
         compiled = compile_circuit(circuit)
         for element in compiled.stateful_elements:
             element.reset()
-        spec = VariabilitySpec.normalize(variability, seed)
+        spec = VariabilitySpec.normalize(variability)
         rng = random.Random(seed)
         tie_rng = random.Random(rng.random()) if seed is not None else None
 
@@ -199,11 +201,16 @@ class Simulation:
 
         nodes = compiled.nodes
         # Per-run delay resolution, ``resolve(delay, index)``; None keeps
-        # the drain's inline nominal path. Whether the spec perturbs a
-        # node is settled here, once per run, for both noise schemes.
+        # the drain's inline nominal path. A noisy run draws from
+        # counter-based per-(seed, node) streams: the width-1 form of the
+        # vectorized Monte-Carlo drain, bit-identical to one lane of a
+        # batched pass over the same seed. Whether the spec perturbs a
+        # node is settled here, once per run.
         resolve = None
         counter = None
         if spec.enabled:
+            from .batchsim import CounterNoise
+
             applies = [False] * len(nodes)
             for nd in compiled.dispatch:
                 if not nd.is_input:
@@ -211,28 +218,8 @@ class Simulation:
                     applies[nd.index] = spec.applies_to(
                         node.element.name, node.name
                     )
-            if spec.scheme == "counter":
-                # Counter-based per-(seed, node) noise streams: the
-                # width-1 form of the vectorized Monte-Carlo drain,
-                # bit-identical to one lane of a batched pass over the
-                # same seed.
-                from .batchsim import CounterNoise
-
-                counter = CounterNoise.for_run(seed, applies, spec, rng)
-                resolve = counter.resolve_scalar
-            else:
-                def resolve(delay, index: int) -> float:
-                    # One python-rng stream in global event order: sample
-                    # the delay from ``rng``, then perturb constant delays
-                    # from the spec's own stream.
-                    value = sample_delay(delay, rng)
-                    if applies[index] and not isinstance(delay, Distribution):
-                        value = spec.perturb(value, nodes[index])
-                    if value < 0:
-                        raise PylseError(
-                            f"Resolved firing delay is negative: {value}"
-                        )
-                    return value
+            counter = CounterNoise.for_run(seed, applies, spec, rng, nodes)
+            resolve = counter.resolve_scalar
         records: List[Optional[list]] = [None] * len(nodes)
         activity: Dict[str, List[int]] = {}
         for nd in compiled.dispatch:
@@ -331,7 +318,7 @@ class Simulation:
         With ``resolve`` None (a nominal run) scalar delays are added
         directly (they were validated non-negative when the machine / hole
         was built) and distribution-valued delays are sampled from ``rng``;
-        otherwise ``resolve(delay, index)`` is the run's noise scheme. The
+        otherwise ``resolve(delay, index)`` draws the run's noise. The
         observer hooks and the ``record=True`` trace share one local flag
         checked per group and per firing, so a plain run pays for neither.
         ``until`` and ``max_pulses`` are normalized to infinities, which

@@ -11,8 +11,7 @@ This module provides:
 * :class:`Normal` and :class:`Uniform` delay distributions that can be used
   anywhere a firing delay is expected;
 * :class:`VariabilitySpec`, the normalized form of the ``variability``
-  argument to ``Simulation.simulate`` (a bool, a dict, or a callable);
-* a seedable random source so simulations are reproducible.
+  argument to ``Simulation.simulate`` (a bool, a dict, or a callable).
 
 All times are picoseconds, matching the paper's examples.
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import PylseError
@@ -122,20 +121,18 @@ class VariabilitySpec:
     * ``True`` — Gaussian noise on every firing delay;
     * a ``dict`` with optional keys ``cell_types`` (iterable of cell-name
       strings), ``instances`` (iterable of node names or node objects),
-      ``stddev`` (absolute sigma), ``fraction`` (sigma as a fraction of
-      the nominal delay) and ``scheme`` (noise stream layout, below);
+      ``stddev`` (absolute sigma) and ``fraction`` (sigma as a fraction
+      of the nominal delay);
     * a callable ``f(delay, node) -> delay`` for full control.
 
-    ``scheme`` selects how per-run noise streams are laid out:
-
-    * ``"python"`` (default) — one ``random.Random(seed)`` stream consumed
-      in global event order, the original reference behaviour;
-    * ``"counter"`` — counter-based per-(seed, node) streams
-      (:class:`repro.core.batchsim.CounterNoise`), whose draws are
-      addressable by position and independent of cross-node event order.
-      This is the scheme the vectorized Monte-Carlo drain uses, and the
-      Monte-Carlo backends select it automatically for batch-eligible
-      designs so batched and per-seed sweeps stay element-wise identical.
+    Every noisy run draws its Gaussian noise, and its ``Normal`` /
+    ``Uniform`` delay samples, from counter-based per-(seed, node)
+    streams (:class:`repro.core.batchsim.CounterNoise`). A draw is
+    addressed by its position in its node's stream, so a per-seed run
+    and one lane of the vectorized Monte-Carlo drain agree bit for bit.
+    A callable replaces the Gaussian noise on constant delays only;
+    custom :class:`Distribution` subclasses sample the run's seeded
+    ``random.Random``.
     """
 
     enabled: bool = False
@@ -144,37 +141,26 @@ class VariabilitySpec:
     stddev: Optional[float] = None
     fraction: float = DEFAULT_VARIABILITY_FRACTION
     custom: Optional[VariabilityFn] = None
-    rng: random.Random = field(default_factory=random.Random)
-    scheme: str = "python"
 
     @classmethod
     def normalize(
-        cls,
-        variability: Union[bool, dict, VariabilityFn],
-        seed: Optional[int] = None,
+        cls, variability: Union[bool, dict, VariabilityFn]
     ) -> "VariabilitySpec":
-        rng = random.Random(seed)
         if variability is False or variability is None:
-            return cls(enabled=False, rng=rng)
+            return cls(enabled=False)
         if variability is True:
-            return cls(enabled=True, rng=rng)
+            return cls(enabled=True)
         if callable(variability):
-            return cls(enabled=True, custom=variability, rng=rng)
+            return cls(enabled=True, custom=variability)
         if isinstance(variability, dict):
             unknown = set(variability) - {
-                "cell_types", "instances", "stddev", "fraction", "scheme"
+                "cell_types", "instances", "stddev", "fraction"
             }
             if unknown:
                 raise PylseError(
                     f"Unknown variability keys: {sorted(unknown)}; "
                     "expected 'cell_types', 'instances', 'stddev', "
-                    "'fraction', 'scheme'"
-                )
-            scheme = variability.get("scheme", "python")
-            if scheme not in ("python", "counter"):
-                raise PylseError(
-                    f"Unknown variability scheme {scheme!r}; "
-                    "expected 'python' or 'counter'"
+                    "'fraction'"
                 )
             cell_types = variability.get("cell_types")
             instances = variability.get("instances")
@@ -184,8 +170,6 @@ class VariabilitySpec:
                 instances=frozenset(cls._names(instances)) if instances else None,
                 stddev=variability.get("stddev"),
                 fraction=variability.get("fraction", DEFAULT_VARIABILITY_FRACTION),
-                rng=rng,
-                scheme=scheme,
             )
         raise PylseError(
             f"variability must be a bool, dict, or callable, got {type(variability).__name__}"
@@ -209,8 +193,5 @@ class VariabilitySpec:
         return False
 
     def perturb(self, delay: float, node: object) -> float:
-        """Apply variability to a nominal firing delay."""
-        if self.custom is not None:
-            return max(0.0, float(self.custom(delay, node)))
-        sigma = self.stddev if self.stddev is not None else delay * self.fraction
-        return max(0.0, self.rng.gauss(delay, sigma))
+        """Apply the callable variability to a nominal firing delay."""
+        return max(0.0, float(self.custom(delay, node)))

@@ -10,12 +10,12 @@ causing the design to fail unexpectedly").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from functools import partial
+from typing import List, Sequence, Tuple
 
-from ..core.circuit import fresh_circuit
-from ..core.errors import SimulationError
+from ..core.circuit import Circuit, fresh_circuit
 from ..core.helpers import inp_at
-from ..core.simulation import Simulation
+from ..core.montecarlo import measure_yield
 from ..designs import bitonic_sorter
 from .dynamic_checks import bitonic_rank_order
 
@@ -35,32 +35,27 @@ class SweepRow:
         return self.ok + self.mis_sorted + self.violations
 
 
+def _sorter(values: Tuple[float, ...]) -> Circuit:
+    """A fresh bitonic sorter over ``values`` (module-level: picklable)."""
+    with fresh_circuit() as circuit:
+        ins = [inp_at(t, name=f"i{k}") for k, t in enumerate(values)]
+        bitonic_sorter(ins, output_names=[f"o{k}" for k in range(len(values))])
+    return circuit
+
+
 def run(
     sigmas: Sequence[float] = DEFAULT_SIGMAS,
     seeds: Sequence[int] = tuple(range(20)),
     values: Sequence[float] = DEFAULT_VALUES,
 ) -> List[SweepRow]:
+    factory = partial(_sorter, tuple(values))
+    predicate = partial(bitonic_rank_order, n=len(values))
     rows: List[SweepRow] = []
     for sigma in sigmas:
-        outcome: Dict[str, int] = {"ok": 0, "mis": 0, "viol": 0}
-        for seed in seeds:
-            with fresh_circuit() as circuit:
-                ins = [inp_at(t, name=f"i{k}") for k, t in enumerate(values)]
-                bitonic_sorter(
-                    ins, output_names=[f"o{k}" for k in range(len(values))]
-                )
-            try:
-                events = Simulation(circuit).simulate(
-                    variability={"stddev": sigma}, seed=seed
-                )
-            except SimulationError:
-                outcome["viol"] += 1
-                continue
-            if bitonic_rank_order(events, len(values)):
-                outcome["ok"] += 1
-            else:
-                outcome["mis"] += 1
-        rows.append(SweepRow(sigma, outcome["ok"], outcome["mis"], outcome["viol"]))
+        result = measure_yield(factory, predicate, sigma, seeds)
+        rows.append(
+            SweepRow(sigma, result.passed, result.mis_behaved, result.violations)
+        )
     return rows
 
 

@@ -91,7 +91,8 @@ def _width1(seed, index, predrawn, spec=None):
     applies = [False] * (index + 1)
     applies[index] = predrawn
     return CounterNoise.for_run(
-        seed, applies, spec or VariabilitySpec.normalize(True), random.Random(0)
+        seed, applies, spec or VariabilitySpec.normalize(True),
+        random.Random(0), (),
     )
 
 
@@ -140,7 +141,7 @@ class TestCounterStreams:
         self, seeds, index, delay, stddev, fraction, applies, draws
     ):
         spec = VariabilitySpec.normalize(
-            {"stddev": stddev, "fraction": fraction, "scheme": "counter"}
+            {"stddev": stddev, "fraction": fraction}
         )
         wide = CounterNoise.for_seeds(seeds)
         narrow = [_width1(seed, index, applies, spec) for seed in seeds]
@@ -164,7 +165,8 @@ class TestCounterStreams:
         wide = CounterNoise.for_seeds(seeds)
         narrow = [
             CounterNoise.for_run(
-                seed, [True] * nodes, VariabilitySpec.normalize(True), None
+                seed, [True] * nodes, VariabilitySpec.normalize(True), None,
+                (),
             )
             for seed in seeds
         ]
@@ -189,7 +191,7 @@ class TestCounterStreams:
 
     def test_one_pre_draw_serves_every_perturbed_node(self):
         spec = VariabilitySpec.normalize(True)
-        noise = CounterNoise.for_run(5, [True, False, True], spec, None)
+        noise = CounterNoise.for_run(5, [True, False, True], spec, None, ())
         assert set(noise._blocks) == {(0, 0), (2, 0)}
         assert all(len(b) == batchsim._BLOCK for b in noise._blocks.values())
 
@@ -278,6 +280,26 @@ class TestEligibility:
         assert batched.batched_lanes == 0
         assert batched.fallback_seeds == list(range(6))
         assert batched.divergence == {"ineligible": 6}
+
+    @pytest.mark.parametrize("seed", [0, 5, -3])
+    def test_ineligible_design_draws_counter_noise(self, seed):
+        """The hole's two firings take the first two normals of its
+        counter stream, exactly as a batch lane would draw them."""
+        circuit = hole_factory()
+        (index,) = [
+            nd.index for nd in compile_circuit(circuit).dispatch
+            if not nd.is_input
+        ]
+        noise = CounterNoise.for_seeds([seed])
+        sigma = 2.0
+        expected = [
+            t + np.maximum(0.0, 3.0 + sigma * noise.normal(index))[0].item()
+            for t in (10.0, 20.0)
+        ]
+        events = Simulation(circuit).simulate(
+            variability={"stddev": sigma}, seed=seed
+        )
+        assert [t.hex() for t in events["Q"]] == [t.hex() for t in expected]
 
 
 class TestResolveBatch:

@@ -23,13 +23,14 @@ from repro.cache import (
     DiskCache,
     store_stats,
 )
-from repro.core.ir import result_cache_key
+from repro.core.ir import _HASH_VERSION, result_cache_key
 from repro.core.montecarlo import YieldResult, measure_yield
 from repro.core.serialize import (
     circuit_to_json,
     yield_result_from_jsonable,
     yield_result_to_jsonable,
 )
+from repro.exp.measure import Measurer
 from repro.exp.registry import build_in_fresh_circuit, registry
 from repro.explore import FamilyFactory
 from repro.explore.engine import ExploreEngine
@@ -40,6 +41,8 @@ from repro.lint.reach_rules import (
     reach_analysis_to_jsonable,
 )
 from repro.serve import YieldService
+
+from test_batchsim import hole_factory
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -187,6 +190,33 @@ def test_explore_sweep_warms_the_serve_store(tmp_path):
     assert cached and service.computations == 0
     assert served["structural_hash"] == digest
     assert served["result"] == stored
+
+
+# -- results stored under the previous noise are misses ----------------
+def test_result_under_pre_noise_version_key_is_recomputed(tmp_path):
+    """Hole designs' yields changed when every noisy run moved to the
+    counter streams, so a document stored under the key tuple that had
+    no noise version must never be served: it is a miss, recomputed."""
+    resolved = Measurer().resolve(hole_factory)
+    sigma, n_seeds = 4.0, 6
+    stale = YieldResult(
+        sigma=sigma, runs=n_seeds, passed=0, mis_behaved=n_seeds,
+        violations=0, failures=dict.fromkeys(range(n_seeds), "mis-behaved"),
+    )
+    old_key = (_HASH_VERSION, resolved.digest, sigma, n_seeds, 0)
+    DiskCache(tmp_path, RESULTS_NAMESPACE).put(
+        old_key, yield_result_to_jsonable(stale)
+    )
+
+    measurer = Measurer(cache_dir=tmp_path)
+    document, cached = measurer.measure(resolved, sigma, n_seeds)
+    assert not cached and measurer.computations == 1
+    direct = measure_yield(
+        resolved.factory, resolved.predicate, sigma, seeds=range(n_seeds)
+    )
+    assert document == yield_result_to_jsonable(direct) != (
+        yield_result_to_jsonable(stale)
+    )
 
 
 # -- foreign documents in the store are quarantined, never served ------

@@ -17,10 +17,14 @@ JSON-payload mismatch here.
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batchsim import run_batch
+from repro.core.circuit import fresh_circuit
 from repro.core.errors import PylseError, SimulationError
+from repro.core.helpers import inp_at
 from repro.core.montecarlo import measure_yield
 from repro.core.simulation import (
     _REC_COUNTS,
@@ -31,6 +35,7 @@ from repro.core.simulation import (
     Simulation,
 )
 from repro.core.timing import Distribution
+from repro.designs import bitonic_sorter
 from repro.obs import Observer
 
 from test_parallel import minmax_factory, minmax_ok
@@ -288,7 +293,7 @@ def _capturing(store):
 class TestBatchedMatchesSequential:
     """The vectorized batched drain against the per-seed reference.
 
-    ``batch=0`` runs the same counter-based noise scheme one seed at a
+    ``batch=0`` draws the same counter-stream noise one seed at a
     time; the batched drain (any lane width) must match element-wise:
     same outcomes in the same order, same failures dict, the same event
     dictionaries, and bit-identical aggregated stats — including when
@@ -366,3 +371,37 @@ class TestBatchedMatchesSequential:
             batched.fallback_seeds
         )
         assert batched.batched_lanes + len(batched.fallback_seeds) == 120
+
+
+def bitonic4_factory():
+    with fresh_circuit() as circuit:
+        ins = [inp_at(t, name=f"i{k}") for k, t in enumerate((40, 10, 30, 20))]
+        bitonic_sorter(ins, output_names=[f"o{k}" for k in range(4)])
+    return circuit
+
+
+class TestPlainSimulateIsBatchLane:
+    """A plain ``simulate(variability={"stddev": s}, seed=k)`` equals lane
+    k of a batched drain, event for event and bit for bit: no option
+    chooses the noise, every noisy run draws from the counter streams."""
+
+    @pytest.mark.parametrize("factory,sigma", [
+        (minmax_factory, 1.0), (bitonic4_factory, 0.5),
+    ])
+    def test_events_identical(self, factory, sigma):
+        seeds = range(32)
+        batched = []
+        _outcomes, _stats, report = run_batch(
+            Simulation(factory()), _capturing(batched), sigma, seeds
+        )
+        assert report.batched_lanes == len(seeds)
+        direct = [
+            json.dumps(
+                Simulation(factory()).simulate(
+                    variability={"stddev": sigma}, seed=seed
+                ),
+                sort_keys=True,
+            )
+            for seed in seeds
+        ]
+        assert batched == direct

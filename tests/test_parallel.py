@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batchsim import MIS_BEHAVED, OK, VIOLATION, mc_variability
+from repro.core.batchsim import MIS_BEHAVED, OK, VIOLATION
 from repro.core.circuit import Circuit, fresh_circuit
 from repro.core.errors import PylseError, SimulationError
 from repro.core.helpers import inp_at
@@ -64,7 +64,7 @@ def reference_chunk(factory, predicate, sigma, seeds, collect_stats=False):
         )
         try:
             events = Simulation(circuit).simulate(
-                variability=mc_variability(circuit, sigma), seed=seed,
+                variability={"stddev": sigma}, seed=seed,
                 observer=observer,
             )
         except SimulationError:
@@ -145,7 +145,7 @@ class TestRunChunkMatchesReference:
     )
     @settings(max_examples=5, deadline=None)
     def test_hole_design(self, batch, collect_stats, sigma, start, n_seeds):
-        """An ineligible (Functional hole) design: python-rng noise on
+        """An ineligible (Functional hole) design: counter noise on
         every path, every seed reported as an ``ineligible`` fallback."""
         seeds = list(range(start, start + n_seeds))
         assert_chunk_matches_reference(

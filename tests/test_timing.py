@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from repro.core.batchsim import CounterNoise
+from repro.core.circuit import working_circuit
 from repro.core.errors import PylseError
 from repro.core.helpers import inp_at
+from repro.core.ir import compile_circuit
 from repro.core.simulation import Simulation
 from repro.core.timing import (
+    Distribution,
     Normal,
     Uniform,
     VariabilitySpec,
@@ -69,23 +73,28 @@ class TestVariabilitySpec:
         assert not spec.applies_to("JTL", "jtl0")
 
     def test_true_applies_everywhere(self):
-        spec = VariabilitySpec.normalize(True, seed=1)
+        spec = VariabilitySpec.normalize(True)
         assert spec.applies_to("JTL", "jtl0")
         assert spec.applies_to("AND", "and3")
 
     def test_dict_cell_types_filter(self):
-        spec = VariabilitySpec.normalize({"cell_types": ["JTL"]}, seed=1)
+        spec = VariabilitySpec.normalize({"cell_types": ["JTL"]})
         assert spec.applies_to("JTL", "jtl0")
         assert not spec.applies_to("AND", "and0")
 
     def test_dict_instances_filter(self):
-        spec = VariabilitySpec.normalize({"instances": ["jtl1"]}, seed=1)
+        spec = VariabilitySpec.normalize({"instances": ["jtl1"]})
         assert spec.applies_to("JTL", "jtl1")
         assert not spec.applies_to("JTL", "jtl0")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(PylseError, match="Unknown variability"):
             VariabilitySpec.normalize({"bogus": 1})
+
+    def test_scheme_key_rejected(self):
+        """Every noisy run uses the counter streams; no key picks noise."""
+        with pytest.raises(PylseError, match="Unknown variability keys"):
+            VariabilitySpec.normalize({"scheme": "counter"})
 
     def test_bad_type_rejected(self):
         with pytest.raises(PylseError):
@@ -100,8 +109,11 @@ class TestVariabilitySpec:
         assert spec.perturb(4.0, None) == 0.0
 
     def test_stddev_controls_spread(self):
-        spec = VariabilitySpec.normalize({"stddev": 0.0}, seed=1)
-        assert spec.perturb(4.0, None) == 4.0
+        a = inp_at(10.0, name="A")
+        q = jtl(a)
+        jtl(q, name="Q")
+        events = Simulation().simulate(variability={"stddev": 0.0}, seed=1)
+        assert events["Q"] == [20.0]     # sigma 0 leaves delays unchanged
 
 
 class TestSimulationVariability:
@@ -141,6 +153,40 @@ class TestSimulationVariability:
             variability=lambda delay, node: delay * 2, seed=1
         )
         assert events["Q"] == [20.0]     # 10 + 5*2
+
+    def test_normal_delay_under_callable_draws_counter_stream(self):
+        """A callable perturbs constant delays; a ``Normal`` delay still
+        draws from its node's counter stream."""
+        a = inp_at(10.0, name="A")
+        q = jtl(a, firing_delay=Normal(5.0, 1.0), name="Q")
+        jtl(q, name="R")
+        events = Simulation().simulate(
+            variability=lambda delay, node: delay * 2, seed=7
+        )
+        compiled = compile_circuit(working_circuit())
+        index = next(
+            i for i, node in enumerate(compiled.nodes)
+            if "Q" in [w.name for w in node.output_wires.values()]
+        )
+        z = CounterNoise.for_seeds([7]).normal(index)[0].item()
+        assert events["Q"] == [10.0 + max(0.0, 5.0 + 1.0 * z)]
+        assert events["R"] == [events["Q"][0] + 10.0]
+
+    @pytest.mark.parametrize("variability", [False, True])
+    def test_negative_custom_distribution_rejected(self, variability):
+        """A custom ``Distribution`` samples the run's seeded rng, nominal
+        or noisy, and a negative sample is an error on both paths."""
+
+        class Negative(Distribution):
+            mean = 1.0
+
+            def sample(self, rng):
+                return -rng.random()
+
+        a = inp_at(10.0, name="A")
+        jtl(a, firing_delay=Negative(), name="Q")
+        with pytest.raises(PylseError, match="negative"):
+            Simulation().simulate(variability=variability, seed=1)
 
     def test_distribution_delay_samples_even_without_variability(self):
         a = inp_at(10.0, name="A")

@@ -171,6 +171,15 @@ class TestBenchGuard:
         assert block["bitonic8"]["batched_speedup"] == 17.0
         assert block["minmax"]["batched"] == 0.002
 
+    def test_mc_batched_block_noise_ratio(self):
+        guard = self._load()
+        block = guard.mc_batched_block({
+            "test_mc_batched[bitonic8-perseed]": 0.3,
+            guard.MC_PERSEED_NOMINAL: 0.2,
+        })
+        assert block["bitonic8"]["perseed_nominal"] == 0.2
+        assert block["bitonic8"]["counter_vs_nominal"] == 1.5
+
     def test_mc_batched_block_missing_pair(self):
         guard = self._load()
         block = guard.mc_batched_block(

@@ -13,8 +13,8 @@ the bitonic-8 median regressed more than the tolerance against the
 committed baseline, if a repeated ``simulate()`` on a warm compile
 cache is no faster than a cold compile+simulate, if the batched
 Monte-Carlo drain is less than 5x faster than its per-seed reference
-on any recorded design, if a bitonic-8 per-seed counter-noise run costs
-more than 1.5x a python-rng one, if the warm (all-hit) serve path is less
+on any recorded design, if a bitonic-8 per-seed noisy run costs more
+than 2.1x a nominal one, if the warm (all-hit) serve path is less
 than 10x the cold (all-miss) path, if a warm re-lint with PL4xx
 reachability enabled is less than 10x a cold one, if a warm
 explorer sweep is less than 10x a cold all-miss sweep, or if a fresh
@@ -131,11 +131,13 @@ MC_BATCHED_PAIRS = [
 ]
 MC_BATCHED_MIN_SPEEDUP = 5.0
 
-#: The bitonic-8 per-seed drain under python-rng noise; the per-seed
-#: counter-scheme median (every divergence replay takes that path) may
-#: cost at most ``MC_PERSEED_MAX_RATIO`` times this one.
-MC_PERSEED_PYTHON = "test_mc_perseed_python_rng"
-MC_PERSEED_MAX_RATIO = 1.5
+#: The bitonic-8 per-seed drain with variability off; the per-seed
+#: noisy median (every divergence replay and every ineligible design
+#: takes that path) may cost at most ``MC_PERSEED_MAX_RATIO`` times this
+#: one. 2.1 is 1.5x the noisy/nominal ratio (1.42-1.45) of the per-seed
+#: python-rng noise the counter streams replaced (docs/performance.md).
+MC_PERSEED_NOMINAL = "test_mc_perseed_nominal"
+MC_PERSEED_MAX_RATIO = 2.1
 
 
 def run_benchmarks(json_path: pathlib.Path | None, targets) -> None:
@@ -221,11 +223,11 @@ def mc_batched_block(medians_s: dict) -> dict:
             if batched and perseed else None,
         }
     pair = block["bitonic8"]
-    python = medians_s.get(MC_PERSEED_PYTHON)
-    pair["perseed_python_rng"] = round(python, 4) if python else None
-    pair["counter_vs_python"] = (
-        round(pair["perseed"] / python, 3)
-        if python and pair["perseed"] else None
+    nominal = medians_s.get(MC_PERSEED_NOMINAL)
+    pair["perseed_nominal"] = round(nominal, 4) if nominal else None
+    pair["counter_vs_nominal"] = (
+        round(pair["perseed"] / nominal, 3)
+        if nominal and pair["perseed"] else None
     )
     return block
 
@@ -488,23 +490,23 @@ def main(argv=None) -> int:
             failed = True
 
     pair = doc["mc_batched_200_seeds_s"]["bitonic8"]
-    ratio = pair["counter_vs_python"]
+    ratio = pair["counter_vs_nominal"]
     if ratio is None:
         print(
             f"REGRESSION: per-seed noise pair incomplete (counter="
-            f"{pair['perseed']}, python-rng={pair['perseed_python_rng']})",
+            f"{pair['perseed']}, nominal={pair['perseed_nominal']})",
             file=sys.stderr,
         )
         failed = True
     else:
         print(
             f"mc per-seed [bitonic8]: counter {pair['perseed']:.4f} s vs "
-            f"python-rng {pair['perseed_python_rng']:.4f} s ({ratio}x)"
+            f"nominal {pair['perseed_nominal']:.4f} s ({ratio}x)"
         )
         if ratio > MC_PERSEED_MAX_RATIO:
             print(
                 f"REGRESSION: per-seed counter-noise runs on bitonic8 cost "
-                f"{ratio}x the python-rng ones (ceiling "
+                f"{ratio}x the nominal ones (ceiling "
                 f"{MC_PERSEED_MAX_RATIO}x)",
                 file=sys.stderr,
             )
