@@ -188,7 +188,7 @@ class CounterNoise:
 
     __slots__ = (
         "n", "_roots", "_pos", "_blocks", "_applies", "_spec", "_rng",
-        "_nodes",
+        "_perturb", "_nodes",
     )
 
     def __init__(self, roots: "np.ndarray"):
@@ -201,6 +201,8 @@ class CounterNoise:
         self._applies: Sequence[bool] = ()
         self._spec: Optional[VariabilitySpec] = None
         self._rng = None
+        #: A callable spec's bound ``perturb``, or None for Gaussian noise.
+        self._perturb = None
         self._nodes: Sequence = ()
 
     @classmethod
@@ -217,7 +219,7 @@ class CounterNoise:
         applies: Sequence[bool],
         spec: VariabilitySpec,
         rng,
-        nodes: Sequence,
+        nodes: Sequence = (),
     ) -> "CounterNoise":
         """The width-1 instance one noisy per-seed run consumes.
 
@@ -233,7 +235,9 @@ class CounterNoise:
         noise._spec = spec
         noise._rng = rng
         noise._nodes = nodes
-        if spec.custom is None:
+        if spec.custom is not None:
+            noise._perturb = spec.perturb
+        else:
             noise._fill(
                 [i for i, hit in enumerate(applies) if hit], _NORMAL, _BLOCK
             )
@@ -364,9 +368,9 @@ class CounterNoise:
             value = float(delay)
             if not self._applies[index]:
                 return value
+            if self._perturb is not None:
+                return self._perturb(value, self._nodes[index])
             spec = self._spec
-            if spec.custom is not None:
-                return spec.perturb(value, self._nodes[index])
             sigma = (
                 spec.stddev if spec.stddev is not None
                 else value * spec.fraction

@@ -92,7 +92,7 @@ def _width1(seed, index, predrawn, spec=None):
     applies[index] = predrawn
     return CounterNoise.for_run(
         seed, applies, spec or VariabilitySpec.normalize(True),
-        random.Random(0), (),
+        random.Random(0),
     )
 
 
@@ -165,8 +165,7 @@ class TestCounterStreams:
         wide = CounterNoise.for_seeds(seeds)
         narrow = [
             CounterNoise.for_run(
-                seed, [True] * nodes, VariabilitySpec.normalize(True), None,
-                (),
+                seed, [True] * nodes, VariabilitySpec.normalize(True), None
             )
             for seed in seeds
         ]
@@ -191,16 +190,16 @@ class TestCounterStreams:
 
     def test_one_pre_draw_serves_every_perturbed_node(self):
         spec = VariabilitySpec.normalize(True)
-        noise = CounterNoise.for_run(5, [True, False, True], spec, None, ())
+        noise = CounterNoise.for_run(5, [True, False, True], spec, None)
         assert set(noise._blocks) == {(0, 0), (2, 0)}
         assert all(len(b) == batchsim._BLOCK for b in noise._blocks.values())
 
 
 #: Draws captured before the width-1 pre-draw existed, as
 #: ``(kind, seed, node, draw number, value)``: normals and uniforms as
-#: ``float.hex``, ties as ``tie(node, 1_000_003)``. Cached ``results``
-#: documents are keyed without the noise scheme, so any change here
-#: would make a disk hit differ from a fresh computation.
+#: ``float.hex``, ties as ``tie(node, 1_000_003)``. Changing these draws
+#: requires bumping ``_NOISE_VERSION`` in ``result_cache_key``, or a disk
+#: hit would differ from a fresh computation.
 GOLDEN_DRAWS = (
     ("normal", 0, 0, 0, "-0x1.9eb000f3008b6p-1"),
     ("normal", 7, 3, 1, "-0x1.863beb664e74bp-1"),
