@@ -4,8 +4,8 @@ Section 5.2's yield sweeps run the same design once per variability seed.
 The per-seed drains differ only in the Gaussian noise added to each firing
 delay, so instead of N full event-loop passes this module runs **one**
 batched pass in which every pending pulse carries a ``float64[N]`` vector
-of per-seed timestamps and every delay resolution is one vectorized numpy
-draw across all N lanes at once.
+of per-seed timestamps and every delay resolution reads one pre-drawn
+noise row across all N lanes at once.
 
 The contract is strict: batched results are **element-wise identical** to N
 sequential ``simulate()`` calls (outcomes, event times, metrics — bit for
@@ -19,12 +19,12 @@ possible:
   global event order. Every noisy sequential run consumes the very same
   streams, which is what lets a width-N batch and a width-1 replay
   produce the same bits for the same seed. Because draws are addressed
-  by position, the width-1 instance of a per-seed run computes them
-  ahead: one vector call through the same stream-address function
-  pre-draws a table of normals for every node, and each firing then
-  reads a Python float from it. A scalar Box-Muller on ``math.log``
-  would skip the table but is not bit-identical to numpy's vectorised
-  ``log``.
+  by position, every lane width computes them ahead through one block
+  draw: a batched pass pre-draws the first normals of every node in one
+  vector call and each firing reads the next ``float64[N]`` row; a
+  per-seed run does the same at width 1 and reads Python floats. A
+  scalar Box-Muller on ``math.log`` would skip the block but is not
+  bit-identical to numpy's vectorised ``log``.
 
 * **Conformance tracking + replay.** The batch steers control flow along
   the *nominal* (noise-free) schedule. Each lane is checked, group by
@@ -81,8 +81,7 @@ DEFAULT_MAX_BATCH = 256
 #: priority tie-breaks each advance an independent position counter.
 _NORMAL, _UNIFORM, _TIE = 0, 1, 2
 
-_GOLDEN = 0x9E3779B97F4A7C15
-_M64 = (1 << 64) - 1
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 _TWO_PI = 2.0 * np.pi
@@ -94,9 +93,12 @@ _TWO_PI = 2.0 * np.pi
 #: O(log n) times (the synchronous adder's clock splitters: once).
 _BLOCK = 8
 
-#: Stream-position offsets of one Box-Muller pair, laid out ``(2, 1)``:
-#: row 0 feeds the radius and row 1 the angle (see :func:`_box_muller`).
-_PAIR = np.array([[0], [1]], dtype=np.uint64)
+#: The same for a width-N instance: the batched drain pre-draws this many
+#: normals per node when a pass starts, and a uniform or tie stream takes
+#: this many on first use. On a 128-lane bitonic-8 pass 2 beats 1 (most
+#: nodes draw twice) and 4 or 8 (draws a pass never reads); see
+#: docs/performance.md.
+_WIDE_BLOCK = 2
 
 #: Distinct seeds whose SeedSequence-derived roots stay memoised. Bounded
 #: because a long-lived service takes any ``seed0`` from its requests.
@@ -117,13 +119,6 @@ def _u01(bits: "np.ndarray") -> "np.ndarray":
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def _golden(k):
-    """``_GOLDEN * k`` mod 2**64, for an int or a uint64 array."""
-    if isinstance(k, int):
-        return np.uint64((_GOLDEN * k) & _M64)
-    return k * np.uint64(_GOLDEN)
-
-
 def _stream_bits(roots, index, kind: int, positions) -> "np.ndarray":
     """The uint64 draws at ``positions`` of the ``(root, index, kind)`` streams.
 
@@ -131,19 +126,18 @@ def _stream_bits(roots, index, kind: int, positions) -> "np.ndarray":
     rounds: the first keys the stream by seed root, node index and kind,
     the second picks a position within it. Arguments broadcast the numpy
     way (``roots`` against ``index`` gives the stream keys, the keys
-    against ``positions`` give the draws), so one call serves a width-N
-    draw at one position and a width-1 block over many nodes and
-    positions alike.
+    against ``positions`` give the draws), so one call draws a block of
+    many nodes and positions at any lane width.
     """
-    keys = _mix64(roots + _golden(3 * index + kind + 1))
-    return _mix64(keys + _golden(positions + 1))
+    keys = _mix64(roots + (3 * index + kind + 1) * _GOLDEN)
+    return _mix64(keys + (positions + 1) * _GOLDEN)
 
 
 def _box_muller(bits: "np.ndarray") -> "np.ndarray":
-    """Standard normals from stream bits laid out ``(2, ...)`` (see ``_PAIR``).
+    """Standard normals from stream bits laid out ``(2, ...)``.
 
-    Both rows are contiguous, so numpy runs the same ``log``/``cos`` loops
-    for a width-1 block as for a width-N batch draw.
+    Row 0 feeds the radius and row 1 the angle. Both rows are contiguous,
+    so numpy runs the same ``log``/``cos`` loops at every block shape.
     """
     u = _u01(bits)
     return np.sqrt(-2.0 * np.log(u[0])) * np.cos(_TWO_PI * u[1])
@@ -168,27 +162,27 @@ class CounterNoise:
     Each draw is addressed by ``(seed root, node index, kind, position)``
     through :func:`_stream_bits`, so the value of lane ``l``'s j-th draw
     at node ``i`` does not depend on batch width or on the order other
-    nodes drew in. The vector draws return ``float64[N]`` arrays whose
+    nodes drew in. The vector draws return ``float64[N]`` rows whose
     lane ``l`` is bit-identical to what a width-1 instance built from
     ``[seeds[l]]`` produces at the same positions — the invariant the
     batched == sequential property rests on.
 
-    Every noisy per-seed run uses a width-1 instance from :meth:`for_run` and
-    the scalar draws (:meth:`resolve_scalar`, :meth:`tie_scalar`). These
-    serve Python values from a table drawn ahead: one vector call draws
-    the first ``_BLOCK`` normals of every node the spec perturbs, and a
-    stream that runs out draws its next block through the same function.
-    A draw then costs a list pop, not a dozen numpy calls on 1-element
-    arrays. A scalar Box-Muller on ``math.log`` would be cheaper still,
-    but it is not bit-identical: libm's ``log`` and numpy's SIMD ``log``
-    differ in the last bit on about one input in 300, which would let a
-    replayed seed drift from its batched lane. One instance serves
-    either vector or scalar draws, never both.
+    Every width draws ahead through one routine, :meth:`_fill`: one
+    vector call draws a block of the next values of many streams, and a
+    draw is a list pop. The batched drain pre-draws the first normals of
+    every node that can draw one when a pass starts; its draws are
+    read-only rows of that block. Every noisy per-seed run uses a
+    width-1 instance from :meth:`for_run` and the scalar draws
+    (:meth:`resolve_scalar`, :meth:`tie_scalar`), whose blocks hold
+    Python values. A scalar Box-Muller on ``math.log`` would be cheaper
+    still, but it is not bit-identical: libm's ``log`` and numpy's SIMD
+    ``log`` differ in the last bit on about one input in 300, which would
+    let a replayed seed drift from its batched lane.
     """
 
     __slots__ = (
-        "n", "_roots", "_pos", "_blocks", "_applies", "_spec", "_rng",
-        "_perturb", "_nodes",
+        "n", "_roots", "_pos", "_blocks", "_scalars", "_applies", "_spec",
+        "_rng", "_perturb", "_nodes",
     )
 
     def __init__(self, roots: "np.ndarray"):
@@ -196,8 +190,10 @@ class CounterNoise:
         self._roots = roots
         #: (index, kind) -> next stream position (a normal takes two).
         self._pos: Dict[Tuple[int, int], int] = {}
-        #: (index, kind) -> pre-drawn width-1 values, next draw last.
+        #: (index, kind) -> pre-drawn values, next draw last.
         self._blocks: Dict[Tuple[int, int], list] = {}
+        #: Blocks hold Python values (per-run instance), not float64[N] rows.
+        self._scalars = False
         self._applies: Sequence[bool] = ()
         self._spec: Optional[VariabilitySpec] = None
         self._rng = None
@@ -231,6 +227,7 @@ class CounterNoise:
         here, in one call.
         """
         noise = cls.for_seeds([seed])
+        noise._scalars = True
         noise._applies = applies
         noise._spec = spec
         noise._rng = rng
@@ -243,74 +240,65 @@ class CounterNoise:
             )
         return noise
 
-    # -- vector draws (the batched drain) ------------------------------
-    def _advance(self, index: int, kind: int, steps: int) -> int:
-        key = (index, kind)
-        position = self._pos.get(key, 0)
-        self._pos[key] = position + steps
-        return position
-
-    def normal(self, index: int) -> "np.ndarray":
-        """Standard-normal draw per lane (Box-Muller, two stream steps)."""
-        position = self._advance(index, _NORMAL, 2)
-        return _box_muller(
-            _stream_bits(self._roots, index, _NORMAL, _PAIR + position)
-        )
-
-    def uniform(self, index: int) -> "np.ndarray":
-        """Uniform (0, 1) draw per lane."""
-        position = self._advance(index, _UNIFORM, 1)
-        return _u01(_stream_bits(self._roots, index, _UNIFORM, position))
-
-    def tie(self, index: int, choices: int) -> "np.ndarray":
-        """Per-lane pick in ``range(choices)`` for a priority tie-break."""
-        position = self._advance(index, _TIE, 1)
-        bits = _stream_bits(self._roots, index, _TIE, position)
-        return (bits % np.uint64(choices)).astype(np.int64)
-
-    # -- scalar draws (width 1, the per-seed drain) --------------------
+    # -- the block draws -----------------------------------------------
     def _fill(self, indices: Sequence[int], kind: int, count: int) -> None:
         """Draw the next ``count`` values of each listed stream in one call.
 
         The listed streams must stand at the same position: all at 0 for
-        the pre-draw, one stream for a refill. Stores Python floats
-        (normals, uniforms) or ints (tie bits), so numpy results are
-        converted once per block, not once per draw.
+        the pre-draw, one stream for a refill. The ``(streams, count, N)``
+        block is read-only, so code writing into a returned row fails
+        instead of corrupting lanes that still read it. The per-run
+        instance stores Python floats (normals, uniforms) or ints (tie
+        bits) instead, converted once per block.
         """
         if not indices:
             return
         keys = [(index, kind) for index in indices]
         start = self._pos.get(keys[0], 0)
-        index = np.array(indices, dtype=np.uint64)[:, None]
+        index = np.array(indices, dtype=np.uint64)[:, None, None]
+        steps = 2 * count if kind == _NORMAL else count
+        offsets = np.arange(start, start + steps, dtype=np.uint64)[:, None]
         if kind == _NORMAL:
-            steps = 2 * count
-            # (2, 1, count) offsets keep each Box-Muller row contiguous.
-            offsets = np.arange(start, start + steps, dtype=np.uint64)
-            offsets = offsets.reshape(count, 2).T[:, None, :]
-            values = _box_muller(_stream_bits(self._roots, index, kind, offsets))
-        else:
-            steps = count
-            offsets = np.arange(start, start + steps, dtype=np.uint64)
-            values = _stream_bits(self._roots, index, kind, offsets)
-            if kind == _UNIFORM:
-                values = _u01(values)
-        self._blocks.update(zip(keys, values[:, ::-1].tolist()))
+            # (2, 1, count, 1) offsets keep each Box-Muller row contiguous.
+            offsets = offsets.reshape(count, 2).T[:, None, :, None]
+        values = _stream_bits(self._roots, index, kind, offsets)
+        if kind == _NORMAL:
+            values = _box_muller(values)
+        elif kind == _UNIFORM:
+            values = _u01(values)
+        values.flags.writeable = False
+        values = values[:, ::-1]
+        blocks = values[..., 0].tolist() if self._scalars else map(list, values)
+        self._blocks.update(zip(keys, blocks))
         self._pos.update(dict.fromkeys(keys, start + steps))
 
-    def _scalar(self, index: int, kind: int):
-        """The next width-1 draw of one stream: a Python float (normals,
-        uniforms) or the raw bits as an int (ties)."""
+    def _next(self, index: int, kind: int):
+        """The next draw of one stream: a ``float64[N]`` row (uint64 bits
+        for ties), or a Python value for the per-run instance."""
         key = (index, kind)
         block = self._blocks.get(key)
         if not block:
             drawn = self._pos.get(key, 0) // (2 if kind == _NORMAL else 1)
-            self._fill((index,), kind, max(_BLOCK, 2 * drawn))
+            least = _BLOCK if self._scalars else _WIDE_BLOCK
+            self._fill((index,), kind, max(least, 2 * drawn))
             block = self._blocks[key]
         return block.pop()
 
+    def normal(self, index: int) -> "np.ndarray":
+        """Standard-normal draw per lane (Box-Muller, two stream steps)."""
+        return self._next(index, _NORMAL)
+
+    def uniform(self, index: int) -> "np.ndarray":
+        """Uniform (0, 1) draw per lane."""
+        return self._next(index, _UNIFORM)
+
+    def tie(self, index: int, choices: int) -> "np.ndarray":
+        """Per-lane pick in ``range(choices)`` for a priority tie-break."""
+        return (self._next(index, _TIE) % np.uint64(choices)).astype(np.int64)
+
     def tie_scalar(self, index: int, choices: int) -> int:
         """Width-1 :meth:`tie`, as a Python int."""
-        return self._scalar(index, _TIE) % choices
+        return self._next(index, _TIE) % choices
 
     # -- delay resolution ----------------------------------------------
     def resolve(
@@ -352,9 +340,9 @@ class CounterNoise:
         """
         if isinstance(delay, Distribution):
             if isinstance(delay, Normal):
-                value = delay.mean + delay.stddev * self._scalar(index, _NORMAL)
+                value = delay.mean + delay.stddev * self._next(index, _NORMAL)
             elif isinstance(delay, Uniform):
-                return delay.low + (delay.high - delay.low) * self._scalar(
+                return delay.low + (delay.high - delay.low) * self._next(
                     index, _UNIFORM
                 )
             else:
@@ -375,7 +363,7 @@ class CounterNoise:
                 spec.stddev if spec.stddev is not None
                 else value * spec.fraction
             )
-            value = value + sigma * self._scalar(index, _NORMAL)
+            value = value + sigma * self._next(index, _NORMAL)
         return 0.0 if value < 0.0 else value
 
     def tie_rng(self, index: int) -> "_CounterTieRng":
@@ -421,6 +409,11 @@ def batch_eligible(compiled: CompiledCircuit) -> bool:
     return cached
 
 
+def _delays(element) -> list:
+    """Every firing delay of a Transitional element's machine."""
+    return [d for entry in element.machine._fast.values() for _o, d in entry[2]]
+
+
 def _compute_eligible(compiled: CompiledCircuit) -> bool:
     from .transitional import Transitional
 
@@ -428,15 +421,20 @@ def _compute_eligible(compiled: CompiledCircuit) -> bool:
         if nd.is_input:
             continue
         element = compiled.nodes[nd.index].element
-        if not isinstance(element, Transitional):
+        if not isinstance(element, Transitional) or any(
+            isinstance(d, Distribution) and not isinstance(d, (Normal, Uniform))
+            for d in _delays(element)
+        ):
             return False
-        for entry in element.machine._fast.values():
-            for _out, delay in entry[2]:
-                if isinstance(delay, Distribution) and not isinstance(
-                    delay, (Normal, Uniform)
-                ):
-                    return False
     return True
+
+
+def _normal_nodes(compiled: CompiledCircuit) -> frozenset:
+    """The nodes of an eligible design with a :class:`Normal` delay (memoized)."""
+    return compiled._memo("normal_nodes", lambda: frozenset(
+        nd.index for nd in compiled.dispatch if not nd.is_input
+        and any(isinstance(d, Normal) for d in _delays(compiled.nodes[nd.index].element))
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -566,7 +564,14 @@ def _drain(
                 labels[arrays.out_wire[s]],
             )
         out_slots[index] = slots
-    applies: List[Optional[bool]] = [None] * num
+
+    # -- noise: pre-draw every node that can draw a normal, in one call -
+    applies = spec.applies_by_node(compiled)
+    normal_nodes = _normal_nodes(compiled)
+    noise._fill(
+        [i for i, hit in enumerate(applies) if hit or i in normal_nodes],
+        _NORMAL, _WIDE_BLOCK,
+    )
 
     # -- per-node machine state (lane-vectorized, lazily created) -------
     state: List[Optional[str]] = [None] * num
@@ -740,10 +745,6 @@ def _drain(
 
         # -- resolve + emit + push --------------------------------------
         node_applies = applies[index]
-        if node_applies is None:
-            node_applies = applies[index] = spec.applies_to(
-                element.name, nodes[index].name
-            )
         slots = out_slots[index]
         pushes = 0
         emits: List = []
@@ -877,7 +878,6 @@ def _stats_for_lane(result: _DrainResult, lane: int):
 # ----------------------------------------------------------------------
 def _classify_replay(sim, predicate, variability, seed, collect_stats):
     """One seed on the reference drain (the divergence fallback)."""
-    sim.reset()
     observer = None
     if collect_stats:
         from ..obs import Observer

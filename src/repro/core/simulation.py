@@ -211,14 +211,9 @@ class Simulation:
         if spec.enabled:
             from .batchsim import CounterNoise
 
-            applies = [False] * len(nodes)
-            for nd in compiled.dispatch:
-                if not nd.is_input:
-                    node = nodes[nd.index]
-                    applies[nd.index] = spec.applies_to(
-                        node.element.name, node.name
-                    )
-            counter = CounterNoise.for_run(seed, applies, spec, rng, nodes)
+            counter = CounterNoise.for_run(
+                seed, spec.applies_by_node(compiled), spec, rng, nodes
+            )
             resolve = counter.resolve_scalar
         records: List[Optional[list]] = [None] * len(nodes)
         activity: Dict[str, List[int]] = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, List, Optional, Union
 
 from .errors import PylseError
 
@@ -191,6 +191,16 @@ class VariabilitySpec:
         if self.instances is not None and instance_name in self.instances:
             return True
         return False
+
+    def applies_by_node(self, compiled) -> List[bool]:
+        """:meth:`applies_to` for every node of a compiled circuit, by index."""
+        nodes = compiled.nodes
+        applies = [False] * len(nodes)
+        for nd in compiled.dispatch:
+            if not nd.is_input:
+                node = nodes[nd.index]
+                applies[nd.index] = self.applies_to(node.element.name, node.name)
+        return applies
 
     def perturb(self, delay: float, node: object) -> float:
         """Apply the callable variability to a nominal firing delay."""

@@ -34,6 +34,7 @@ from repro.core.montecarlo import measure_yield
 from repro.core.simulation import Simulation
 from repro.core.timing import Normal, Uniform, VariabilitySpec
 from repro.designs import min_max
+from repro.sfq import jtl
 
 from test_montecarlo import minmax_factory, minmax_ok
 
@@ -75,9 +76,9 @@ def _vector_draw(noise, kind, index):
 
 def _scalar_draw(noise, kind, index):
     if kind == "normal":
-        return noise._scalar(index, batchsim._NORMAL)
+        return noise._next(index, batchsim._NORMAL)
     if kind == "uniform":
-        return noise._scalar(index, batchsim._UNIFORM)
+        return noise._next(index, batchsim._UNIFORM)
     return noise.tie_scalar(index, 1_000_003)
 
 
@@ -173,7 +174,7 @@ class TestCounterStreams:
             for _ in range(batchsim._BLOCK + 2):
                 vector = wide.normal(index).tolist()
                 assert [
-                    noise._scalar(index, batchsim._NORMAL) for noise in narrow
+                    noise._next(index, batchsim._NORMAL) for noise in narrow
                 ] == vector
 
     @pytest.mark.parametrize("delay", [
@@ -193,6 +194,43 @@ class TestCounterStreams:
         noise = CounterNoise.for_run(5, [True, False, True], spec, None)
         assert set(noise._blocks) == {(0, 0), (2, 0)}
         assert all(len(b) == batchsim._BLOCK for b in noise._blocks.values())
+
+    @pytest.mark.parametrize("kind", ["normal", "uniform", "tie"])
+    def test_wide_rows_are_read_only(self, kind):
+        """A row shares its block with the draws other lanes still read,
+        so writing into it must fail loudly."""
+        noise = CounterNoise.for_seeds([1, 2, 3])
+        if kind == "tie":
+            row = noise._next(0, batchsim._TIE)
+        else:
+            row = _vector_draw(noise, kind, 0)
+        assert row.shape == (3,) and not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[1] = 0
+
+    def test_pass_pre_draws_perturbed_and_normal_nodes(self, monkeypatch):
+        """A pass pre-draws, in one call, the normals of every node the
+        spec perturbs or that has a Normal delay, and of no other node."""
+        with fresh_circuit() as circuit:
+            jtl(jtl(jtl(inp_at(10.0)), firing_delay=Normal(5.0, 1.0)))
+        compiled = compile_circuit(circuit)
+        index = {nd.name: nd.index for nd in compiled.dispatch}
+        spec = VariabilitySpec.normalize({"instances": ["jtl0"]})
+        fills = []
+        fill = CounterNoise._fill
+
+        def recording(noise, indices, kind, count):
+            fills.append((list(indices), kind, count))
+            fill(noise, indices, kind, count)
+
+        monkeypatch.setattr(CounterNoise, "_fill", recording)
+        batchsim._drain(
+            compiled, spec, CounterNoise.for_seeds(range(4)), False, None
+        )
+        assert fills == [
+            ([index["jtl0"], index["jtl1"]], batchsim._NORMAL,
+             batchsim._WIDE_BLOCK),
+        ]
 
 
 #: Draws captured before the width-1 pre-draw existed, as
@@ -222,10 +260,19 @@ GOLDEN_DRAWS = (
 class TestGoldenStreams:
     @pytest.mark.parametrize("kind,seed,node,position,value", GOLDEN_DRAWS)
     def test_vector_draw(self, kind, seed, node, position, value):
-        noise = CounterNoise.for_seeds([seed])
-        for _ in range(position):
-            _vector_draw(noise, kind, node)
-        assert _bits(_vector_draw(noise, kind, node)[0].item()) == value
+        """The golden seed at a middle lane of batches of every width,
+        drawn through a pass-start pre-draw; the deeper positions lie past
+        at least two refills."""
+        for width in (1, 3, 128, 257):
+            lane = width // 2
+            seeds = list(range(1000, 1000 + width))
+            seeds[lane] = seed
+            noise = CounterNoise.for_seeds(seeds)
+            noise._fill([node], batchsim._NORMAL, batchsim._WIDE_BLOCK)
+            for _ in range(position):
+                _vector_draw(noise, kind, node)
+            draw = _vector_draw(noise, kind, node)
+            assert _bits(draw[lane].item()) == value, width
 
     @pytest.mark.parametrize("kind,seed,node,position,value", GOLDEN_DRAWS)
     def test_scalar_draw(self, kind, seed, node, position, value):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.batchsim import run_batch
 from repro.core.circuit import fresh_circuit
 from repro.core.errors import PylseError, SimulationError
-from repro.core.helpers import inp_at
+from repro.core.helpers import inp, inp_at
 from repro.core.montecarlo import measure_yield
 from repro.core.simulation import (
     _REC_COUNTS,
@@ -37,6 +37,7 @@ from repro.core.simulation import (
 from repro.core.timing import Distribution
 from repro.designs import bitonic_sorter
 from repro.obs import Observer
+from repro.sfq import jtl
 
 from test_parallel import minmax_factory, minmax_ok
 from test_random_circuits import build_random_circuit
@@ -389,19 +390,37 @@ class TestPlainSimulateIsBatchLane:
         (minmax_factory, 1.0), (bitonic4_factory, 0.5),
     ])
     def test_events_identical(self, factory, sigma):
-        seeds = range(32)
-        batched = []
-        _outcomes, _stats, report = run_batch(
-            Simulation(factory()), _capturing(batched), sigma, seeds
+        _assert_lanes_are_plain_runs(factory, sigma, range(32))
+
+    @pytest.mark.parametrize("n_seeds", [300, 7])
+    def test_refill_heavy_lanes_stay_batched(self, n_seeds):
+        """Twenty pulses through four JTLs draw twenty normals per node, so
+        every stream refills past its pass-start block. 300 seeds run a
+        full 256-lane batch and a 44-lane tail; no lane diverges."""
+
+        def factory():
+            with fresh_circuit() as circuit:
+                jtl(jtl(jtl(jtl(inp(start=10, period=30, n=20)))))
+            return circuit
+
+        _assert_lanes_are_plain_runs(factory, 0.8, range(n_seeds))
+
+
+def _assert_lanes_are_plain_runs(factory, sigma, seeds):
+    """Every seed stays batched, and its lane's events are JSON-identical
+    to a plain noisy ``simulate()`` of that seed."""
+    batched = []
+    _outcomes, _stats, report = run_batch(
+        Simulation(factory()), _capturing(batched), sigma, seeds
+    )
+    assert report.batched_lanes == len(seeds)
+    direct = [
+        json.dumps(
+            Simulation(factory()).simulate(
+                variability={"stddev": sigma}, seed=seed
+            ),
+            sort_keys=True,
         )
-        assert report.batched_lanes == len(seeds)
-        direct = [
-            json.dumps(
-                Simulation(factory()).simulate(
-                    variability={"stddev": sigma}, seed=seed
-                ),
-                sort_keys=True,
-            )
-            for seed in seeds
-        ]
-        assert batched == direct
+        for seed in seeds
+    ]
+    assert batched == direct
