@@ -374,7 +374,7 @@ class CounterNoise:
 class _CounterTieRng:
     """Adapter giving :meth:`PylseMachine.choose` its ``rng.choice`` shape.
 
-    Installed per node by every noisy sequential run; consumes
+    Made per node by a noisy per-seed run at the node's first tie; consumes
     the node's ``_TIE`` stream only when an actual tie occurs, mirroring
     exactly when the batched drain consumes it.
     """
@@ -668,7 +668,7 @@ def _drain(
         result.processed += len(ports)
         result.groups += 1
 
-        # -- dispatch: mirror Transitional.raw_firings lane-wise --------
+        # -- dispatch: mirror Simulation._drain's machine step lane-wise
         fast = machine._fast
         st = state[index]
         td = tau_done[index]

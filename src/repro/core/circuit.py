@@ -283,11 +283,6 @@ class Circuit:
             if wire.is_user_named:
                 seen[label] = wire
 
-    def reset_elements(self) -> None:
-        """Reset all element state so the circuit can be re-simulated."""
-        for node in self.nodes:
-            node.element.reset()
-
     def __len__(self) -> int:
         return len(self.nodes)
 

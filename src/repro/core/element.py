@@ -26,7 +26,8 @@ class Element:
 
     Concrete elements expose ``inputs`` and ``outputs`` (ordered port-name
     lists), a ``name`` identifying the cell type, and
-    :meth:`handle_inputs`, the simulator's entry point.
+    :meth:`handle_inputs`, the simulator's entry point. ``Transitional``
+    cells are the exception: the simulator steps their machine directly.
     """
 
     name: str = "<element>"
@@ -42,27 +43,25 @@ class Element:
         """
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Return the element to its initial configuration (for re-simulation)."""
 
-    def validate_ports(self) -> None:
-        """Sanity-check port name lists; shared by all element families."""
-        for kind, ports in (("input", self.inputs), ("output", self.outputs)):
-            seen = set()
-            for port in ports:
-                if not isinstance(port, str) or not port:
-                    raise PylseError(
-                        f"{self.name}: {kind} port names must be non-empty strings, "
-                        f"got {port!r}"
-                    )
-                if port in seen:
-                    raise PylseError(f"{self.name}: duplicate {kind} port {port!r}")
-                seen.add(port)
-        overlap = set(self.inputs) & set(self.outputs)
-        if overlap:
-            raise PylseError(
-                f"{self.name}: ports {sorted(overlap)} are both inputs and outputs"
-            )
+def check_ports(name: str, inputs: Sequence[str], outputs: Sequence[str]) -> None:
+    """Sanity-check port name lists; shared by all element families."""
+    for kind, ports in (("input", inputs), ("output", outputs)):
+        seen = set()
+        for port in ports:
+            if not isinstance(port, str) or not port:
+                raise PylseError(
+                    f"{name}: {kind} port names must be non-empty strings, "
+                    f"got {port!r}"
+                )
+            if port in seen:
+                raise PylseError(f"{name}: duplicate {kind} port {port!r}")
+            seen.add(port)
+    overlap = set(inputs) & set(outputs)
+    if overlap:
+        raise PylseError(
+            f"{name}: ports {sorted(overlap)} are both inputs and outputs"
+        )
 
 
 class InGen(Element):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from .circuit import working_circuit
-from .element import Element, Firing
+from .element import Element, Firing, check_ports
 from .errors import HoleError
 from .timing import DelayLike, nominal_delay
 from .wire import Wire
@@ -52,7 +52,7 @@ class Functional(Element):
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self.name = name or getattr(func, "__name__", "hole")
-        self.validate_ports()
+        check_ports(self.name, self.inputs, self.outputs)
         self.delays: Dict[str, DelayLike] = self._normalize_delays(delay)
 
     def _normalize_delays(self, delay: DelaySpec) -> Dict[str, DelayLike]:

@@ -88,10 +88,10 @@ class OutSpec:
 class NodeDispatch:
     """Everything ``simulate()`` needs to know about a node, decided once.
 
-    ``uses_raw`` selects the delivery entry point (``raw_firings`` keeps
-    distribution-valued delays for the drain loops to resolve;
-    ``handle_inputs`` is the plain-element fallback), mirroring the
-    ``isinstance`` checks the simulator used to repeat per call.
+    A Transitional node is stepped through its machine; for any other
+    node ``uses_raw`` selects the delivery entry point (a hole's
+    ``raw_firings`` keeps distribution-valued delays for the drain to
+    resolve; ``handle_inputs`` is the plain-element fallback).
     """
 
     index: int
@@ -112,8 +112,8 @@ class CompiledCircuit:
     is frozen: backends share one instance and none may mutate it.
 
     Only what the simulation drains read is built by :func:`compile_circuit`
-    (the node and wire tables, the dispatch specs, the edge list and the
-    stateful elements). The structural hash and the analysis views
+    (the node and wire tables, the dispatch specs and the edge list). The
+    structural hash and the analysis views
     (``topo_order``, ``feedback_edges``, ``is_acyclic``, ``cyclic_sccs``,
     ``delay_windows``, ``clock_wires``) are computed the first time they are
     read, from the snapshot taken at compile time.
@@ -152,10 +152,6 @@ class CompiledCircuit:
     # -- topology ------------------------------------------------------
     #: Every dataflow edge as (source node id, dest node id, wire id).
     edges: Tuple[Tuple[int, int, int], ...]
-
-    # -- precomputed annotations ---------------------------------------
-    #: Elements whose ``reset()`` actually does something (cheap re-runs).
-    stateful_elements: Tuple[Element, ...]
 
     #: The structural hash once read. Unlike ``_cache`` it is pickled, so a
     #: hash the parent has read travels to the Monte-Carlo workers.
@@ -370,8 +366,8 @@ def _structural_hash(
     counter does not.
 
     Identical inputs are digested once per call. A cell's signature is a
-    function of its name and its machine, which every instance without a
-    delay override shares, so a cell's initial label is memoised per (name,
+    function of its name and its machine, which every instance with the
+    same overrides shares, so a cell's initial label is memoised per (name,
     machine, open outputs); other elements' initial labels, and each
     refinement digest, are memoised per parts tuple (strings and None
     only, so equal parts have equal reprs). The memos live for one call:
@@ -712,14 +708,9 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
             cell=element.name,
             is_input=is_input,
             is_transitional=is_transitional,
-            uses_raw=is_transitional or isinstance(element, Functional),
+            uses_raw=isinstance(element, Functional),
             outs=tuple(outs),
         ))
-
-    stateful = tuple(
-        node.element for node in nodes
-        if type(node.element).reset is not Element.reset
-    )
 
     compiled = CompiledCircuit(
         circuit=circuit,
@@ -738,7 +729,6 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
         wire_dest=tuple(wire_dest),
         output_wire_ids=output_wire_ids,
         edges=tuple(edges),
-        stateful_elements=stateful,
     )
     circuit._compiled_ir = compiled
     return compiled

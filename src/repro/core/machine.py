@@ -16,8 +16,11 @@ This module is a direct implementation of Section 3 of the paper:
   input sequence and accumulating outputs).
 
 The machine itself is purely functional: ``step`` and friends take and return
-configurations, never mutating shared state. The stateful wrapper that sits
-in a circuit is :class:`repro.core.transitional.Transitional`.
+configurations, never mutating shared state. A cell placed in a circuit
+(:class:`repro.core.transitional.Transitional`) holds only its machine; the
+simulator keeps each cell's configuration and steps it through the
+precomputed dispatch table ``_fast``, re-raising violations through
+:meth:`PylseMachine.step`.
 """
 
 from __future__ import annotations

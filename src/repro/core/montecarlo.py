@@ -89,8 +89,8 @@ def measure_yield(
 ) -> YieldResult:
     """Run the design once per seed at the given noise level.
 
-    ``factory`` must build a *fresh* circuit each call (element state and
-    instance naming are per-circuit); ``predicate`` judges the events of a
+    ``factory`` must build a *fresh* circuit each call (instance naming
+    is per-circuit); ``predicate`` judges the events of a
     completed run. Timing violations count as failures of kind
     "violation"; predicate failures as "mis-behaved".
 

@@ -19,9 +19,9 @@ this automatic). Three costs are amortized away:
 * ``factory`` and ``predicate`` are shipped to each worker **once**, via
   the pool ``initializer``, instead of being pickled into every chunk;
 * each worker elaborates the circuit **once** and re-simulates it per
-  seed through the :meth:`~repro.core.simulation.Simulation.reset` hook
-  (element state is per-run, so a reset run is bit-identical to a fresh
-  elaboration — ``tests/test_determinism.py`` locks this);
+  seed (placed cells are immutable and every run's state lives in the
+  drain, so a re-run is bit-identical to a fresh elaboration —
+  ``tests/test_determinism.py`` locks this);
 * an adaptive serial fallback runs small sweeps in-process when the
   estimated work (seeds x a per-task calibrated per-seed cost) cannot
   amortize pool overhead, so parallel mode is never a pessimization. The
@@ -291,10 +291,10 @@ def _engine_chunk(
     """The pool task: :func:`run_chunk` against the worker's circuit.
 
     Each worker drains its chunk as one (or a few) batched passes —
-    multiplicative with the pool parallelism. ``Simulation.reset``
-    restores the initial element configuration, so each seed sees exactly
-    the state a fresh ``factory()`` circuit would have — the re-simulation
-    stability locked by ``tests/test_determinism.py`` is what makes this
+    multiplicative with the pool parallelism. Every drain starts each cell
+    from its initial configuration, so each seed sees exactly the state a
+    fresh ``factory()`` circuit would have — the re-simulation stability
+    locked by ``tests/test_determinism.py`` is what makes this
     bit-identical to :func:`run_chunk`.
     """
     ctx = _WORKER_CTX

@@ -15,10 +15,14 @@ The inner loop is the hot path behind every workload in this repo (Table 2,
 the bitonic scaling study, the Section 5.2 Monte-Carlo sweeps), so
 ``simulate`` front-loads every decision before draining the heap:
 
-* each node gets a *dispatch record* carrying its bound deliver method
-  (``raw_firings`` vs ``handle_inputs`` — no ``isinstance`` per group), its
-  activity counters, and a per-output-port map to ``(event series,
+* each node gets a *dispatch record* carrying its machine (a
+  ``Transitional`` cell) or its bound deliver method (any other element),
+  its activity counters, and a per-output-port map to ``(event series,
   destination record)`` so ``emit`` costs one dict probe instead of two;
+* the drain holds every cell's run state — the configuration
+  ``<q, tau_done, Theta>`` of Section 3 — in node-indexed lists and steps
+  it through the machine's precomputed dispatch table; placed cells are
+  immutable, so nothing is reset between runs;
 * the heap holds flat primitive tuples (see :mod:`repro.core.events`), not
   ``Pulse`` objects;
 * how a firing delay is resolved is settled once per run: a nominal run
@@ -44,19 +48,20 @@ from .circuit import Circuit, working_circuit
 from .errors import PylseError, SimulationError
 from .events import PulseHeap
 from .ir import CompiledCircuit, compile_circuit
+from .machine import Configuration
 from .node import Node
 from .timing import Distribution, VariabilitySpec
 
 Events = Dict[str, List[float]]
 
 #: Per-node dispatch record indices (plain lists beat attribute access in
-#: the inner loop): NODE is the placed node, DELIVER the bound dispatch
-#: method, COUNTS the mutable [pulses_in, pulses_out] pair shared with
-#: ``Simulation.activity``, OUTS the per-output-port emit map,
-#: TRANSITIONAL whether the element carries machine state (trace
-#: recording), and INDEX the dense IR index (the counter-noise stream id).
+#: the inner loop): NODE is the placed node, MACHINE a Transitional cell's
+#: machine (None for any other element), DELIVER any other element's bound
+#: dispatch method, COUNTS the mutable [pulses_in, pulses_out] pair shared
+#: with ``Simulation.activity``, OUTS the per-output-port emit map, and
+#: INDEX the dense IR index (the run-state slot and counter-noise stream).
 (
-    _REC_NODE, _REC_DELIVER, _REC_COUNTS, _REC_OUTS, _REC_TRANSITIONAL,
+    _REC_NODE, _REC_MACHINE, _REC_DELIVER, _REC_COUNTS, _REC_OUTS,
     _REC_INDEX,
 ) = range(6)
 
@@ -119,27 +124,14 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Return this simulation (and its circuit) to a pre-run state.
+        """Clear the last run's artifacts from this simulation.
 
-        Clears every per-run artifact — events, trace, activity counters,
-        pulse count, the attached observer — and resets element state, so
-        the same ``Simulation`` object can be re-simulated as if freshly
-        constructed. This is the reuse hook behind the Monte-Carlo
-        backends (:mod:`repro.core.parallel`): elaborating and compiling a
-        circuit once and resetting between seeds is bit-identical to
-        building a fresh circuit per seed, because per-run state lives in
-        ``simulate()`` (RNG, variability spec, event series) while the
-        per-circuit dispatch topology lives in the memoized
-        :class:`repro.core.ir.CompiledCircuit`. With a warm compile cache
-        only the *stateful* elements are touched, making reset trivially
-        cheap for fabric-heavy designs.
+        Drops the events, trace, activity counters, pulse count and the
+        attached observer. The circuit needs no reset: every run's state
+        (cell configurations, RNG, noise streams, event series) lives in
+        ``simulate()``, so each run starts from the initial configuration
+        whether or not this is called.
         """
-        compiled = self.circuit._compiled_ir
-        if compiled is not None and compiled.version == self.circuit.version:
-            for element in compiled.stateful_elements:
-                element.reset()
-        else:
-            self.circuit.reset_elements()
         self.events = {}
         self.until = None
         self.pulses_processed = 0
@@ -181,8 +173,6 @@ class Simulation:
         # Validates the circuit (once per revision) and yields the frozen
         # dispatch topology; repeated simulate() calls hit the memo.
         compiled = compile_circuit(circuit)
-        for element in compiled.stateful_elements:
-            element.reset()
         spec = VariabilitySpec.normalize(variability)
         rng = random.Random(seed)
         tie_rng = random.Random(rng.random()) if seed is not None else None
@@ -200,13 +190,11 @@ class Simulation:
             series_by_wire[wid] = series
 
         nodes = compiled.nodes
-        # Per-run delay resolution, ``resolve(delay, index)``; None keeps
-        # the drain's inline nominal path. A noisy run draws from
-        # counter-based per-(seed, node) streams: the width-1 form of the
-        # vectorized Monte-Carlo drain, bit-identical to one lane of a
-        # batched pass over the same seed. Whether the spec perturbs a
-        # node is settled here, once per run.
-        resolve = None
+        # A noisy run draws its delays and tie-breaks from counter-based
+        # per-(seed, node) streams: the width-1 form of the vectorized
+        # Monte-Carlo drain, bit-identical to one lane of a batched pass
+        # over the same seed. Whether the spec perturbs a node is settled
+        # here, once per run; None keeps the drain's inline nominal path.
         counter = None
         if spec.enabled:
             from .batchsim import CounterNoise
@@ -214,7 +202,6 @@ class Simulation:
             counter = CounterNoise.for_run(
                 seed, spec.applies_by_node(compiled), spec, rng, nodes
             )
-            resolve = counter.resolve_scalar
         records: List[Optional[list]] = [None] * len(nodes)
         activity: Dict[str, List[int]] = {}
         for nd in compiled.dispatch:
@@ -222,19 +209,17 @@ class Simulation:
                 continue
             element = nodes[nd.index].element
             if nd.is_transitional:
-                element.set_dispatch_rng(
-                    counter.tie_rng(nd.index) if counter is not None
-                    else tie_rng
+                machine, deliver = element.machine, None
+            else:
+                machine = None
+                deliver = (
+                    element.raw_firings if nd.uses_raw
+                    else element.handle_inputs
                 )
-                # Attach (or clear, so no stale list keeps growing) the
-                # taken-transition log the observer drains per group.
-                element.set_transition_log([] if observer is not None else None)
-            deliver = element.raw_firings if nd.uses_raw else element.handle_inputs
             counts = [0, 0]
             activity[nd.name] = counts
             records[nd.index] = [
-                nodes[nd.index], deliver, counts, {}, nd.is_transitional,
-                nd.index,
+                nodes[nd.index], machine, deliver, counts, {}, nd.index,
             ]
         for nd in compiled.dispatch:
             if nd.is_input:
@@ -287,7 +272,10 @@ class Simulation:
                     observer.on_input(node.name, label, t, dkey, dport)
 
         try:
-            self._drain(heap, rng, until, max_pulses, observer, record, resolve)
+            self._drain(
+                heap, len(nodes), rng, until, max_pulses, observer, record,
+                counter, tie_rng,
+            )
         finally:
             if observer is not None:
                 observer.end(heap.max_depth, self.pulses_processed)
@@ -301,34 +289,52 @@ class Simulation:
     def _drain(
         self,
         heap: PulseHeap,
+        size: int,
         rng: random.Random,
         until: Optional[float],
         max_pulses: Optional[int],
         observer,
         record: bool,
-        resolve: Optional[Callable[[object, int], float]],
+        counter,
+        tie_rng: Optional[random.Random],
     ) -> None:
         """Drain the heap: pop a simultaneous group, dispatch it, push.
 
-        With ``resolve`` None (a nominal run) scalar delays are added
+        Every cell's configuration ``<q, tau_done, Theta>`` lives here, in
+        lists indexed by the dense node index (``size`` slots), created on
+        the node's first dispatch. A group steps it through the machine's
+        precomputed dispatch table; a timing violation re-raises through
+        :meth:`PylseMachine.step`, so the error messages are the formal
+        semantics' own, and simultaneous inputs are ordered by
+        :meth:`PylseMachine.choose` with the node's tie-break source (its
+        counter stream in a noisy run, else ``tie_rng``).
+
+        With ``counter`` None (a nominal run) scalar delays are added
         directly (they were validated non-negative when the machine / hole
         was built) and distribution-valued delays are sampled from ``rng``;
-        otherwise ``resolve(delay, index)`` draws the run's noise. The
-        observer hooks and the ``record=True`` trace share one local flag
-        checked per group and per firing, so a plain run pays for neither.
-        ``until`` and ``max_pulses`` are normalized to infinities, which
-        saves two None-checks per iteration. The pulse count and heap
-        high-water mark are written back on every exit, the error paths
-        included.
+        otherwise ``counter.resolve_scalar(delay, index)`` draws the run's
+        noise. The observer hooks and the ``record=True`` trace share one
+        local flag checked per group and per firing, so a plain run pays
+        for neither. ``until`` and ``max_pulses`` are normalized to
+        infinities, which saves two None-checks per iteration. The pulse
+        count and heap high-water mark are written back on every exit, the
+        error paths included.
         """
         pending = heap._heap
         pop = heap.pop_simultaneous
         push = heap.push_raw
         stop = math.inf if until is None else until
         limit = math.inf if max_pulses is None else max_pulses
+        resolve = counter.resolve_scalar if counter is not None else None
         observe = observer is not None
         book = observe or record
         trace = self.trace
+        state: List[Optional[str]] = [None] * size
+        tau_done: List[float] = [0.0] * size
+        theta: List[Optional[Dict[str, float]]] = [None] * size
+        ties: list = [None] * size
+        # Labels of the group's taken transitions, for the observer.
+        tlabels: Optional[List[str]] = None
         processed = 0
         # Heap high-water mark, sampled at the top of each iteration (i.e.
         # after the previous group's pushes) so an unobserved run pays
@@ -346,20 +352,78 @@ class Simulation:
                 if processed >= limit:
                     self._overflow(max_pulses, time)
                 processed += len(ports)
+                machine = rec[_REC_MACHINE]
+                index = rec[_REC_INDEX]
+                if machine is not None:
+                    st = state[index]
+                    if st is None:
+                        st = machine.initial
+                        th = theta[index] = machine._init_theta.copy()
+                    else:
+                        th = theta[index]
+                    td = tau_done[index]
                 if book:
                     node = rec[_REC_NODE]
                     element = node.element
-                    transitional = rec[_REC_TRANSITIONAL]
-                    state_before = (
-                        element.state if record and transitional else None
-                    )
+                    state_before = st if machine is not None else None
                     parents = (
                         observer.group_parents(node.node_id, ports, time)
                         if observe else ()
                     )
                     emitted = []
+                    if observe:
+                        tlabels = []
                 try:
-                    firings = rec[_REC_DELIVER](ports, time)
+                    if machine is None:
+                        firings = rec[_REC_DELIVER](ports, time)
+                    else:
+                        fast = machine._fast
+                        if len(ports) == 1:
+                            symbol = ports[0]
+                            remaining = None
+                        else:
+                            remaining = set(ports)
+                            firings = []
+                        while True:
+                            if remaining is not None:
+                                if len(remaining) == 1:
+                                    symbol = remaining.pop()
+                                else:
+                                    tie = ties[index]
+                                    if tie is None:
+                                        tie = ties[index] = (
+                                            counter.tie_rng(index)
+                                            if counter is not None
+                                            else tie_rng
+                                        )
+                                    symbol = machine.choose(
+                                        st, frozenset(remaining), tie
+                                    )
+                                    remaining.discard(symbol)
+                            entry = fast.get((st, symbol))
+                            if entry is None:
+                                machine.delta(st, symbol)  # raises
+                            dest, transition_time, fired, constraints, _t, tlabel = entry
+                            if time < td:
+                                machine.step(Configuration(st, td, th), symbol, time)
+                            for constrained, tau_dist in constraints:
+                                if time < th[constrained] + tau_dist:
+                                    machine.step(
+                                        Configuration(st, td, th), symbol, time
+                                    )
+                            if tlabels is not None:
+                                tlabels.append(tlabel)
+                            th[symbol] = time
+                            st = dest
+                            td = transition_time + time
+                            if remaining is None:
+                                firings = fired
+                                break
+                            firings.extend(fired)
+                            if not remaining:
+                                break
+                        state[index] = st
+                        tau_done[index] = td
                 except SimulationError as err:
                     chain = (
                         observer.on_violation(
@@ -374,7 +438,7 @@ class Simulation:
                 outs = rec[_REC_OUTS]
                 for out_port, delay in firings:
                     if resolve is not None:
-                        delay = resolve(delay, rec[_REC_INDEX])
+                        delay = resolve(delay, index)
                     elif isinstance(delay, Distribution):
                         delay = delay.sample(rng)
                         if delay < 0:
@@ -394,15 +458,9 @@ class Simulation:
                 if book:
                     pids = None
                     if observe:
-                        if transitional:
-                            log = element._transition_log
-                            tlabels = tuple(log)
-                            log.clear()
-                        else:
-                            tlabels = ()
                         pids = observer.record_group(
-                            node.name, element.name, ports, time, tlabels,
-                            emitted, parents,
+                            node.name, element.name, ports, time,
+                            tuple(tlabels), emitted, parents,
                         )
                     if record:
                         trace.append(
@@ -413,7 +471,7 @@ class Simulation:
                                 ports=tuple(ports),
                                 state_before=state_before,
                                 state_after=(
-                                    element.state if transitional else None
+                                    st if machine is not None else None
                                 ),
                                 fired=tuple((e[0], e[2]) for e in emitted),
                                 fired_pids=tuple(pids) if pids else (),

@@ -16,20 +16,21 @@ taken from the cell's ``firing_delay``), or a dict mapping outputs to
 explicit delays. ``past_constraints`` may be a number (meaning ``'*'``) or a
 dict keyed by input names and/or ``'*'``.
 
-Class-level parsing performs the Section 4.2 well-formedness checks and
-builds an immutable :class:`~repro.core.machine.PylseMachine`; instances act
-as stateful circuit elements around a current configuration.
+Parsing performs the Section 4.2 well-formedness checks and builds an
+immutable :class:`~repro.core.machine.PylseMachine`, once per class and set
+of overrides. A placed instance holds no run state: the simulator keeps each
+cell's configuration ``<q, tau_done, Theta>`` and steps it through the
+machine.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .element import Element, Firing
+from .element import Element, check_ports
 from .errors import WellFormednessError
-from .machine import Configuration, PylseMachine, Transition
-from .timing import DelayLike, nominal_delay
+from .machine import PylseMachine, Transition
+from .timing import DelayLike
 
 _TRANSITION_FIELDS = {
     "src",
@@ -217,30 +218,45 @@ def parse_transitions(
     return parsed
 
 
+def _freeze(value: object) -> object:
+    """A hashable stand-in for an override value.
+
+    Mappings become sorted item tuples; every other value is tagged with
+    its type, so ``2`` and ``2.0`` (equal, and equal in hash) key distinct
+    machines. Raises ``TypeError`` for a value that cannot be keyed.
+    """
+    if isinstance(value, Mapping):
+        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
+    hash(value)
+    return (type(value), value)
+
+
 class Transitional(Element):
     """Base class for cells defined as PyLSE Machines.
 
     Subclasses set class attributes ``name``, ``inputs``, ``outputs``, and
     ``transitions`` (the raw dict form above), plus optionally
-    ``firing_delay``. Instances are stateful circuit elements; the shared,
-    validated :class:`PylseMachine` is built once per class (or per instance
-    when timing overrides are supplied).
+    ``firing_delay``. A placed instance is an immutable (class, overrides)
+    value around a shared, validated :class:`PylseMachine`, built once per
+    distinct set of overrides; the run state ``<q, tau_done, Theta>``
+    lives in the simulator, never on the instance.
 
     Per-instance keyword overrides (Section 4.1, Full-Circuit level):
 
     * ``firing_delay=`` — scalar, distribution, or ``{output: delay}`` dict;
     * ``transition_time=`` — ``{(src, trigger): time}`` dict;
-    * ``name_override=`` — a different cell-type label for this instance.
+    * ``name_override=`` — a different cell-type label for this instance
+      (and its machine, which error messages name).
     """
 
-    #: Required class attributes (checked on first instantiation).
+    #: Required class attributes (checked on the first machine build).
     name: str
     inputs: Sequence[str]
     outputs: Sequence[str]
     transitions: Sequence[RawTransition]
     firing_delay: FiringDelaySpec = None
 
-    _machine_cache: Optional[PylseMachine] = None
+    _machines: Dict[tuple, PylseMachine]
 
     def __init__(
         self,
@@ -254,10 +270,11 @@ class Transitional(Element):
                 f"{type(self).__name__}: unknown instantiation option(s) "
                 f"{sorted(extra)}"
             )
-        self._check_class_attrs()
+        self.machine = self._class_machine(
+            name_override, firing_delay, transition_time
+        )
         if name_override is not None:
             self.name = name_override
-        self.validate_ports()
         #: Creation-time overrides, kept verbatim for serialization.
         self.overrides: Dict[str, object] = {}
         if firing_delay is not None:
@@ -266,158 +283,60 @@ class Transitional(Element):
             self.overrides["transition_time"] = dict(transition_time)
         if name_override is not None:
             self.overrides["name_override"] = name_override
-        overridden = firing_delay is not None or transition_time is not None
-        if overridden:
-            delay_spec = (
-                firing_delay if firing_delay is not None else type(self).firing_delay
-            )
-            self.machine = self._build_machine(delay_spec, transition_time)
-        else:
-            self.machine = self._class_machine()
-        self._rng: Optional[random.Random] = None
-        #: When not None, ``_step_fast`` appends the label of every taken
-        #: transition here; the simulator drains it per dispatch group when
-        #: an observer (:mod:`repro.obs`) is attached. ``None`` (the default)
-        #: keeps the hot path at a single local None-check per step.
-        self._transition_log: Optional[List[str]] = None
-        # Mutable configuration mirror (state, tau_done, theta): the formal
-        # semantics is immutable Configurations (machine.step), but a placed
-        # element steps many thousands of times per simulation, so the
-        # instance keeps its configuration as plain mutable fields and only
-        # materializes a Configuration on demand.
-        self._state: str = self.machine.initial
-        self._tau_done: float = 0.0
-        self._theta: Dict[str, float] = self.machine._init_theta.copy()
 
     # ------------------------------------------------------------------
     # machine construction
     # ------------------------------------------------------------------
-    def _check_class_attrs(self) -> None:
+    @classmethod
+    def _check_class_attrs(cls) -> None:
         for attr in ("name", "inputs", "outputs", "transitions"):
-            if not hasattr(type(self), attr) or getattr(type(self), attr) is None:
+            if getattr(cls, attr, None) is None:
                 raise WellFormednessError(
-                    f"{type(self).__name__}: Transitional subclasses must define "
+                    f"{cls.__name__}: Transitional subclasses must define "
                     f"the {attr!r} class attribute"
                 )
 
     @classmethod
-    def _build_machine_for_class(cls) -> PylseMachine:
-        parsed = parse_transitions(
-            cls.__name__, cls.outputs, cls.transitions, cls.firing_delay
-        )
-        return PylseMachine(
-            name=cls.name,
-            inputs=cls.inputs,
-            outputs=cls.outputs,
-            transitions=parsed,
-        )
-
-    @classmethod
-    def _class_machine(cls) -> PylseMachine:
-        if cls.__dict__.get("_machine_cache") is None:
-            cls._machine_cache = cls._build_machine_for_class()
-        return cls._machine_cache  # type: ignore[return-value]
-
-    def _build_machine(
-        self,
-        firing_delay: FiringDelaySpec,
-        transition_time: Optional[Mapping[Tuple[str, str], float]],
+    def _class_machine(
+        cls,
+        name_override: Optional[str] = None,
+        firing_delay: FiringDelaySpec = None,
+        transition_time: Optional[Mapping[Tuple[str, str], float]] = None,
     ) -> PylseMachine:
-        parsed = parse_transitions(
-            type(self).__name__,
-            self.outputs,
-            self.transitions,
-            firing_delay,
-            transition_time,
-        )
-        return PylseMachine(
-            name=self.name,
-            inputs=self.inputs,
-            outputs=self.outputs,
-            transitions=parsed,
-        )
+        """The validated machine for this class under the given overrides.
 
-    # ------------------------------------------------------------------
-    # Element protocol
-    # ------------------------------------------------------------------
-    @property
-    def configuration(self) -> Configuration:
-        """The current ``<q, tau_done, Theta>`` configuration."""
-        return Configuration(
-            state=self._state,
-            tau_done=self._tau_done,
-            theta=dict(self._theta),
-        )
-
-    @property
-    def state(self) -> str:
-        return self._state
-
-    def reset(self) -> None:
-        self._state = self.machine.initial
-        self._tau_done = 0.0
-        self._theta = self.machine._init_theta.copy()
-
-    def set_dispatch_rng(self, rng: Optional[random.Random]) -> None:
-        """Install a random source for nondeterministic priority ties."""
-        self._rng = rng
-
-    def set_transition_log(self, log: Optional[List[str]]) -> None:
-        """Attach (or detach, with ``None``) a taken-transition label log."""
-        self._transition_log = log
-
-    def handle_inputs(self, active: Sequence[str], time: float) -> List[Firing]:
-        """Dispatch a simultaneous input set, mutating the configuration.
-
-        Returns raw ``(output, firing delay)`` pairs; the simulator converts
-        them to absolute pulse times (applying variability if enabled).
+        Built, with the class-attribute and port checks, once per
+        ``(class, name_override, firing_delay, transition_time)`` and kept
+        in the class's own ``_machines`` dict (subclasses get their own);
+        an override value that cannot be hashed builds an uncached machine.
         """
-        return [
-            (out, nominal_delay(delay))
-            for out, delay in self.raw_firings(active, time)
-        ]
-
-    def _step_fast(self, symbol: str, time: float):
-        """One transition via the machine's precomputed dispatch table.
-
-        Mutates the instance configuration in place and returns the fired
-        ``(output, delay)`` tuple. Timing violations are re-raised through
-        :meth:`PylseMachine.step` so the error messages stay canonical.
-        """
-        entry = self.machine._fast.get((self._state, symbol))
-        if entry is None:
-            self.machine.delta(self._state, symbol)  # raises PylseError
-        dest, transition_time, firing, constraints, _transition, label = entry
-        theta = self._theta
-        if time < self._tau_done:
-            self.machine.step(self.configuration, symbol, time)
-        for constrained, tau_dist in constraints:
-            if time < theta[constrained] + tau_dist:
-                self.machine.step(self.configuration, symbol, time)
-        log = self._transition_log
-        if log is not None:
-            log.append(label)
-        theta[symbol] = time
-        self._state = dest
-        self._tau_done = transition_time + time
-        return firing
-
-    def raw_firings(self, active: Sequence[str], time: float) -> List[Tuple[str, DelayLike]]:
-        """Like :meth:`handle_inputs` but keeps distribution-valued delays."""
-        if len(active) == 1:
-            return list(self._step_fast(active[0], time))
-        remaining = set(active)
-        outs: List[Tuple[str, DelayLike]] = []
-        while remaining:
-            if len(remaining) == 1:
-                symbol = remaining.pop()
-            else:
-                symbol = self.machine.choose(
-                    self._state, frozenset(remaining), self._rng
-                )
-                remaining.discard(symbol)
-            outs.extend(self._step_fast(symbol, time))
-        return outs
+        machines = cls.__dict__.get("_machines")
+        if machines is None:
+            machines = cls._machines = {}
+        try:
+            key = (name_override, _freeze(firing_delay), _freeze(transition_time))
+            machine = machines.get(key)
+        except TypeError:
+            key = machine = None
+        if machine is None:
+            cls._check_class_attrs()
+            name = cls.name if name_override is None else name_override
+            check_ports(name, cls.inputs, cls.outputs)
+            machine = PylseMachine(
+                name=name,
+                inputs=cls.inputs,
+                outputs=cls.outputs,
+                transitions=parse_transitions(
+                    cls.__name__,
+                    cls.outputs,
+                    cls.transitions,
+                    cls.firing_delay if firing_delay is None else firing_delay,
+                    transition_time,
+                ),
+            )
+            if key is not None:
+                machines[key] = machine
+        return machine
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(state={self._state!r})"
+        return f"{type(self).__name__}({self.name!r})"

@@ -632,15 +632,8 @@ def _replay_once(circuit: Circuit, compiled: CompiledCircuit):
     completes cleanly. The observer records provenance so a raised
     violation carries the causal chain of the offending pulse group.
     """
-    sim = Simulation(circuit)
-    observer = Observer()
     try:
-        try:
-            sim.simulate(observer=observer)
-        finally:
-            # Leave no per-run element state behind: lint must not change
-            # what a later simulate() of the same circuit observes.
-            sim.reset()
+        Simulation(circuit).simulate(observer=Observer())
     except SimulationError as err:
         return _node_from_error(compiled, err), err
     return None, None
@@ -752,18 +745,13 @@ def _seed_sweep(circuit: Circuit) -> Tuple[str, str]:
     """Grade schedule-dependence by replaying under swept tie-break seeds."""
     outcomes = set()
     for seed in RACE_REPLAY_SEEDS:
-        sim = Simulation(circuit)
         try:
-            try:
-                events = sim.simulate(seed=seed)
-                outcomes.add(
-                    ("events", tuple(sorted(
-                        (label, tuple(times))
-                        for label, times in events.items()
-                    )))
-                )
-            finally:
-                sim.reset()
+            events = Simulation(circuit).simulate(seed=seed)
+            outcomes.add(
+                ("events", tuple(sorted(
+                    (label, tuple(times)) for label, times in events.items()
+                )))
+            )
         except SimulationError as err:
             outcomes.add(("error", type(err).__name__, str(err)))
     if len(outcomes) > 1:

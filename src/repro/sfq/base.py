@@ -32,9 +32,9 @@ class SFQ(Transitional):
     #: Rule IDs / prefixes the static analyzer skips for this cell.
     lint_suppress: Sequence[str] = ()
 
-    def __init__(self, jjs: Optional[int] = None, **kwargs):
-        cls = type(self)
-        if not hasattr(cls, "jjs") or cls.jjs is None:
+    @classmethod
+    def _check_class_attrs(cls) -> None:
+        if getattr(cls, "jjs", None) is None:
             raise WellFormednessError(
                 f"{cls.__name__}: SFQ cells must define the 'jjs' attribute "
                 "(number of Josephson junctions)"
@@ -43,13 +43,16 @@ class SFQ(Transitional):
             raise WellFormednessError(
                 f"{cls.__name__}: SFQ cells must define the 'firing_delay' attribute"
             )
+        super()._check_class_attrs()
+
+    def __init__(self, jjs: Optional[int] = None, **kwargs):
         super().__init__(**kwargs)
         if jjs is not None:
             # bool is a subclass of int: AND(jjs=True) would silently set
             # jjs = 1 and corrupt every area/energy metric downstream.
             if isinstance(jjs, bool) or not isinstance(jjs, int) or jjs <= 0:
                 raise WellFormednessError(
-                    f"{cls.__name__}: jjs override must be a positive "
+                    f"{type(self).__name__}: jjs override must be a positive "
                     f"integer, got {jjs!r}"
                 )
             self.jjs = jjs

@@ -1,11 +1,14 @@
 """Differential harness: the drain loop against a frozen nominal oracle.
 
 ``FrozenFastSimulation`` below overrides ``Simulation._drain`` with a
-verbatim copy of the former no-variability, no-trace loop — the reference
-semantics minus bookkeeping, kept here as a test-local oracle. The
-properties lock the production drain to it on random circuits (from the
-generator in ``tests/test_random_circuits.py``, variability off), both as
-a plain run and with ``record=True`` trace bookkeeping on: identical event
+test-local copy of the former no-variability, no-trace loop whose cells
+step through the formal semantics itself: ``PylseMachine.choose`` orders
+a simultaneous group and ``PylseMachine.step`` folds it over immutable
+``Configuration`` values, kept per node in a dict. It shares no step code
+with the production drain's dispatch-table fast path. The properties lock
+the production drain to it on random circuits (from the generator in
+``tests/test_random_circuits.py``, variability off), both as a plain run
+and with ``record=True`` trace bookkeeping on: identical event
 dictionaries, identical provenance graphs, identical metrics — node for
 node, pulse for pulse, parent for parent.
 
@@ -29,9 +32,10 @@ from repro.core.montecarlo import measure_yield
 from repro.core.simulation import (
     _REC_COUNTS,
     _REC_DELIVER,
+    _REC_INDEX,
+    _REC_MACHINE,
     _REC_NODE,
     _REC_OUTS,
-    _REC_TRANSITIONAL,
     Simulation,
 )
 from repro.core.timing import Distribution
@@ -43,6 +47,23 @@ from test_parallel import minmax_factory, minmax_ok
 from test_random_circuits import build_random_circuit
 
 
+def oracle_dispatch(machine, config, ports, time, rng):
+    """The Dispatch relation over immutable configurations.
+
+    Returns the successor configuration, the fired ``(output, delay)``
+    pairs and the labels of the taken transitions, in dispatch order.
+    """
+    remaining = set(ports)
+    fired, labels = [], []
+    while remaining:
+        symbol = machine.choose(config.state, frozenset(remaining), rng)
+        remaining.discard(symbol)
+        labels.append(machine.delta(config.state, symbol).label)
+        config, outs = machine.step(config, symbol, time)
+        fired.extend(outs)
+    return config, fired, labels
+
+
 class FrozenFastSimulation(Simulation):
     """``Simulation`` whose drain is the frozen nominal oracle loop.
 
@@ -50,9 +71,23 @@ class FrozenFastSimulation(Simulation):
     with the production drain it checks.
     """
 
-    def _drain(self, heap, rng, until, max_pulses, observer, record, resolve):
-        assert not record and resolve is None, "oracle covers nominal runs"
+    def _drain(self, heap, size, rng, until, max_pulses, observer, record,
+               counter, tie_rng):
+        assert not record and counter is None, "oracle covers nominal runs"
         self.oracle_drained = True
+        configs = {}
+
+        def deliver(rec, ports, time):
+            machine = rec[_REC_MACHINE]
+            if machine is None:
+                return rec[_REC_DELIVER](ports, time), ()
+            index = rec[_REC_INDEX]
+            config = configs.get(index) or machine.initial_configuration()
+            configs[index], firings, labels = oracle_dispatch(
+                machine, config, ports, time, tie_rng
+            )
+            return firings, tuple(labels)
+
         pending = heap._heap
         pop = heap.pop_simultaneous
         push = heap.push_raw
@@ -76,7 +111,7 @@ class FrozenFastSimulation(Simulation):
                 node = rec[_REC_NODE]
                 parents = observer.group_parents(node.node_id, ports, time)
                 try:
-                    firings = rec[_REC_DELIVER](ports, time)
+                    firings, tlabels = deliver(rec, ports, time)
                 except SimulationError as err:
                     self.pulses_processed = processed
                     heap.max_depth = max_depth
@@ -86,7 +121,7 @@ class FrozenFastSimulation(Simulation):
                     self._dispatch_error(node, ports, err, chain)
             else:
                 try:
-                    firings = rec[_REC_DELIVER](ports, time)
+                    firings, tlabels = deliver(rec, ports, time)
                 except SimulationError as err:
                     self.pulses_processed = processed
                     self._dispatch_error(rec[_REC_NODE], ports, err)
@@ -112,16 +147,9 @@ class FrozenFastSimulation(Simulation):
                     emitted.append(
                         (out_port, label, t, delay, dkey, dport, pushed)
                     )
-                element = node.element
-                if rec[_REC_TRANSITIONAL]:
-                    log = element._transition_log
-                    tlabels = tuple(log)
-                    log.clear()
-                else:
-                    tlabels = ()
                 observer.record_group(
-                    node.name, element.name, ports, time, tlabels, emitted,
-                    parents,
+                    node.name, node.element.name, ports, time, tlabels,
+                    emitted, parents,
                 )
             else:
                 for out_port, delay in firings:

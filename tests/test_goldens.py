@@ -44,12 +44,37 @@ def test_events_match_golden(case):
     assert path.exists(), f"missing golden for {entry.name}; run tools/gen_goldens.py"
     golden = json.loads(path.read_text())
     circuit = build_in_fresh_circuit(entry)
-    events = Simulation(circuit).simulate(**MODES[mode]())
+    sim = Simulation(circuit)
+    events = sim.simulate(**MODES[mode]())
     named = {
         name: times for name, times in sorted(events.items())
         if not name.startswith("_")
     }
     assert named == golden["events"], f"{entry.name} diverged from golden ({mode})"
+    if mode == "record":
+        assert_state_chain(circuit, sim.trace)
+
+
+def assert_state_chain(circuit, trace):
+    """Per node, the recorded machine states form one unbroken chain.
+
+    A node's first dispatch starts from its machine's initial state, and
+    every later one from the state the previous dispatch left it in.
+    Elements without a machine record no states.
+    """
+    assert trace
+    machines = {
+        node.name: getattr(node.element, "machine", None)
+        for node in circuit.nodes
+    }
+    last = {}
+    for entry in trace:
+        machine = machines[entry.node]
+        if machine is None:
+            assert entry.state_before is None and entry.state_after is None
+            continue
+        assert entry.state_before == last.get(entry.node, machine.initial), entry
+        last[entry.node] = entry.state_after
 
 
 def test_no_stale_goldens():

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.circuit import fresh_circuit
 from repro.core.errors import WellFormednessError
+from repro.core.helpers import inp_at
+from repro.core.simulation import Simulation
 from repro.core.transitional import Transitional, parse_transitions
+from repro.core.wire import Wire
 from repro.sfq import AND, SFQ
 
 
@@ -148,19 +152,32 @@ class TestTransitionalClass:
         transition = fast.machine.delta("set", "a")
         assert transition.firing == {"q": 1.0}
 
-    def test_handle_inputs_mutates_state(self):
-        cell = Toggle()
-        assert cell.state == "idle"
-        assert cell.handle_inputs(["a"], 1.0) == []
-        assert cell.state == "set"
-        assert cell.handle_inputs(["a"], 2.0) == [("q", 3.0)]
-        assert cell.state == "idle"
+    def test_step_advances_configuration(self):
+        machine = Toggle().machine
+        config = machine.initial_configuration()
+        assert config.state == "idle"
+        config, fired = machine.step(config, "a", 1.0)
+        assert fired == []
+        assert config.state == "set"
+        config, fired = machine.step(config, "a", 2.0)
+        assert fired == [("q", 3.0)]
+        assert config.state == "idle"
 
-    def test_reset_restores_initial_configuration(self):
-        cell = Toggle()
-        cell.handle_inputs(["a"], 1.0)
-        cell.reset()
-        assert cell.state == "idle"
+    def test_runs_start_from_initial_configuration(self):
+        machine = Toggle().machine
+        config, outs = machine.dispatch(
+            machine.initial_configuration(), ["a"], 1.0
+        )
+        assert (config.state, outs) == ("set", [])
+        assert machine.initial_configuration().state == "idle"
+        # A placed cell holds no run state: a second run of the same
+        # circuit starts from idle again and fires on the same pulses.
+        with fresh_circuit() as circuit:
+            circuit.add_node(Toggle(), [inp_at(1.0, 2.0)], [Wire("Q")])
+        sim = Simulation(circuit)
+        assert sim.simulate() == sim.simulate() == {
+            "Q": [5.0], "_0": [1.0, 2.0],
+        }
 
     def test_missing_class_attribute_rejected(self):
         class Broken(Transitional):
