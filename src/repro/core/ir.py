@@ -71,6 +71,12 @@ _HASH_VERSION = "repro-ir-v1"
 #: noisy run draws from the counter streams (hole designs included).
 _NOISE_VERSION = "noise-v2"
 
+#: Bumped whenever the zone explorer's state counts or search order
+#: change, so a cached PL4xx analysis (its "(N states)" messages, its BFS
+#: prefix under a ``max_states`` cut) from an older explorer is a miss.
+#: v2: active-clock zones.
+_EXPLORER_VERSION = "zone-v2"
+
 
 @dataclass(frozen=True)
 class OutSpec:
@@ -784,7 +790,7 @@ def lint_cache_key(
     rules: Tuple[str, ...],
     max_states: Optional[int],
     time_limit: Optional[float],
-) -> Tuple[str, str, Tuple[str, ...], Optional[int], Optional[float]]:
+) -> Tuple[str, str, str, Tuple[str, ...], Optional[int], Optional[float]]:
     """The canonical memo key for one reachability-lint analysis (PL4xx).
 
     Same contract as :func:`result_cache_key` for the serve result cache:
@@ -801,13 +807,15 @@ def lint_cache_key(
     * the exploration budget — a truncated analysis at a small budget must
       never be served to a request with a larger one.
 
-    The hash-recipe version is mixed in so caches survive across releases
-    without ever serving findings computed under a different hash recipe.
+    The hash-recipe and explorer versions are mixed in so caches survive
+    across releases without ever serving findings computed under a
+    different hash recipe or by a different zone explorer.
     """
     if not isinstance(digest, str) or not digest:
         raise PylseError(f"digest must be a non-empty string, got {digest!r}")
     return (
         _HASH_VERSION,
+        _EXPLORER_VERSION,
         digest,
         tuple(sorted(rules)),
         max_states,

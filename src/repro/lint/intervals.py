@@ -25,14 +25,15 @@ the claim state-blind yet sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.circuit import Circuit
 from ..core.element import InGen
 from ..core.errors import PylseError
 from ..core.functional import Functional
 from ..core.ir import compile_circuit
-from ..core.machine import expand_constraints
+from ..core.machine import PylseMachine, expand_constraints
 from ..core.node import Node
 from ..core.timing import nominal_delay
 from ..core.transitional import Transitional
@@ -43,15 +44,16 @@ from ..core.wire import Wire
 MAX_INTERVALS_PER_WIRE = 64
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """One abstract pulse: guaranteed to arrive within ``[lo, hi]`` if
     ``definite``, possibly arriving within it otherwise.
 
     ``parent``/``via`` record provenance: ``via`` is the hop that produced
     this interval (``in:clk@50`` at a source, ``jtl0 +[3, 3]`` through a
     cell), so walking the parent chain renders the offending
-    input-to-cell path, mirroring ``SimulationError.provenance``.
+    input-to-cell path, mirroring ``SimulationError.provenance``. An
+    immutable named tuple: propagation builds one per (pulse, hop), and a
+    tuple costs half a frozen dataclass to construct.
     """
 
     lo: float
@@ -84,7 +86,7 @@ def _merge_intervals(intervals: List[Interval]) -> List[Interval]:
     """
     if not intervals:
         return []
-    ordered = sorted(intervals, key=lambda i: (i.lo, i.hi))
+    ordered = sorted(intervals, key=attrgetter("lo", "hi"))
     merged = [ordered[0]]
     for interval in ordered[1:]:
         last = merged[-1]
@@ -108,18 +110,17 @@ def _merge_intervals(intervals: List[Interval]) -> List[Interval]:
 
 
 def _trigger_windows(
-    element: Transitional,
-) -> Dict[Tuple[str, str], Tuple[float, float, bool]]:
-    """(trigger, output) -> (min delay, max delay, definite) over the
-    machine's reachable transitions.
+    machine: PylseMachine,
+) -> Dict[str, List[Tuple[str, float, float, bool]]]:
+    """trigger -> [(output, min delay, max delay, definite)] over the
+    machine's reachable transitions, outputs in declaration order.
 
     ``definite`` is True when *every* reachable transition on the trigger
     fires the output — a pulse on the trigger then certainly produces one on
     the output, whatever state the machine is in.
     """
-    machine = element.machine
     reachable = machine.reachable_states()
-    windows: Dict[Tuple[str, str], Tuple[float, float, bool]] = {}
+    windows: Dict[str, List[Tuple[str, float, float, bool]]] = {}
     for trigger in machine.inputs:
         on_trigger = [
             t for t in machine.transitions
@@ -133,8 +134,26 @@ def _trigger_windows(
             if not delays:
                 continue
             always = all(out in t.firing for t in on_trigger)
-            windows[(trigger, out)] = (min(delays), max(delays), always)
+            windows.setdefault(trigger, []).append(
+                (out, min(delays), max(delays), always)
+            )
     return windows
+
+
+class _MachineFacts:
+    """The timing facts of one machine, computed once per :func:`propagate`.
+
+    Machines are immutable and shared by every cell of one (class,
+    overrides) key, so a bitonic sorter's dozens of cells share a handful
+    of these instead of re-walking ``reachable_states()`` per cell.
+    """
+
+    __slots__ = ("windows", "setup", "hold")
+
+    def __init__(self, machine: PylseMachine):
+        self.windows = _trigger_windows(machine)
+        self.setup = _constraint_requirements(machine)
+        self.hold = _hold_requirements(machine)
 
 
 @dataclass(frozen=True)
@@ -222,6 +241,14 @@ def _node_order(circuit: Circuit) -> List[Node]:
 def propagate(circuit: Circuit) -> ArrivalAnalysis:
     """Run the interval abstract interpretation over an acyclic circuit."""
     arrivals: Dict[Wire, List[Interval]] = {}
+    facts: Dict[PylseMachine, _MachineFacts] = {}
+
+    def facts_of(element: Transitional) -> _MachineFacts:
+        machine = element.machine
+        known = facts.get(machine)
+        if known is None:
+            known = facts[machine] = _MachineFacts(machine)
+        return known
 
     for node in _node_order(circuit):
         element = node.element
@@ -235,18 +262,23 @@ def propagate(circuit: Circuit) -> ArrivalAnalysis:
             continue
 
         if isinstance(element, Transitional):
-            windows = _trigger_windows(element)
+            windows = facts_of(element).windows
             produced: Dict[str, List[Interval]] = {}
             for port, wire in node.input_wires.items():
-                for interval in arrivals.get(wire, []):
-                    for (trigger, out), (dmin, dmax, always) in windows.items():
-                        if trigger != port:
-                            continue
-                        produced.setdefault(out, []).append(Interval(
+                hops = [
+                    (produced.setdefault(out, []), dmin, dmax, always,
+                     f"{node.name} +[{dmin:g}, {dmax:g}]")
+                    for out, dmin, dmax, always in windows.get(port, ())
+                ]
+                if not hops:
+                    continue
+                for interval in arrivals.get(wire, ()):
+                    for into, dmin, dmax, always, via in hops:
+                        into.append(Interval(
                             lo=interval.lo + dmin,
                             hi=interval.hi + dmax,
                             definite=interval.definite and always,
-                            via=f"{node.name} +[{dmin:g}, {dmax:g}]",
+                            via=via,
                             parent=interval,
                         ))
             for out, wire in node.output_wires.items():
@@ -276,12 +308,12 @@ def propagate(circuit: Circuit) -> ArrivalAnalysis:
             f"{node.name}: cannot statically analyze element {element!r}"
         )
 
-    checks = _collect_checks(circuit, arrivals)
+    checks = _collect_checks(circuit, arrivals, facts_of)
     return ArrivalAnalysis(arrivals=arrivals, checks=checks)
 
 
 def _constraint_requirements(
-    element: Transitional,
+    machine: PylseMachine,
 ) -> Dict[Tuple[str, str], Tuple[float, float]]:
     """Setup requirements: (constrained input, trigger) -> (max, universal).
 
@@ -290,7 +322,6 @@ def _constraint_requirements(
     provable whatever state the machine is in (the min over those
     transitions, 0 when one of them lacks the constraint).
     """
-    machine = element.machine
     reachable = machine.reachable_states()
     result: Dict[Tuple[str, str], Tuple[float, float]] = {}
     for trigger in machine.inputs:
@@ -314,7 +345,7 @@ def _constraint_requirements(
 
 
 def _hold_requirements(
-    element: Transitional,
+    machine: PylseMachine,
 ) -> Dict[str, Tuple[float, float]]:
     """Hold requirements: triggering input -> (max, universal) tau_tran.
 
@@ -322,7 +353,6 @@ def _hold_requirements(
     ``t + tau_tran``; a second pulse inside that window is the
     Error-kappa-Tran case. Keyed by the *first* pulse's input.
     """
-    machine = element.machine
     reachable = machine.reachable_states()
     result: Dict[str, Tuple[float, float]] = {}
     for trigger in machine.inputs:
@@ -336,7 +366,9 @@ def _hold_requirements(
 
 
 def _collect_checks(
-    circuit: Circuit, arrivals: Dict[Wire, List[Interval]]
+    circuit: Circuit,
+    arrivals: Dict[Wire, List[Interval]],
+    facts_of: Callable[[Transitional], _MachineFacts],
 ) -> List[TimingCheck]:
     checks: List[TimingCheck] = []
     for node in circuit.cells():
@@ -355,8 +387,9 @@ def _collect_checks(
                         continue  # a pulse cannot precede itself
                     yield i1, i2
 
+        facts = facts_of(element)
         for (constrained, trigger), (worst, universal) in \
-                _constraint_requirements(element).items():
+                facts.setup.items():
             for i1, i2 in pairs(constrained, trigger):
                 checks.append(TimingCheck(
                     node=node.name, cell=element.name, kind="setup",
@@ -366,9 +399,8 @@ def _collect_checks(
                     sep_min=i2.lo - i1.hi, sep_max=i2.hi - i1.lo,
                 ))
 
-        hold = _hold_requirements(element)
-        if hold:
-            for first_port, (worst, universal) in hold.items():
+        if facts.hold:
+            for first_port, (worst, universal) in facts.hold.items():
                 for second_port in element.inputs:
                     for i1, i2 in pairs(first_port, second_port):
                         checks.append(TimingCheck(

@@ -27,9 +27,9 @@ between them), while the simulator dispatches a simultaneous group
 atomically.
 
 The whole analysis sits behind an **incremental cache** keyed by
-:func:`repro.core.ir.lint_cache_key` — ``(hash_version, structural_hash,
-rule subset, budget)`` — with the same contract as the serve result
-cache: a warm re-lint of an unchanged design is a dict hit.
+:func:`repro.core.ir.lint_cache_key` — ``(hash_version, explorer_version,
+structural_hash, rule subset, budget)`` — with the same contract as the
+serve result cache: a warm re-lint of an unchanged design is a dict hit.
 Budgets are explicit, never silent: a truncated exploration is reported
 as ``truncated`` with its reason, PL401 is withheld (absence unproven),
 and the remaining findings are a lower bound. An analysis cut short by

@@ -58,9 +58,10 @@ def add_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class DBM:
     """A zone over ``n`` real clocks, kept in canonical form.
 
-    ``up``, ``reset`` and ``constrain`` map a canonical DBM to a canonical
-    one (Bengtsson & Yi, "Timed Automata: Semantics, Algorithms and
-    Tools", 2004); only ``extrapolate`` needs a full ``canonicalize``.
+    ``up``, ``reset``, ``constrain`` and ``gather`` (projection plus
+    resets) map a canonical DBM to a canonical one (Bengtsson & Yi,
+    "Timed Automata: Semantics, Algorithms and Tools", 2004); only an
+    ``extrapolate`` that changed a bound needs a full ``canonicalize``.
 
     Index 0 is the reference clock; user clocks are 1..n. The matrix entry
     ``m[i, j]`` encodes the bound on ``x_i - x_j``.
@@ -151,6 +152,17 @@ class DBM:
         np.minimum(m, via, out=m)
         return True
 
+    def gather(self, take: Sequence[int]) -> "DBM":
+        """A new DBM whose clock ``k`` is this zone's clock ``take[k]``.
+
+        ``take[0]`` must be 0. A clock taken from position 0 (the reference
+        clock) is reset to zero, and clocks absent from ``take`` are
+        projected away, so one gather performs a transition's resets and
+        drops the clocks that die. A canonical zone stays canonical.
+        Equals ``m[np.ix_(take, take)]``; two ``take`` calls are faster.
+        """
+        return DBM(len(take) - 1, self.m.take(take, 0).take(take, 1))
+
     def constrain_upper(self, clock: int, value: int, strict: bool) -> bool:
         """``x_clock <= value`` (or ``<``)."""
         return self.constrain(clock, 0, bound(value, strict))
@@ -181,13 +193,15 @@ class DBM:
     # ------------------------------------------------------------------
     # extrapolation (termination)
     # ------------------------------------------------------------------
-    def extrapolate(self, max_constants: Sequence[int]) -> "DBM":
+    def extrapolate(self, max_constants: Sequence[int]) -> bool:
         """Classic ExtraM abstraction with per-clock maximum constants.
 
         ``max_constants[i]`` is the largest constant clock ``i`` is ever
         compared against (index 0 must be 0). Bounds above ``M(i)`` are
-        dropped to INF; lower bounds below ``-M(j)`` are relaxed. The result
-        must be re-canonicalized: the one full closure a successor needs.
+        dropped to INF; lower bounds below ``-M(j)`` are relaxed. Returns
+        True iff some bound changed: only then must the (non-empty,
+        canonical) zone be re-canonicalized — the one full closure a
+        successor can need.
         """
         m = self.m
         maxima = np.asarray(max_constants, dtype=np.int64)
@@ -195,11 +209,13 @@ class DBM:
         lower_limit = -2 * maxima[None, :]             # (-M(j), <) per column
         too_high = (m > upper_limit) & (m < INF)
         too_low = m < lower_limit
+        if not (too_high.any() or too_low.any()):
+            return False
         m[too_high] = INF
         m[too_low] = np.broadcast_to(lower_limit, m.shape)[too_low]
         np.fill_diagonal(m, LE_ZERO)
         m[0, 1:] = np.minimum(m[0, 1:], LE_ZERO)       # clocks are nonnegative
-        return self
+        return True
 
     # ------------------------------------------------------------------
     def key(self) -> bytes:

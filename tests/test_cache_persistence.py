@@ -10,6 +10,7 @@ the dependency fix that motivated :mod:`repro.cache`: lint and explore
 no longer import anything from :mod:`repro.serve`.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -274,6 +275,34 @@ def test_reach_analysis_persists_and_is_identical(tmp_path):
     assert cached
     assert warm == fresh
     assert store_stats(tmp_path)["namespaces"][LINT_NAMESPACE]["entries"] == 1
+
+
+# -- analyses stored by the previous zone explorer are misses ----------
+def test_reach_analysis_under_pre_explorer_version_key_is_recomputed(
+        tmp_path):
+    """Active-clock zones changed the explorer's state counts (AND: 30 →
+    27, quoted in every PL401 message), so an analysis stored under the
+    key tuple that had no explorer version must never be served."""
+    entry = next(e for e in registry() if e.name == "AND")
+    direct, _ = analyze_reach(build_in_fresh_circuit(entry), use_cache=False)
+    stale = dataclasses.replace(direct, states_explored=30)
+    budget = direct.budget
+    old_key = (_HASH_VERSION, direct.digest, direct.rules,
+               budget.max_states, float(budget.time_limit))
+    DiskCache(tmp_path, LINT_NAMESPACE).put(
+        old_key, reach_analysis_to_jsonable(stale)
+    )
+
+    clear_reach_cache()
+    served, cached = analyze_reach(
+        build_in_fresh_circuit(entry), cache_dir=tmp_path
+    )
+    assert not cached
+    assert served.states_explored == 27
+    untimed = dict(elapsed_seconds=0.0)
+    assert dataclasses.replace(served, **untimed) == dataclasses.replace(
+        direct, **untimed)
+    assert store_stats(tmp_path)["namespaces"][LINT_NAMESPACE]["entries"] == 2
 
 
 def test_reach_analysis_round_trips_through_json():

@@ -311,3 +311,55 @@ class TestIncrementalClosure:
         assert not z.is_empty()
         assert not z.constrain_upper(1, 10, strict=True)   # 10 <= x1 < 10
         assert z.is_empty()
+
+
+# --------------------------------------------------------------------------
+# active-clock frames: the explorer's gather transfer and closure skip
+# --------------------------------------------------------------------------
+class TestFrameTransfer:
+    @given(zone=canonical_zones(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_gather_equals_reset_then_projection(self, zone, data):
+        """``gather`` = full-dimension resets, then projection.
+
+        ``take`` maps each target clock to its source position, or to the
+        reference clock 0 when the edge resets it (as ``ModelChecker._fire``
+        builds it); the gathered matrix must also still be canonical.
+        """
+        clocks = st.sets(st.integers(1, zone.n))
+        kept, resets = data.draw(clocks), data.draw(clocks)
+        target = sorted(kept | resets)
+        take = [0] + [0 if c in resets else c for c in target]
+        gathered = zone.gather(take)
+        assert np.array_equal(gathered.m, zone.m[np.ix_(take, take)])
+
+        full = zone.copy()
+        for clock in sorted(resets):
+            full.reset(clock)
+        frame = [0] + target
+        assert np.array_equal(gathered.m, full.m[np.ix_(frame, frame)])
+        assert np.array_equal(gathered.m,
+                              reference_close(gathered.m.copy()))
+
+    @given(zone=canonical_zones(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_extrapolation_reports_every_change(self, zone, data):
+        """ExtraM returns True iff it changed a bound; a no-op (False)
+        leaves the canonical matrix untouched, so the closure the explorer
+        then skips would not have changed it either."""
+        maxima = [0] + data.draw(st.lists(
+            st.integers(0, 40), min_size=zone.n, max_size=zone.n))
+        before = zone.m.copy()
+        changed = zone.extrapolate(maxima)
+        assert changed == (not np.array_equal(zone.m, before))
+        if not changed:
+            assert np.array_equal(zone.canonicalize().m, before)
+
+    def test_extrapolation_no_op_and_change(self):
+        z = zero_zone(2).up()
+        z.constrain_upper(1, 5, strict=False)
+        before = z.m.copy()
+        assert not z.extrapolate([0, 10, 10])
+        assert np.array_equal(z.m, before)
+        assert z.extrapolate([0, 3, 10])         # x1 <= 5 exceeds M(x1) = 3
+        assert z.clock_bounds(1) == (0, None)

@@ -19,6 +19,7 @@ JSON-payload mismatch here.
 
 import json
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,12 @@ from hypothesis import strategies as st
 
 from repro.core.batchsim import run_batch
 from repro.core.circuit import fresh_circuit
-from repro.core.errors import PylseError, SimulationError
+from repro.core.errors import (
+    PriorInputViolation,
+    PylseError,
+    SimulationError,
+    TransitionTimeViolation,
+)
 from repro.core.helpers import inp, inp_at
 from repro.core.montecarlo import measure_yield
 from repro.core.simulation import (
@@ -235,6 +241,40 @@ class TestDrainLoopsAgree:
                     assert obs.chain(label, occurrence) == ref_obs.chain(
                         label, occurrence
                     )
+
+    def test_violations_identical(self):
+        """Inputs a few ps apart land inside setup and hold windows.
+
+        Both drains must then stop at the same pulse group with the same
+        error and causal chain, or agree on every event when the circuit
+        survives. The count guard keeps the case seeing violations of
+        both kinds: a drain that skips the past-constraint check, or that
+        never updates Theta, passes the widely spaced circuits above.
+        """
+        kinds = ("dro", "dro", "m", "s", "jtl")   # DRO: setup and hold
+        raised = {PriorInputViolation: 0, TransitionTimeViolation: 0}
+        for seed in range(80):
+            circuit = build_random_circuit(
+                seed, n_inputs=3 + seed % 3, n_cells=4 + seed % 7,
+                kinds=kinds, spacing=0.3 * (seed % 7),
+            )
+            outcomes = []
+            for run in (run_oracle, partial(run_drain, record=False),
+                        partial(run_drain, record=True)):
+                try:
+                    events, obs = run(circuit)
+                except SimulationError as err:
+                    outcomes.append((type(err), str(err), err.provenance))
+                else:
+                    outcomes.append((
+                        events, obs.graph.to_jsonable(),
+                        obs.metrics.to_jsonable(),
+                    ))
+            assert outcomes[1] == outcomes[0], seed
+            assert outcomes[2] == outcomes[0], seed
+            if isinstance(outcomes[0][0], type):
+                raised[outcomes[0][0]] += 1
+        assert min(raised.values()) >= 5, raised
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

@@ -29,16 +29,20 @@ ASYNC_KINDS = ("jtl", "s", "m", "c", "c_inv")
 
 
 def build_random_circuit(seed: int, n_inputs: int, n_cells: int,
-                         kinds=ASYNC_KINDS, jtl_delays: bool = False):
+                         kinds=ASYNC_KINDS, jtl_delays: bool = False,
+                         spacing: float = 120.0):
     """Deterministically build a random acyclic circuit.
 
     ``kinds`` may also name ``"dro"``, whose second operand drives its clk
-    port; ``jtl_delays`` gives every JTL a random firing delay.
+    port; ``jtl_delays`` gives every JTL a random firing delay. Input ``k``
+    pulses once at ``40 + spacing * k`` ps: the default keeps every pulse
+    clear of every setup and hold window, a spacing of a few ps lands
+    pulses inside them.
     """
     rng = stdlib_random.Random(seed)
     with fresh_circuit() as circuit:
         pool = [
-            inp_at(40.0 + 120.0 * k, name=f"in{k}")
+            inp_at(40.0 + spacing * k, name=f"in{k}")
             for k in range(n_inputs)
         ]
         for _ in range(n_cells):
