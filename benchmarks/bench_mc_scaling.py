@@ -4,11 +4,12 @@ Three MC axes in one file:
 
 * model-checker scaling — symbolic states vs input-schedule length on the
   AND cell (the paper's Table 3 'States' column, swept);
-* Monte-Carlo yield scaling — a 200-seed Section 5.2 sweep of the bitonic-8
+* Monte-Carlo yield scaling — a 512-seed Section 5.2 sweep of the bitonic-8
   sorter, sequential (``workers=1``, the reference path) vs the
   persistent-pool :class:`~repro.core.parallel.YieldEngine`
-  (``workers=4``); results are bit-identical either way;
-* amortized multi-call scaling — the same 200 seeds swept at four sigma
+  (``workers=4``); results are bit-identical either way. 512 seeds are
+  two 256-lane batched passes, so ``workers=4`` takes the pool;
+* amortized multi-call scaling — the same 512 seeds swept at four sigma
   levels through one engine, the ``yield_curve`` / ``critical_sigma``
   usage pattern the engine exists for: pool startup is paid once and
   amortized over every call.
@@ -23,7 +24,7 @@ import pytest
 from repro.core.circuit import fresh_circuit
 from repro.core.helpers import inp, inp_at
 from repro.core.montecarlo import measure_yield, yield_curve
-from repro.core.parallel import YieldEngine, available_cpus
+from repro.core.parallel import available_cpus, shutdown_default_engines
 from repro.designs import bitonic_sorter
 from repro.mc import ModelChecker
 from repro.sfq import and_s
@@ -31,7 +32,7 @@ from repro.ta import no_error_query, translate_circuit
 
 MC_SORT_TIMES = (20.0, 70.0, 10.0, 45.0, 5.0, 90.0, 33.0, 60.0)
 MC_SIGMA = 0.5
-MC_SEEDS = 200
+MC_SEEDS = 512
 MC_AMORTIZED_SIGMAS = (0.2, 0.4, 0.6, 0.8)
 
 #: ``workers=4`` only makes sense with >= 2 CPUs; skipping keeps 1-CPU
@@ -62,14 +63,16 @@ def bitonic8_ok(events):
     "workers", [1, pytest.param(4, marks=NEEDS_MULTI_CPU)]
 )
 def test_mc_yield_workers(benchmark, workers):
-    """One cold 200-seed call: includes pool startup for ``workers=4``."""
+    """One cold 512-seed call: includes pool startup for ``workers=4``."""
 
     def sweep():
-        with YieldEngine(workers=workers) as engine:
+        try:
             return measure_yield(
                 bitonic8_factory, bitonic8_ok, sigma=MC_SIGMA,
-                seeds=range(MC_SEEDS), workers=workers, engine=engine,
+                seeds=range(MC_SEEDS), workers=workers,
             )
+        finally:
+            shutdown_default_engines()
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert result.runs == MC_SEEDS
@@ -80,7 +83,7 @@ def test_mc_yield_workers(benchmark, workers):
     "workers", [1, pytest.param(4, marks=NEEDS_MULTI_CPU)]
 )
 def test_mc_amortized(benchmark, workers):
-    """200 seeds x 4 sigma levels through one persistent engine.
+    """512 seeds x 4 sigma levels through one persistent engine.
 
     The multi-call pattern (``yield_curve``, ``critical_sigma``): one
     pool, created inside the timed region, reused by every sigma level.
@@ -89,11 +92,13 @@ def test_mc_amortized(benchmark, workers):
     """
 
     def sweep():
-        with YieldEngine(workers=workers) as engine:
+        try:
             return yield_curve(
                 bitonic8_factory, bitonic8_ok, sigmas=MC_AMORTIZED_SIGMAS,
-                seeds=range(MC_SEEDS), workers=workers, engine=engine,
+                seeds=range(MC_SEEDS), workers=workers,
             )
+        finally:
+            shutdown_default_engines()
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert [r.sigma for r in results] == list(MC_AMORTIZED_SIGMAS)

@@ -132,8 +132,6 @@ def cmd_yield(args) -> int:
             seeds=range(args.seeds),
             workers=args.workers,
             collect_stats=collect_stats,
-            engine=args.engine,
-            min_seeds_parallel=args.min_seeds_parallel,
             batch=args.batch,
         )
     except PylseError as err:
@@ -141,7 +139,7 @@ def cmd_yield(args) -> int:
         return 1
     print(f"Monte-Carlo yield for {entry.name}:")
     print(f"  sigma: {result.sigma:g} ps, runs: {result.runs}")
-    print(f"  workers: {args.workers}, engine: {args.engine}")
+    print(f"  workers: {args.workers}")
     print(f"  passed: {result.passed}  mis-behaved: {result.mis_behaved}  "
           f"violations: {result.violations}")
     print(f"  yield: {result.yield_fraction:.1%}")
@@ -395,18 +393,10 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, default=50,
                    help="number of Monte-Carlo trials (default 50)")
     p.add_argument("--workers", type=int, default=1,
-                   help="process-pool workers; 0 = one per CPU (default 1)")
-    p.add_argument("--engine", choices=["auto", "pool", "serial"],
-                   default="auto",
-                   help="execution backend: 'auto' (persistent pool with "
-                        "adaptive serial fallback when the sweep is too "
-                        "small to amortize pool overhead), 'pool' (force "
-                        "the process pool), 'serial' (force the in-process "
-                        "reference path); default auto")
-    p.add_argument("--min-seeds-parallel", type=int, default=None,
-                   metavar="N",
-                   help="never use the pool for sweeps with fewer than N "
-                        "seeds (default: 2 x workers, adaptive)")
+                   help="process-pool workers; 0 = one per CPU (default 1). "
+                        "The pool runs only sweeps of more seeds than one "
+                        "batched pass holds (see --batch); smaller sweeps "
+                        "run in-process")
     p.add_argument("--batch", type=int, default=None, metavar="N",
                    help="vectorized-drain lane width: N seeds per batched "
                         "event-loop pass; 0 disables batching (per-seed "

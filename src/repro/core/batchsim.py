@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._np import np
 from .errors import PylseError, SimulationError
-from .ir import CompiledCircuit, compile_circuit, dispatch_arrays
+from .ir import CompiledCircuit, compile_circuit
 from .timing import (
     Distribution,
     Normal,
@@ -535,8 +535,6 @@ def _drain(
     n = noise.n
     nodes = compiled.nodes
     labels = compiled.labels
-    arrays = dispatch_arrays(compiled)
-    node_key = arrays.node_key
     result = _DrainResult(n)
     if collect_stats:
         result.stats_groups = []
@@ -552,18 +550,21 @@ def _drain(
                 cause[lane] = why
 
     # -- static per-node lookups (cheap; rebuilt per drain) -------------
+    # port -> (dest index, dest heap key, dest port, wire label); the
+    # heap key is the consuming node's placement id (-1: circuit output).
     num = len(nodes)
-    out_slots: List[Optional[dict]] = [None] * num
-    for index in range(num):
-        slots = {}
-        for s in arrays.slots(index):
-            slots[arrays.out_port[s]] = (
-                arrays.out_dest[s],
-                arrays.out_dest_key[s],
-                arrays.out_dest_port[s],
-                labels[arrays.out_wire[s]],
+    out_slots = [
+        {
+            o.port: (
+                o.dest,
+                nodes[o.dest].node_id if o.dest >= 0 else -1,
+                o.dest_port,
+                labels[o.wire_id],
             )
-        out_slots[index] = slots
+            for o in nd.outs
+        }
+        for nd in compiled.dispatch
+    ]
 
     # -- noise: pre-draw every node that can draw a normal, in one call -
     applies = spec.applies_by_node(compiled)
@@ -599,7 +600,7 @@ def _drain(
                 acc.append(float(t))
                 result.input_pulses += 1
             continue
-        dkey = node_key[o.dest]
+        dkey = nodes[o.dest].node_id
         for t in node.element.times:  # type: ignore[attr-defined]
             t = float(t)
             acc.append(t)

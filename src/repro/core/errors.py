@@ -48,6 +48,10 @@ class SimulationError(PylseError):
     #: or None when no observer was attached.
     provenance = None
 
+    #: Name of the node whose dispatch raised the error, or None when the
+    #: error was not raised while dispatching to a node.
+    node = None
+
 
 class TransitionTimeViolation(SimulationError):
     """An input pulse arrived while the machine was still transitioning.

@@ -764,9 +764,9 @@ def result_cache_key(
       folds in element behavior, wiring, overrides, and input schedules;
     * ``sigma`` and the contiguous seed range ``seed0 .. seed0 + n_seeds``.
 
-    ``workers``, the engine policy and ``batch`` are deliberately **not**
-    part of the key: every backend path, batched or per-seed, is
-    bit-identical for the same seed list (the determinism contract of
+    ``workers`` and ``batch`` are deliberately **not** part of the key:
+    every backend path, batched or per-seed, is bit-identical for the
+    same seed list (the determinism contract of
     :mod:`repro.core.parallel` and :mod:`repro.core.batchsim`), and the
     stored document omits the backend diagnostics, so a result computed
     one way may be served to a request for another.
@@ -821,68 +821,3 @@ def lint_cache_key(
         max_states,
         None if time_limit is None else float(time_limit),
     )
-
-
-# ----------------------------------------------------------------------
-# Dense dispatch arrays (structure-of-arrays view for batched drains)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DispatchArrays:
-    """Flat structure-of-arrays view of the dispatch topology.
-
-    The per-node :class:`NodeDispatch`/:class:`OutSpec` records are the
-    object-shaped view ``simulate()`` walks; the batched Monte-Carlo drain
-    (:mod:`repro.core.batchsim`) instead wants every successor decision as
-    positional lookups over dense ids. Output ports are laid out CSR-style:
-    node ``i``'s output slots are ``out_start[i] .. out_start[i + 1]``, and
-    slot ``s`` routes port ``out_port[s]`` over wire ``out_wire[s]`` to
-    dense node ``out_dest[s]`` (or ``-1`` for a circuit output).
-
-    ``node_key[i]`` is the node's global placement id — the heap grouping
-    key both drains order simultaneous pulse groups by — and
-    ``out_dest_key[s]`` is the same for the consuming node, so a batched
-    push never touches a ``Node`` object.
-    """
-
-    node_key: Tuple[int, ...]
-    out_start: Tuple[int, ...]
-    out_port: Tuple[str, ...]
-    out_wire: Tuple[int, ...]
-    out_dest: Tuple[int, ...]
-    out_dest_key: Tuple[int, ...]
-    out_dest_port: Tuple[str, ...]
-
-    def slots(self, index: int) -> range:
-        """The CSR slot range of node ``index``'s output ports."""
-        return range(self.out_start[index], self.out_start[index + 1])
-
-
-def dispatch_arrays(compiled: CompiledCircuit) -> DispatchArrays:
-    """The (memoized) dense successor/port arrays of a compiled circuit."""
-    arrays = compiled._cache.get("dispatch_arrays")
-    if arrays is None:
-        node_key = tuple(node.node_id for node in compiled.nodes)
-        out_start = [0]
-        out_port: List[str] = []
-        out_wire: List[int] = []
-        out_dest: List[int] = []
-        out_dest_key: List[int] = []
-        out_dest_port: List[str] = []
-        for nd in compiled.dispatch:
-            for o in nd.outs:
-                out_port.append(o.port)
-                out_wire.append(o.wire_id)
-                out_dest.append(o.dest)
-                out_dest_key.append(node_key[o.dest] if o.dest >= 0 else -1)
-                out_dest_port.append(o.dest_port)
-            out_start.append(len(out_port))
-        arrays = compiled._cache["dispatch_arrays"] = DispatchArrays(
-            node_key=node_key,
-            out_start=tuple(out_start),
-            out_port=tuple(out_port),
-            out_wire=tuple(out_wire),
-            out_dest=tuple(out_dest),
-            out_dest_key=tuple(out_dest_key),
-            out_dest_port=tuple(out_dest_port),
-        )
-    return arrays

@@ -21,7 +21,6 @@ from .parallel import (
     MIS_BEHAVED,
     OK,
     VIOLATION,
-    YieldEngine,
     default_engine,
     merge_stats,
     resolve_workers,
@@ -69,13 +68,6 @@ class YieldResult:
         return self.passed / self.runs if self.runs else 0.0
 
 
-#: How to execute a sweep: an explicit :class:`YieldEngine`, a policy
-#: string (``"auto"`` — adaptive engine when ``workers > 1``; ``"pool"``
-#: — force the process pool; ``"serial"`` — force the in-process
-#: reference path), or ``None`` (same as ``"auto"``).
-EngineSpec = Union[YieldEngine, str, None]
-
-
 def measure_yield(
     factory: CircuitFactory,
     predicate: Predicate,
@@ -83,8 +75,6 @@ def measure_yield(
     seeds: Sequence[int] = tuple(range(50)),
     workers: int = 1,
     collect_stats: bool = False,
-    engine: EngineSpec = None,
-    min_seeds_parallel: Optional[int] = None,
     batch: Union[int, str, None] = None,
 ) -> YieldResult:
     """Run the design once per seed at the given noise level.
@@ -98,23 +88,18 @@ def measure_yield(
     by seed, so a duplicate would silently overwrite an earlier outcome —
     duplicates are rejected up front instead.
 
-    ``workers`` shards the seed list across a persistent process pool
-    (:class:`repro.core.parallel.YieldEngine`): ``1`` (the default) is the
+    ``workers`` is the process-pool size: ``1`` (the default) is the
     in-process reference path, ``None``/``0`` means one worker per CPU.
-    Repeated calls with the same worker count reuse one cached engine —
-    and therefore one warm pool — so sweeps like :func:`yield_curve` and
-    :func:`critical_sigma` amortize pool startup across calls. Parallel
-    runs are bit-identical to sequential ones for the same seed list, but
-    require ``factory`` and ``predicate`` to be picklable (module-level
-    callables).
-
-    ``engine`` selects the backend: a :class:`YieldEngine` instance (its
-    pool is reused across calls; the ``workers`` argument is then
-    ignored), ``"auto"``/``None`` (cached default engine, adaptive serial
-    fallback for sweeps too small to amortize pool overhead), ``"pool"``
-    (force the process pool), or ``"serial"`` (force the sequential
-    reference path). ``min_seeds_parallel`` overrides the adaptive
-    engine's floor: seed lists shorter than it never use the pool.
+    With ``workers > 1`` the sweep runs on the cached
+    :func:`~repro.core.parallel.default_engine` for that worker count,
+    which uses its pool only when the seeds need more than one batched
+    pass (more seeds than the ``batch`` lane width: above 256 at the
+    default width, or two or more with ``batch=0``) and otherwise runs
+    in-process. Repeated calls reuse one warm pool, so sweeps like
+    :func:`yield_curve` and :func:`critical_sigma` pay pool startup once.
+    Every backend gives bit-identical results for the same seed list;
+    ``workers > 1`` requires ``factory`` and ``predicate`` to be
+    picklable (module-level callables), whatever the sweep size.
 
     ``collect_stats=True`` attaches a metrics-only observer
     (:mod:`repro.obs`) to every run and puts the seed-order aggregate on
@@ -144,33 +129,15 @@ def measure_yield(
             "earlier outcome)"
         )
     workers = resolve_workers(workers)
-    policy: Optional[str] = None
-    resolved_engine: Optional[YieldEngine] = None
-    if isinstance(engine, YieldEngine):
-        resolved_engine = engine
-    elif engine in (None, "auto", "pool"):
-        policy = None if engine in (None, "auto") else "pool"
-        if workers > 1 and len(seeds) > 1:
-            resolved_engine = default_engine(workers)
-    elif engine != "serial":
-        raise PylseError(
-            f"unknown engine {engine!r}: expected a YieldEngine instance, "
-            "'auto', 'pool', 'serial', or None"
-        )
     stats: Optional["SimMetrics"]
     report: BatchReport
-    if resolved_engine is not None:
-        outcomes, stats = resolved_engine.run(
-            factory,
-            predicate,
-            sigma,
-            seeds,
-            collect_stats=collect_stats,
-            policy=policy,
-            min_seeds_parallel=min_seeds_parallel,
+    if workers > 1:
+        engine = default_engine(workers)
+        outcomes, stats = engine.run(
+            factory, predicate, sigma, seeds, collect_stats=collect_stats,
             batch=batch,
         )
-        report = resolved_engine.last_report
+        report = engine.last_report
     else:
         # Elaborate + compile once, then drain all seeds through the
         # vectorized batched loop (element-wise identical to per-seed
@@ -220,19 +187,17 @@ def yield_curve(
     sigmas: Sequence[float],
     seeds: Sequence[int] = tuple(range(25)),
     workers: int = 1,
-    engine: EngineSpec = None,
     batch: Union[int, str, None] = None,
 ) -> List[YieldResult]:
     """Yield at each noise level, for plotting or tabulation.
 
-    With ``workers > 1`` every sigma level reuses the same warm worker
-    pool (one engine, one pool, many calls); pass an explicit ``engine``
-    to control its lifetime. ``batch`` is forwarded to every
-    :func:`measure_yield` (the vectorized-drain lane width).
+    ``workers`` and ``batch`` are forwarded to every
+    :func:`measure_yield`; with ``workers > 1`` every sigma level that
+    reaches the pool reuses the same warm one.
     """
     return [
         measure_yield(factory, predicate, s, seeds, workers=workers,
-                      engine=engine, batch=batch)
+                      batch=batch)
         for s in sigmas
     ]
 
@@ -245,7 +210,6 @@ def critical_sigma(
     seeds: Sequence[int] = tuple(range(20)),
     iterations: int = 6,
     workers: int = 1,
-    engine: EngineSpec = None,
     batch: Union[int, str, None] = None,
     measure: Optional[Callable[..., YieldResult]] = None,
 ) -> Optional[float]:
@@ -254,10 +218,10 @@ def critical_sigma(
     Returns None if the design already fails at sigma = 0 (a functional
     bug, not a robustness limit); returns ``sigma_hi`` if the design still
     meets the target there (more robust than the search range).
-    ``workers`` and ``engine`` are forwarded to every underlying
+    ``workers`` and ``batch`` are forwarded to every underlying
     :func:`measure_yield`; with ``workers > 1`` all bisection iterations
-    share one warm worker pool (exactly one pool is created for the whole
-    search).
+    that reach the pool share one warm one (at most one pool is created
+    for the whole search).
 
     ``measure`` swaps the per-sigma measurement for a drop-in replacement
     with :func:`measure_yield`'s signature. The yield service
@@ -271,8 +235,7 @@ def critical_sigma(
 
     def sample(sigma: float) -> float:
         return measure_fn(
-            factory, predicate, sigma, seeds, workers=workers, engine=engine,
-            batch=batch,
+            factory, predicate, sigma, seeds, workers=workers, batch=batch,
         ).yield_fraction
 
     if sample(0.0) < target_yield:

@@ -14,19 +14,22 @@ The pool lives inside a :class:`YieldEngine`, which is built to be
 parallel run and kept warm across every subsequent ``measure_yield`` /
 ``yield_curve`` / ``critical_sigma`` call that uses the same engine (the
 module-level :func:`default_engine` cache, keyed by worker count, makes
-this automatic). Three costs are amortized away:
+this automatic). Two costs are amortized away:
 
 * ``factory`` and ``predicate`` are shipped to each worker **once**, via
   the pool ``initializer``, instead of being pickled into every chunk;
 * each worker elaborates the circuit **once** and re-simulates it per
   seed (placed cells are immutable and every run's state lives in the
   drain, so a re-run is bit-identical to a fresh elaboration —
-  ``tests/test_determinism.py`` locks this);
-* an adaptive serial fallback runs small sweeps in-process when the
-  estimated work (seeds x a per-task calibrated per-seed cost) cannot
-  amortize pool overhead, so parallel mode is never a pessimization. The
-  calibration seed is itself a one-seed :func:`run_chunk`, so its outcome
-  is kept.
+  ``tests/test_determinism.py`` locks this).
+
+One rule picks the backend: a sweep uses the pool only when
+``workers > 1`` and its seeds need more than one batched pass — more
+seeds than the lane width :func:`~repro.core.batchsim.resolve_batch`
+gives (more than 256 seeds at the default width, or two or more seeds
+with ``batch=0``). A sweep that fits one pass runs in-process, where it
+is a single vectorized drain. The pool hands each worker one contiguous
+chunk.
 
 Robustness: a worker crash (``BrokenProcessPool``) triggers a loud
 warning, one retry on a fresh pool, and — if that also fails — graceful
@@ -39,8 +42,7 @@ in chunk order, so the outcome sequence and the seed-order stats fold
 (:func:`merge_stats`) — and therefore every
 :class:`~repro.core.montecarlo.YieldResult` field, including the
 insertion order of the ``failures`` dict — are bit-identical on every
-backend path (serial, warm pool, cold pool, calibration prefix, crash
-degradation).
+backend path (serial, warm pool, cold pool, crash degradation).
 
 Process pools pickle their tasks, so ``factory`` and ``predicate`` must be
 module-level callables (or otherwise picklable objects); lambdas and
@@ -54,7 +56,6 @@ import atexit
 import os
 import pickle
 import threading
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -74,6 +75,7 @@ from .batchsim import (  # outcome tokens re-exported for montecarlo
     OK,
     VIOLATION,
     BatchReport,
+    resolve_batch,
     run_batch,
 )
 from .errors import PylseError
@@ -99,8 +101,8 @@ def run_chunk(
     through :func:`~repro.core.batchsim.run_batch`. Returns its
     ``(outcomes, per_seed_stats, report)`` triple: outcomes in seed
     order, one fresh ``SimMetrics`` per seed when ``collect_stats`` (empty
-    otherwise), and the chunk's :class:`BatchReport`. This is the serial,
-    calibration and degraded path of every Monte-Carlo backend; pool
+    otherwise), and the chunk's :class:`BatchReport`. This is the serial
+    and degraded path of every Monte-Carlo backend; pool
     workers run the same ``run_batch`` against their pre-elaborated
     circuit (:func:`_engine_chunk`).
 
@@ -185,18 +187,16 @@ def chunk_seeds(seeds: Sequence[int], chunks: int) -> List[Sequence[int]]:
     return out
 
 
-def _pickle_task(factory, predicate, required: bool) -> Optional[bytes]:
-    """The task's pickle: the pool's identity key and the cost-model key.
+def _pickle_task(factory, predicate) -> bytes:
+    """The task's pickle: the pool's identity key.
 
-    An unpicklable task still runs in-process (``None``: no cost memo),
-    but is rejected up front with a clear error whenever the pool is a
-    possibility, instead of failing mid-pool.
+    Taken whenever ``workers > 1``, even for a sweep small enough to run
+    in-process, so an unpicklable task is rejected with a clear error at
+    every sweep size instead of only once a sweep grows onto the pool.
     """
     try:
         return pickle.dumps((factory, predicate))
     except Exception as err:
-        if not required:
-            return None
         raise PylseError(
             "Parallel Monte-Carlo needs a picklable factory and predicate "
             "(module-level functions, not lambdas or closures) so they can "
@@ -229,24 +229,6 @@ def _check_chunk(
 # ----------------------------------------------------------------------
 # The persistent YieldEngine
 # ----------------------------------------------------------------------
-
-#: Estimated pool startup cost per worker process (interpreter fork/spawn
-#: plus one circuit elaboration in the initializer). Deliberately
-#: conservative: over-estimating keeps small sweeps on the serial path,
-#: which is the "never slower than sequential" invariant.
-POOL_STARTUP_PER_WORKER_S = 0.030
-
-#: Estimated per-call dispatch overhead when the pool is already warm
-#: (future plumbing + chunk/result pickling of outcome tokens).
-WARM_DISPATCH_OVERHEAD_S = 0.005
-
-#: Required predicted advantage before the pool is chosen: estimated pool
-#: time must be below this fraction of the estimated serial time.
-PARALLEL_MARGIN = 0.9
-
-#: Weight of the newest per-seed cost sample in the per-task EWMA.
-COST_EWMA_WEIGHT = 0.5
-
 
 class _WorkerContext:
     """Per-worker-process task state, installed by the pool initializer."""
@@ -316,14 +298,11 @@ class YieldEngine:
 
         with YieldEngine(workers=4) as engine:
             for sigma in sigmas:
-                measure_yield(factory, ok, sigma, seeds, engine=engine)
+                outcomes, stats = engine.run(factory, ok, sigma, seeds)
 
-    ``adaptive=True`` (default) calibrates the per-seed cost on the first
-    seed of each call (classified in-process, so its outcome is free) and
-    falls back to in-process :func:`run_chunk` whenever the estimated
-    pool time — startup or dispatch overhead plus work divided by worker
-    count — is not comfortably below the estimated serial time. Pass
-    ``adaptive=False`` (or ``policy="pool"`` per call) to force the pool.
+    :meth:`run` uses the pool only for a sweep that needs more than one
+    batched pass (see the module docstring); smaller sweeps run
+    in-process through :func:`run_chunk`.
 
     Concurrent :meth:`run` calls from different threads serialize on an
     internal lock (one pool, one in-flight sweep at a time), so a single
@@ -340,22 +319,8 @@ class YieldEngine:
     per-cause divergence tallies).
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        chunks_per_worker: int = 4,
-        min_seeds_parallel: Optional[int] = None,
-        adaptive: bool = True,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         self.workers = resolve_workers(workers)
-        if chunks_per_worker < 1:
-            raise PylseError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
-        self.chunks_per_worker = chunks_per_worker
-        self.min_seeds_parallel = min_seeds_parallel
-        self.adaptive = adaptive
         self.pools_created = 0
         self.fallbacks = 0
         self.last_backend: Optional[str] = None
@@ -363,11 +328,10 @@ class YieldEngine:
         self.parallel_disabled = False
         self.closed = False
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Serializes run() across threads: the pool, the cost model, and
-        #: the last_* observability fields are all single-sweep state.
+        #: Serializes run() across threads: the pool and the last_*
+        #: observability fields are single-sweep state.
         self._run_lock = threading.RLock()
         self._task_key: Optional[bytes] = None
-        self._cost_by_task: Dict[bytes, float] = {}
         #: task blob -> pool-initializer payload (compiled design when the
         #: circuit pickles, factory fallback otherwise), built at most once
         #: per task so repeated runs never re-elaborate in the parent.
@@ -441,27 +405,18 @@ class YieldEngine:
         sigma: float,
         seeds: Sequence[int],
         collect_stats: bool = False,
-        policy: Optional[str] = None,
-        min_seeds_parallel: Optional[int] = None,
         batch: Union[int, str, None] = None,
     ) -> Tuple[List[str], Optional["SimMetrics"]]:
         """Classify every seed; returns ``(outcomes, merged_stats_or_None)``.
 
-        ``policy`` overrides the adaptive choice for this call:
-        ``"pool"`` forces the process pool, ``"serial"`` forces
-        in-process :func:`run_chunk`, ``None`` lets the engine decide.
-        ``min_seeds_parallel`` overrides the engine-level floor below
-        which the pool is never considered. ``batch`` is the batched-drain
-        lane width each worker uses per chunk (``None``/``"auto"`` picks
-        it, ``0`` disables batching); the run's merged
+        ``batch`` is the batched-drain lane width (``None``/``"auto"``
+        picks it, ``0`` disables batching). It also picks the backend: the
+        pool runs a sweep of more seeds than one batched pass holds, on
+        an engine with more than one worker; anything smaller runs
+        in-process. The run's merged
         :class:`~repro.core.batchsim.BatchReport` lands on
         ``self.last_report``.
         """
-        if policy not in (None, "pool", "serial"):
-            raise PylseError(
-                f"unknown engine policy {policy!r}: expected 'pool', "
-                "'serial', or None"
-            )
         with self._run_lock:
             if self.closed:
                 raise PylseError("YieldEngine is closed; create a new one")
@@ -469,96 +424,21 @@ class YieldEngine:
             self.last_report = BatchReport()
             if not seeds:
                 return [], None
-            serial = (
-                policy == "serial"
-                or self.workers <= 1
-                or len(seeds) < 2
-                or self.parallel_disabled
+            if self.workers > 1 and len(seeds) > 1:
+                task_blob = _pickle_task(factory, predicate)
+                if not self.parallel_disabled and len(seeds) > resolve_batch(
+                    batch, len(seeds)
+                ):
+                    return self._run_pool(task_blob, factory, predicate,
+                                          sigma, seeds, collect_stats, batch)
+            self.last_backend = "serial"
+            outcomes, per_seed, self.last_report = run_chunk(
+                factory, predicate, sigma, seeds, batch=batch,
+                collect_stats=collect_stats,
             )
-            # Pickled once per run: the pool's task identity and the cost
-            # model's key. Unpicklable tasks are rejected only when the
-            # pool is a possibility.
-            task_blob = _pickle_task(factory, predicate, required=not serial)
-            if serial:
-                return self._run_serial(task_blob, factory, predicate, sigma,
-                                        seeds, collect_stats, batch)
-            if policy == "pool" or not self.adaptive:
-                return self._run_pool(task_blob, factory, predicate, sigma,
-                                      seeds, collect_stats, batch)
-            return self._run_adaptive(
-                task_blob, factory, predicate, sigma, seeds, collect_stats,
-                batch, min_seeds_parallel,
-            )
+            return outcomes, merge_stats(per_seed)
 
     # -- backends ------------------------------------------------------
-    def _serial_chunk(
-        self, task_blob, factory, predicate, sigma, seeds, collect_stats,
-        batch,
-    ) -> Tuple[List[str], List["SimMetrics"]]:
-        """In-process :func:`run_chunk`, timing fed to the cost model."""
-        started = time.perf_counter()
-        outcomes, per_seed, report = run_chunk(
-            factory, predicate, sigma, seeds, batch=batch,
-            collect_stats=collect_stats,
-        )
-        self.last_report.merge(report)
-        self._update_cost(
-            task_blob, (time.perf_counter() - started) / len(seeds)
-        )
-        return outcomes, per_seed
-
-    def _run_serial(
-        self, task_blob, factory, predicate, sigma, seeds, collect_stats,
-        batch,
-    ) -> Tuple[List[str], Optional["SimMetrics"]]:
-        self.last_backend = "serial"
-        outcomes, per_seed = self._serial_chunk(
-            task_blob, factory, predicate, sigma, seeds, collect_stats, batch
-        )
-        return outcomes, merge_stats(per_seed)
-
-    def _run_adaptive(
-        self, task_blob, factory, predicate, sigma, seeds, collect_stats,
-        batch, min_seeds_parallel,
-    ) -> Tuple[List[str], Optional["SimMetrics"]]:
-        floor = min_seeds_parallel
-        if floor is None:
-            floor = self.min_seeds_parallel
-        if floor is None:
-            floor = 2 * self.workers
-        if len(seeds) < floor:
-            return self._run_serial(task_blob, factory, predicate, sigma,
-                                    seeds, collect_stats, batch)
-        # Calibrate on the first seed, in-process. Its outcome (and
-        # metrics) are kept, so calibration costs nothing extra and the
-        # cost estimate tracks the actual design being swept.
-        outcomes, per_seed = self._serial_chunk(
-            task_blob, factory, predicate, sigma, seeds[:1], collect_stats,
-            batch,
-        )
-        rest = seeds[1:]
-        est_serial = self._cost_by_task[task_blob] * len(rest)
-        warm = self._pool is not None and self._task_key == task_blob
-        overhead = (
-            WARM_DISPATCH_OVERHEAD_S
-            if warm
-            else POOL_STARTUP_PER_WORKER_S * self.workers
-        )
-        est_pool = overhead + est_serial / self.workers
-        if est_pool < est_serial * PARALLEL_MARGIN:
-            return self._run_pool(
-                task_blob, factory, predicate, sigma, rest, collect_stats,
-                batch, prefix_outcomes=outcomes, prefix_stats=per_seed,
-            )
-        self.last_backend = "serial"
-        rest_outcomes, rest_per_seed = self._serial_chunk(
-            task_blob, factory, predicate, sigma, rest, collect_stats, batch
-        )
-        # One fold over the full per-seed list keeps the association
-        # order exactly seed order (prefix aggregate + rest aggregate
-        # would associate the float sums differently).
-        return outcomes + rest_outcomes, merge_stats(per_seed + rest_per_seed)
-
     def _run_pool(
         self,
         task_blob: bytes,
@@ -568,16 +448,13 @@ class YieldEngine:
         seeds: Sequence[int],
         collect_stats: bool,
         batch: Union[int, str, None],
-        prefix_outcomes: Sequence[str] = (),
-        prefix_stats: Sequence["SimMetrics"] = (),
     ) -> Tuple[List[str], Optional["SimMetrics"]]:
-        """Pool execution with per-chunk retry-once and crash degradation."""
+        """Pool execution, one contiguous chunk per worker, with per-chunk
+        retry-once and crash degradation."""
         self.last_backend = "pool"
-        outcomes: List[str] = list(prefix_outcomes)
-        per_seed: List["SimMetrics"] = list(prefix_stats)
-        if not seeds:
-            return outcomes, merge_stats(per_seed)
-        chunks = chunk_seeds(seeds, self.workers * self.chunks_per_worker)
+        outcomes: List[str] = []
+        per_seed: List["SimMetrics"] = []
+        chunks = chunk_seeds(seeds, self.workers)
         retried = False
         index = 0
         futures: List = []
@@ -649,20 +526,6 @@ class YieldEngine:
             index += 1
         return outcomes, merge_stats(per_seed)
 
-    # -- cost model ----------------------------------------------------
-    def _update_cost(self, task_blob: Optional[bytes], sample: float) -> float:
-        """Fold a measured per-seed cost into the per-task EWMA."""
-        if task_blob is None:
-            return sample
-        previous = self._cost_by_task.get(task_blob)
-        cost = (
-            sample
-            if previous is None
-            else (1 - COST_EWMA_WEIGHT) * previous + COST_EWMA_WEIGHT * sample
-        )
-        self._cost_by_task[task_blob] = cost
-        return cost
-
 
 # ----------------------------------------------------------------------
 # Module-level default engines, keyed by worker count
@@ -693,6 +556,3 @@ def shutdown_default_engines() -> None:
 
 
 atexit.register(shutdown_default_engines)
-
-
-EnginePolicy = Union["YieldEngine", str, None]

@@ -498,9 +498,10 @@ class Simulation:
     ) -> None:
         """Re-raise a dispatch failure with node/port context attached.
 
-        When an observer recorded provenance, ``chain`` is the causal
-        chain of the offending pulse group; it is appended to the message
-        and kept on the raised error's ``provenance`` attribute.
+        The raised error names the node on its ``node`` attribute. When an
+        observer recorded provenance, ``chain`` is the causal chain of the
+        offending pulse group; it is appended to the message and kept on
+        the raised error's ``provenance`` attribute.
         """
         first_out = next(iter(node.output_wires.values()), None)
         where = f"'{first_out.name}'" if first_out is not None else "(no output)"
@@ -513,6 +514,7 @@ class Simulation:
             message += f"\nCausal chain:\n{chain}"
         wrapped = type(err)(message)
         wrapped.provenance = chain
+        wrapped.node = node.name
         raise wrapped from None
 
     # ------------------------------------------------------------------

@@ -609,33 +609,19 @@ def _dead_transitions(compiled: CompiledCircuit, result) -> List[DeadTransition]
 # ----------------------------------------------------------------------
 # PL403: reachable timing violations with witnesses
 # ----------------------------------------------------------------------
-_WIRE_RE = re.compile(r"output wire '([^']+)'")
-
-
-def _node_from_error(compiled: CompiledCircuit,
-                     err: BaseException) -> Optional[str]:
-    """The node a wrapped SimulationError points at, via its output wire."""
-    match = _WIRE_RE.search(str(err))
-    if match is None:
-        return None
-    wid = compiled.wire_index.get(match.group(1))
-    if wid is None:
-        return None
-    node_id, _ = compiled.wire_source[wid]
-    return compiled.nodes[node_id].name
-
-
-def _replay_once(circuit: Circuit, compiled: CompiledCircuit):
+def _replay_once(circuit: Circuit):
     """One observed replay of the circuit's own schedule.
 
     Returns ``(failing_node, error)`` — both ``None`` when the run
-    completes cleanly. The observer records provenance so a raised
-    violation carries the causal chain of the offending pulse group.
+    completes cleanly. The failing node is the one the simulator names on
+    the raised error (``SimulationError.node``); the observer records
+    provenance so a raised violation carries the causal chain of the
+    offending pulse group.
     """
     try:
         Simulation(circuit).simulate(observer=Observer())
     except SimulationError as err:
-        return _node_from_error(compiled, err), err
+        return err.node, err
     return None, None
 
 
@@ -673,7 +659,7 @@ def _timing_witnesses(
     violations = result.violations_for("query2")
     if not violations:
         return []
-    failing_node, replay_err = _replay_once(circuit, compiled)
+    failing_node, replay_err = _replay_once(circuit)
     witnesses: List[TimingWitness] = []
     seen = set()
     for violation in violations:

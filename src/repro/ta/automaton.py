@@ -190,12 +190,20 @@ class TANetwork:
     internal_channels: List[str] = field(default_factory=list)
     #: The never-reset global time clock (present in every network).
     global_clock: str = "global"
+    #: name -> automaton, kept beside ``automata`` by :meth:`add_automaton`.
+    _by_name: Dict[str, TimedAutomaton] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self._by_name = {ta.name: ta for ta in self.automata}
 
     def add_automaton(self, ta: TimedAutomaton) -> TimedAutomaton:
         ta.validate()
-        if any(existing.name == ta.name for existing in self.automata):
+        if ta.name in self._by_name:
             raise PylseError(f"Duplicate automaton name {ta.name!r}")
         self.automata.append(ta)
+        self._by_name[ta.name] = ta
         return ta
 
     def all_clocks(self) -> List[str]:
@@ -227,7 +235,7 @@ class TANetwork:
         return len(self.channels)
 
     def find(self, name: str) -> TimedAutomaton:
-        for ta in self.automata:
-            if ta.name == name:
-                return ta
-        raise PylseError(f"No automaton named {name!r}")
+        ta = self._by_name.get(name)
+        if ta is None:
+            raise PylseError(f"No automaton named {name!r}")
+        return ta

@@ -52,6 +52,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "workers: 2" in out
 
+    def test_yield_help_has_no_backend_knobs(self, capsys):
+        """--workers (with --batch) is the only backend control."""
+        with pytest.raises(SystemExit):
+            main(["yield", "--help"])
+        out = capsys.readouterr().out
+        assert "--workers" in out
+        assert "--engine" not in out and "--min-seeds-parallel" not in out
+
     def test_yield_stats(self, capsys):
         assert main(["yield", "Min-Max", "--sigma", "0.1", "--seeds", "3",
                      "--stats"]) == 0

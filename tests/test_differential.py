@@ -35,6 +35,7 @@ from repro.core.errors import (
 )
 from repro.core.helpers import inp, inp_at
 from repro.core.montecarlo import measure_yield
+from repro.core.parallel import default_engine
 from repro.core.simulation import (
     _REC_COUNTS,
     _REC_DELIVER,
@@ -300,9 +301,10 @@ class TestDrainLoopsAgree:
 class TestEngineMatchesSequential:
     """The pooled YieldEngine against the sequential reference path.
 
-    ``engine="pool"`` routes through the cached default engine, so every
-    example reuses the same warm pool and worker-resident circuits —
-    precisely the state-carryover surface a per-seed bug would hide in.
+    A ``batch`` width below the seed count puts ``workers=2`` on the pool
+    of the cached default engine, so every example reuses the same warm
+    pool and worker-resident circuits — precisely the state-carryover
+    surface a per-seed bug would hide in.
     """
 
     @given(
@@ -318,8 +320,9 @@ class TestEngineMatchesSequential:
         )
         pooled = measure_yield(
             minmax_factory, minmax_ok, sigma=sigma, seeds=seeds,
-            workers=2, engine="pool",
+            workers=2, batch=0,
         )
+        assert default_engine(2).last_backend == "pool"
         assert pooled == sequential
         assert list(pooled.failures.items()) == list(
             sequential.failures.items()
@@ -337,8 +340,9 @@ class TestEngineMatchesSequential:
         )
         pooled = measure_yield(
             minmax_factory, minmax_ok, sigma=sigma, seeds=range(n_seeds),
-            workers=2, engine="pool", collect_stats=True,
+            workers=2, batch=n_seeds - 1, collect_stats=True,
         )
+        assert default_engine(2).last_backend == "pool"
         assert (
             pooled.stats.to_jsonable() == sequential.stats.to_jsonable()
         )

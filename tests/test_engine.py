@@ -2,9 +2,11 @@
 
 Covers the engine-specific contracts on top of ``test_parallel.py``'s
 bit-identity suite: pool reuse (one pool across a whole bisection
-search), the adaptive serial fallback, crash degradation back to the
-sequential reference path, per-chunk retry-once, and stats determinism
-under the chunked engine.
+search), the backend rule (the pool only for sweeps that need more than
+one batched pass), crash degradation back to the sequential reference
+path, per-chunk retry-once, and stats determinism under the chunked
+engine. Every test reaches the pool through the rule itself: a ``batch``
+width below the seed count, or more seeds than one 256-lane pass.
 """
 
 import multiprocessing
@@ -85,6 +87,9 @@ def unpicklable_hole_factory() -> Circuit:
 
 @pytest.fixture(autouse=True)
 def _clean_default_engines():
+    # Tests read the cached default engine's counters: start each one
+    # from a fresh engine, whatever earlier test modules left behind.
+    shutdown_default_engines()
     yield
     shutdown_default_engines()
 
@@ -93,14 +98,14 @@ class TestPoolReuse:
     def test_critical_sigma_creates_exactly_one_pool(self):
         """The acceptance contract: every bisection iteration shares one
         warm pool."""
-        with YieldEngine(workers=2, adaptive=False) as engine:
-            value = critical_sigma(
-                minmax_factory, minmax_ok, target_yield=0.9,
-                sigma_hi=16.0, seeds=range(6), iterations=3,
-                workers=2, engine=engine,
-            )
-            assert engine.pools_created == 1
-            assert engine.last_backend == "pool"
+        value = critical_sigma(
+            minmax_factory, minmax_ok, target_yield=0.9,
+            sigma_hi=16.0, seeds=range(6), iterations=3,
+            workers=2, batch=2,
+        )
+        engine = default_engine(2)
+        assert engine.pools_created == 1
+        assert engine.last_backend == "pool"
         sequential = critical_sigma(
             minmax_factory, minmax_ok, target_yield=0.9,
             sigma_hi=16.0, seeds=range(6), iterations=3,
@@ -108,12 +113,11 @@ class TestPoolReuse:
         assert value == sequential
 
     def test_yield_curve_reuses_one_pool(self):
-        with YieldEngine(workers=2, adaptive=False) as engine:
-            curve = yield_curve(
-                minmax_factory, minmax_ok, sigmas=(0.0, 6.0, 12.0),
-                seeds=range(8), workers=2, engine=engine,
-            )
-            assert engine.pools_created == 1
+        curve = yield_curve(
+            minmax_factory, minmax_ok, sigmas=(0.0, 6.0, 12.0),
+            seeds=range(8), workers=2, batch=0,
+        )
+        assert default_engine(2).pools_created == 1
         assert curve == yield_curve(
             minmax_factory, minmax_ok, sigmas=(0.0, 6.0, 12.0),
             seeds=range(8),
@@ -124,12 +128,11 @@ class TestPoolReuse:
         payload, so the pool is rebuilt once."""
         from test_parallel import minmax_factory as other_factory
 
-        with YieldEngine(workers=2, adaptive=False) as engine:
-            measure_yield(minmax_factory, minmax_ok, 0.0, seeds=range(4),
-                          engine=engine)
-            measure_yield(other_factory, minmax_ok, 0.0, seeds=range(4),
-                          engine=engine)
-            assert engine.pools_created == 2
+        measure_yield(minmax_factory, minmax_ok, 0.0, seeds=range(4),
+                      workers=2, batch=0)
+        measure_yield(other_factory, minmax_ok, 0.0, seeds=range(4),
+                      workers=2, batch=0)
+        assert default_engine(2).pools_created == 2
 
     def test_default_engine_cached_by_worker_count(self):
         assert default_engine(2) is default_engine(2)
@@ -178,112 +181,138 @@ class TestInitBlobProtocol:
             assert predicate is minmax_ok
 
 
-class TestAdaptiveFallback:
-    def test_small_sweep_stays_serial(self):
-        """Below the floor no pool is ever spawned."""
-        with YieldEngine(workers=4) as engine:
-            result = measure_yield(
-                minmax_factory, minmax_ok, sigma=0.0, seeds=range(4),
-                engine=engine,
-            )
-            assert result.yield_fraction == 1.0
-            assert engine.pools_created == 0
-            assert engine.last_backend == "serial"
+def assert_identical(got, want, collect_stats=False):
+    """Outcomes, ``failures`` order and (optionally) stats JSON all match."""
+    assert got == want
+    assert list(got.failures.items()) == list(want.failures.items())
+    if collect_stats:
+        assert got.stats.to_jsonable() == want.stats.to_jsonable()
 
-    def test_min_seeds_parallel_override(self):
-        with YieldEngine(workers=2) as engine:
-            measure_yield(
-                minmax_factory, minmax_ok, sigma=0.0, seeds=range(30),
-                engine=engine, min_seeds_parallel=100,
-            )
-            assert engine.pools_created == 0
+
+class TestAdaptiveFallback:
+    """The backend adapts to the sweep size and nothing else: the pool
+    runs only when ``workers > 1`` and the seeds need more than one
+    batched pass (``len(seeds) > resolve_batch(batch, len(seeds))``);
+    every other sweep runs in-process through ``run_chunk``."""
+
+    def test_small_sweep_stays_serial(self):
+        result = measure_yield(
+            minmax_factory, minmax_ok, sigma=0.0, seeds=range(4), workers=4,
+        )
+        assert result.yield_fraction == 1.0
+        engine = default_engine(4)
+        assert engine.pools_created == 0
+        assert engine.last_backend == "serial"
 
     def test_cheap_task_stays_serial_even_above_floor(self):
-        """Min-Max costs ~0.2 ms/seed: 30 seeds cannot amortize a pool."""
-        with YieldEngine(workers=2) as engine:
-            result = measure_yield(
-                minmax_factory, minmax_ok, sigma=12.0, seeds=range(30),
-                engine=engine,
-            )
-            assert engine.pools_created == 0
-            assert engine.last_backend == "serial"
-        assert result == measure_yield(
-            minmax_factory, minmax_ok, sigma=12.0, seeds=range(30)
+        """A sweep of exactly one full pass (256 seeds at the default
+        width) stays in-process, however many workers are offered."""
+        result = measure_yield(
+            minmax_factory, minmax_ok, sigma=12.0, seeds=range(256),
+            workers=2,
         )
+        engine = default_engine(2)
+        assert engine.pools_created == 0
+        assert engine.last_backend == "serial"
+        assert_identical(result, measure_yield(
+            minmax_factory, minmax_ok, sigma=12.0, seeds=range(256)
+        ))
+
+    def test_sweep_above_one_pass_uses_pool(self):
+        """300 seeds need two 256-lane passes, so the pool runs them —
+        bit-identical to ``workers=1``, stats included."""
+        sequential = measure_yield(
+            minmax_factory, minmax_ok, sigma=12.0, seeds=range(300),
+            workers=1, collect_stats=True,
+        )
+        pooled = measure_yield(
+            minmax_factory, minmax_ok, sigma=12.0, seeds=range(300),
+            workers=2, collect_stats=True,
+        )
+        engine = default_engine(2)
+        assert engine.pools_created == 1
+        assert engine.last_backend == "pool"
+        assert sequential.failures  # the comparison covers real failures
+        assert_identical(pooled, sequential, collect_stats=True)
+
+    def test_unbatched_sweep_uses_pool(self):
+        """With ``batch=0`` every seed is its own pass: two or more seeds
+        take the pool."""
+        sequential = measure_yield(
+            minmax_factory, minmax_ok, sigma=12.0, seeds=range(4),
+            workers=1, collect_stats=True,
+        )
+        pooled = measure_yield(
+            minmax_factory, minmax_ok, sigma=12.0, seeds=range(4),
+            workers=2, collect_stats=True, batch=0,
+        )
+        assert default_engine(2).last_backend == "pool"
+        assert_identical(pooled, sequential, collect_stats=True)
+
+    def test_single_seed_never_pools(self):
+        measure_yield(minmax_factory, minmax_ok, sigma=12.0, seeds=[3],
+                      workers=2, batch=0)
+        engine = default_engine(2)
+        assert engine.pools_created == 0
+        assert engine.last_backend == "serial"
 
     def test_forced_pool_policy_overrides_adaptive(self):
+        """A lane width below the seed count is the way to put a small
+        sweep on the pool; one at or above it keeps the sweep serial."""
         with YieldEngine(workers=2) as engine:
-            result = measure_yield(
-                minmax_factory, minmax_ok, sigma=12.0, seeds=range(10),
-                engine=engine, min_seeds_parallel=0,
+            serial, _ = engine.run(
+                minmax_factory, minmax_ok, 12.0, range(10), batch=10
             )
-            serial_pools = engine.pools_created
-            outcomes, _ = engine.run(
-                minmax_factory, minmax_ok, 12.0, range(10), policy="pool"
+            assert (engine.pools_created, engine.last_backend) == (0, "serial")
+            pooled, _ = engine.run(
+                minmax_factory, minmax_ok, 12.0, range(10), batch=9
             )
-            assert engine.pools_created == serial_pools + 1
-        assert outcomes == [
-            result.failures.get(seed, "ok") for seed in range(10)
-        ]
+            assert (engine.pools_created, engine.last_backend) == (1, "pool")
+        assert pooled == serial == reference_chunk(
+            minmax_factory, minmax_ok, 12.0, range(10)
+        )[0]
 
     def test_serial_policy_never_pools(self):
-        with YieldEngine(workers=2, adaptive=False) as engine:
-            result = measure_yield(
-                minmax_factory, minmax_ok, sigma=12.0, seeds=range(20),
-                engine=engine, workers=2,
-            )
+        """A one-pass sweep stays in-process even with a warm pool."""
+        with YieldEngine(workers=2) as engine:
+            engine.run(minmax_factory, minmax_ok, 12.0, range(20), batch=5)
             assert engine.pools_created == 1
             outcomes, _ = engine.run(
-                minmax_factory, minmax_ok, 12.0, range(20), policy="serial"
+                minmax_factory, minmax_ok, 12.0, range(20)
             )
             assert engine.pools_created == 1  # unchanged
+            assert engine.last_backend == "serial"
         assert outcomes == reference_chunk(minmax_factory, minmax_ok, 12.0,
                                            range(20))[0]
-        assert result.runs == 20
-
-    def test_bad_policy_rejected(self):
-        with YieldEngine(workers=2) as engine:
-            with pytest.raises(PylseError, match="policy"):
-                engine.run(minmax_factory, minmax_ok, 0.0, range(4),
-                           policy="warp")
-
-    def test_bad_engine_string_rejected(self):
-        with pytest.raises(PylseError, match="unknown engine"):
-            measure_yield(minmax_factory, minmax_ok, 0.0, seeds=range(2),
-                          engine="hyperdrive")
 
 
 class TestStatsDeterminism:
     def test_stats_bit_identical_under_chunked_engine(self):
+        """Two chunks of two batched passes each, folded in seed order."""
         sequential = measure_yield(
             minmax_factory, minmax_ok, sigma=12.0, seeds=range(12),
             workers=1, collect_stats=True,
         )
-        with YieldEngine(workers=2, adaptive=False,
-                         chunks_per_worker=2) as engine:
-            parallel = measure_yield(
-                minmax_factory, minmax_ok, sigma=12.0, seeds=range(12),
-                workers=2, collect_stats=True, engine=engine,
-            )
-        assert parallel.stats.to_jsonable() == sequential.stats.to_jsonable()
-        assert parallel.stats.runs == 12
-        assert list(parallel.failures.items()) == list(
-            sequential.failures.items()
+        parallel = measure_yield(
+            minmax_factory, minmax_ok, sigma=12.0, seeds=range(12),
+            workers=2, collect_stats=True, batch=3,
         )
+        assert default_engine(2).last_backend == "pool"
+        assert parallel.stats.runs == 12
+        assert_identical(parallel, sequential, collect_stats=True)
 
     def test_adaptive_serial_stats_match_reference(self):
-        """The calibration-prefix + serial-rest path folds in seed order."""
+        """The in-process side of the rule folds stats in seed order."""
         sequential = measure_yield(
             minmax_factory, minmax_ok, sigma=12.0, seeds=range(10),
             workers=1, collect_stats=True,
         )
-        with YieldEngine(workers=2, min_seeds_parallel=0) as engine:
-            adaptive = measure_yield(
-                minmax_factory, minmax_ok, sigma=12.0, seeds=range(10),
-                workers=2, collect_stats=True, engine=engine,
-            )
-            assert engine.last_backend == "serial"  # too cheap to pool
-        assert adaptive.stats.to_jsonable() == sequential.stats.to_jsonable()
+        adaptive = measure_yield(
+            minmax_factory, minmax_ok, sigma=12.0, seeds=range(10),
+            workers=2, collect_stats=True,
+        )
+        assert default_engine(2).last_backend == "serial"  # one pass
+        assert_identical(adaptive, sequential, collect_stats=True)
 
 
 class TestDegradation:
@@ -292,27 +321,27 @@ class TestDegradation:
         sequential = measure_yield(
             minmax_factory, minmax_ok, sigma=12.0, seeds=range(20), workers=1
         )
-        with YieldEngine(workers=2, adaptive=False) as engine:
-            with pytest.warns(RuntimeWarning, match="retrying once"):
-                degraded = measure_yield(
-                    minmax_factory, crashing_predicate, sigma=12.0,
-                    seeds=range(20), workers=2, engine=engine,
-                )
-            assert engine.fallbacks == 1
-            assert engine.parallel_disabled
-            assert engine.last_backend == "degraded"
-            # retry-once spawned a second pool before giving up
-            assert engine.pools_created == 2
-            assert degraded == sequential
-
-            # Subsequent calls skip the pool entirely: no thrash.
-            again = measure_yield(
-                minmax_factory, crashing_predicate, sigma=12.0, seeds=range(20),
-                workers=2, engine=engine,
+        with pytest.warns(RuntimeWarning, match="retrying once"):
+            degraded = measure_yield(
+                minmax_factory, crashing_predicate, sigma=12.0,
+                seeds=range(20), workers=2, batch=0,
             )
-            assert engine.last_backend == "serial"
-            assert engine.pools_created == 2
-            assert again == sequential
+        engine = default_engine(2)
+        assert engine.fallbacks == 1
+        assert engine.parallel_disabled
+        assert engine.last_backend == "degraded"
+        # retry-once spawned a second pool before giving up
+        assert engine.pools_created == 2
+        assert degraded == sequential
+
+        # Subsequent calls skip the pool entirely: no thrash.
+        again = measure_yield(
+            minmax_factory, crashing_predicate, sigma=12.0, seeds=range(20),
+            workers=2, batch=0,
+        )
+        assert engine.last_backend == "serial"
+        assert engine.pools_created == 2
+        assert again == sequential
 
     @FORK_ONLY
     def test_crash_degradation_with_stats(self):
@@ -320,20 +349,18 @@ class TestDegradation:
             minmax_factory, minmax_ok, sigma=12.0, seeds=range(10),
             workers=1, collect_stats=True,
         )
-        with YieldEngine(workers=2, adaptive=False) as engine:
-            with pytest.warns(RuntimeWarning):
-                degraded = measure_yield(
-                    minmax_factory, crashing_predicate, sigma=12.0,
-                    seeds=range(10), workers=2, engine=engine,
-                    collect_stats=True,
-                )
+        with pytest.warns(RuntimeWarning):
+            degraded = measure_yield(
+                minmax_factory, crashing_predicate, sigma=12.0,
+                seeds=range(10), workers=2, batch=0, collect_stats=True,
+            )
         assert degraded.stats.to_jsonable() == sequential.stats.to_jsonable()
 
     def test_retry_once_recovers_without_degrading(self):
         """A transient failure costs one warning, not the pool."""
         from concurrent.futures.process import BrokenProcessPool
 
-        engine = YieldEngine(workers=2, adaptive=False, chunks_per_worker=1)
+        engine = YieldEngine(workers=2)
         blob = pickle.dumps(("factory", minmax_factory, minmax_ok))
         # Run the worker initializer in-process so the fake pool can
         # execute chunk tasks inline.
@@ -374,7 +401,7 @@ class TestDegradation:
         engine._ensure_pool = install_fake
         with pytest.warns(RuntimeWarning, match="retrying once"):
             outcomes, _ = engine.run(
-                minmax_factory, minmax_ok, 12.0, range(12)
+                minmax_factory, minmax_ok, 12.0, range(12), batch=0
             )
         assert not engine.parallel_disabled
         assert engine.fallbacks == 0
@@ -425,7 +452,3 @@ class TestWorkerReuseSemantics:
         assert sim.activity == {}
         again = sim.simulate(variability={"stddev": 3.0}, seed=7)
         assert again == snapshot
-
-    def test_engine_rejects_bad_chunks_per_worker(self):
-        with pytest.raises(PylseError, match="chunks_per_worker"):
-            YieldEngine(workers=2, chunks_per_worker=0)

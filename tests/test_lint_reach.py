@@ -56,6 +56,16 @@ def build_broken_and():
     return circuit
 
 
+def build_broken_and_driving(wire_name):
+    """The Figure 13 AND, its output wire named ``wire_name``."""
+    with fresh_circuit() as circuit:
+        a = inp_at(30.0, name="A")
+        b = inp_at(10.0, name="B")
+        clk = inp_at(31.0, name="CLK")
+        circuit.add_node(AND(), [a, b, clk], [Wire(wire_name)])
+    return circuit
+
+
 def build_two_broken_ands():
     """Two independently broken ANDs; the replay can only raise at one."""
     with fresh_circuit() as circuit:
@@ -110,6 +120,20 @@ class TestWitnessReplayRoundTrip:
             # The simulator names the failing cell by its output wire.
             assert finding.node == "and0"
             assert "OUT_q" in str(exc.value)
+
+    @pytest.mark.parametrize("wire_name", ["Q'", "it's"])
+    def test_quoted_output_wire_still_confirms(self, wire_name):
+        """Regression: the replay's failing node used to be parsed out of
+        the error text by a quote-delimited regex, so a quote in the
+        output wire's name lost the node and downgraded the finding."""
+        circuit = build_broken_and_driving(wire_name)
+        with pytest.raises(SimulationError) as exc:
+            Simulation(circuit).simulate()
+        assert exc.value.node == "and0"
+        assert f"output wire '{wire_name}'" in str(exc.value)
+        analysis, _ = analyze_reach(circuit, budget=BUDGET)
+        kinds = {(t.kind, t.symbol, t.confidence) for t in analysis.timing}
+        assert ("setup", "a", "confirmed") in kinds, analysis.timing
 
     def test_confirmed_findings_carry_provenance_chain(self):
         analysis, _ = analyze_reach(build_broken_and(), budget=BUDGET)

@@ -377,7 +377,7 @@ class TestYieldStats:
         )
         par = measure_yield(
             factory, predicate, sigma=1.0, seeds=range(8),
-            workers=3, collect_stats=True,
+            workers=3, collect_stats=True, batch=2,
         )
         assert seq.stats.to_json() == par.stats.to_json()
         assert seq.failures == par.failures

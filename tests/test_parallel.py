@@ -5,7 +5,9 @@ every backend uses — equals the plain per-seed reference loop
 (:func:`reference_chunk`: a fresh ``factory()`` and ``Simulation.simulate``
 per seed). And ``measure_yield(..., workers=N)`` is bit-identical to the
 sequential path for the same seed list — same counts, same ``failures``
-dict, same insertion order.
+dict, same insertion order. The parallel runs below pass a ``batch``
+width under the seed count, so they need more than one batched pass and
+take the pool.
 """
 
 import json
@@ -219,7 +221,7 @@ class TestChunking:
             assert engine.run(minmax_factory, minmax_ok, 0.0, []) == ([], None)
             assert engine.run(
                 minmax_factory, minmax_ok, 0.0, [], collect_stats=True,
-                policy="pool",
+                batch=0,
             ) == ([], None)
             assert engine.pools_created == 0
 
@@ -261,7 +263,8 @@ class TestBitIdentical:
             minmax_factory, minmax_ok, sigma=12.0, seeds=seeds, workers=1
         )
         parallel = measure_yield(
-            minmax_factory, minmax_ok, sigma=12.0, seeds=seeds, workers=4
+            minmax_factory, minmax_ok, sigma=12.0, seeds=seeds, workers=4,
+            batch=4,
         )
         assert parallel == sequential
         # dict equality ignores insertion order; the merge must not
@@ -273,7 +276,8 @@ class TestBitIdentical:
             minmax_factory, minmax_ok, sigma=0.0, seeds=seeds, workers=1
         )
         parallel = measure_yield(
-            minmax_factory, minmax_ok, sigma=0.0, seeds=seeds, workers=2
+            minmax_factory, minmax_ok, sigma=0.0, seeds=seeds, workers=2,
+            batch=0,
         )
         assert parallel == sequential
         assert parallel.yield_fraction == 1.0
@@ -284,7 +288,8 @@ class TestBitIdentical:
             minmax_factory, minmax_ok, sigma=12.0, seeds=seeds, workers=1
         )
         parallel = measure_yield(
-            minmax_factory, minmax_ok, sigma=12.0, seeds=seeds, workers=3
+            minmax_factory, minmax_ok, sigma=12.0, seeds=seeds, workers=3,
+            batch=2,
         )
         assert parallel == sequential
 
@@ -294,7 +299,7 @@ class TestBitIdentical:
         )
         curve_par = yield_curve(
             minmax_factory, minmax_ok, sigmas=(0.0, 12.0), seeds=range(10),
-            workers=2,
+            workers=2, batch=3,
         )
         assert curve_par == curve_seq
 
@@ -306,6 +311,7 @@ class TestBitIdentical:
         par = critical_sigma(
             minmax_factory, minmax_ok, target_yield=0.9,
             sigma_hi=16.0, seeds=range(6), iterations=3, workers=2,
+            batch=0,
         )
         assert par == seq
 
@@ -370,17 +376,19 @@ class TestChunkLengthGuard:
 
         _check_chunk(0, [1, 2, 3], 3)  # no raise
 
-    def test_measure_yield_backstop(self):
+    def test_measure_yield_backstop(self, monkeypatch):
         """A backend returning the wrong outcome count is refused."""
-        from repro.core.parallel import YieldEngine
+        import repro.core.montecarlo as montecarlo
 
         class ShortEngine(YieldEngine):
             def run(self, *args, **kwargs):
                 return ["ok"], None  # one outcome for many seeds
 
         with ShortEngine(workers=2) as engine:
+            monkeypatch.setattr(montecarlo, "default_engine",
+                                lambda workers: engine)
             with pytest.raises(PylseError, match="1 outcomes for 5 seeds"):
                 measure_yield(
                     minmax_factory, minmax_ok, sigma=0.0, seeds=range(5),
-                    engine=engine,
+                    workers=2,
                 )

@@ -194,7 +194,7 @@ class TestBenchGuard:
         an explicit carried-forward note."""
         payload = json.loads((ROOT / "BENCH_sim.json").read_text())
         assert payload["cpus"] >= 1
-        for key in ("mc_yield_200_seeds_s", "mc_amortized_800_trials_s"):
+        for key in ("mc_yield_512_seeds_s", "mc_amortized_2048_trials_s"):
             speedup = payload[key]["parallel_speedup"]
             if isinstance(speedup, (int, float)):
                 assert speedup > 0

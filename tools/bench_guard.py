@@ -414,15 +414,15 @@ def main(argv=None) -> int:
             if name in medians_us and medians_us[name] > 0
         },
         "compile_cache": compile_cache_block(medians_us),
-        "mc_yield_200_seeds_s": mc_comparison(
+        "mc_yield_512_seeds_s": mc_comparison(
             medians_s, cpus,
             "test_mc_yield_workers[1]", "test_mc_yield_workers[4]",
-            committed=committed.get("mc_yield_200_seeds_s"),
+            committed=committed.get("mc_yield_512_seeds_s"),
         ),
-        "mc_amortized_800_trials_s": mc_comparison(
+        "mc_amortized_2048_trials_s": mc_comparison(
             medians_s, cpus,
             "test_mc_amortized[1]", "test_mc_amortized[4]",
-            committed=committed.get("mc_amortized_800_trials_s"),
+            committed=committed.get("mc_amortized_2048_trials_s"),
         ),
         "mc_batched_200_seeds_s": mc_batched_block(medians_s),
         "serve_throughput": serve_throughput_block(medians_s),
