@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._np import np
 from .errors import PylseError, SimulationError
-from .ir import CompiledCircuit, compile_circuit
+from .ir import PLAN_ROUTES, CompiledCircuit, compile_circuit
 from .timing import (
     Distribution,
     Normal,
@@ -534,7 +534,6 @@ def _drain(
     """
     n = noise.n
     nodes = compiled.nodes
-    labels = compiled.labels
     result = _DrainResult(n)
     if collect_stats:
         result.stats_groups = []
@@ -549,22 +548,12 @@ def _drain(
             for lane in np.nonzero(newly)[0]:
                 cause[lane] = why
 
-    # -- static per-node lookups (cheap; rebuilt per drain) -------------
-    # port -> (dest index, dest heap key, dest port, wire label); the
-    # heap key is the consuming node's placement id (-1: circuit output).
+    # -- routing: the compiled plan, shared with the per-seed drain ----
+    # port -> (series slot, dest index, dest heap key, dest entry, dest
+    # port, wire label); the heap key is the consuming node's placement id.
+    plan = compiled.plan
+    plan_entries = plan.entries
     num = len(nodes)
-    out_slots = [
-        {
-            o.port: (
-                o.dest,
-                nodes[o.dest].node_id if o.dest >= 0 else -1,
-                o.dest_port,
-                labels[o.wire_id],
-            )
-            for o in nd.outs
-        }
-        for nd in compiled.dispatch
-    ]
 
     # -- noise: pre-draw every node that can draw a normal, in one call -
     applies = spec.applies_by_node(compiled)
@@ -581,10 +570,8 @@ def _drain(
     last_t: List[Optional["np.ndarray"]] = [None] * num
 
     # -- event series accumulators, label first-occurrence order --------
-    series_acc = result.series_acc
-    for label in labels:
-        if label not in series_acc:
-            series_acc[label] = []
+    acc = [[] for _ in plan.series_labels]
+    result.series_acc = dict(zip(plan.series_labels, acc))
 
     # -- seed the nominal heap from the input schedules -----------------
     # Entries are (t_nom, dest key, seq, dest index, port, lane times,
@@ -592,19 +579,19 @@ def _drain(
     heap: list = []
     seq = 0
     for i in compiled.input_ids:
-        node = nodes[i]
-        o = compiled.dispatch[i].outs[0]
-        acc = series_acc[labels[o.wire_id]]
-        if o.dest < 0:
-            for t in node.element.times:  # type: ignore[attr-defined]
-                acc.append(float(t))
+        (slot, dest, dkey, _e, dport, _l), = (
+            plan_entries[i][PLAN_ROUTES].values()
+        )
+        series = acc[slot]
+        if dest < 0:
+            for t in nodes[i].element.times:  # type: ignore[attr-defined]
+                series.append(float(t))
                 result.input_pulses += 1
             continue
-        dkey = nodes[o.dest].node_id
-        for t in node.element.times:  # type: ignore[attr-defined]
+        for t in nodes[i].element.times:  # type: ignore[attr-defined]
             t = float(t)
-            acc.append(t)
-            heappush(heap, (t, dkey, seq, o.dest, o.dest_port, t, None))
+            series.append(t)
+            heappush(heap, (t, dkey, seq, dest, dport, t, None))
             seq += 1
             result.input_pushes += 1
             result.input_pulses += 1
@@ -746,14 +733,14 @@ def _drain(
 
         # -- resolve + emit + push --------------------------------------
         node_applies = applies[index]
-        slots = out_slots[index]
+        routes = plan_entries[index][PLAN_ROUTES]
         pushes = 0
         emits: List = []
         for out, delay in fire_list:
             resolved = noise.resolve(delay, index, spec, node_applies)
             t_out = T_ref + resolved
-            dest_index, dest_key, dest_port, label = slots[out]
-            series_acc[label].append(t_out)
+            slot, dest_index, dest_key, _e, dest_port, _l = routes[out]
+            acc[slot].append(t_out)
             if collect_stats:
                 emits.append(resolved)
             if dest_index >= 0:

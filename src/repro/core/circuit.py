@@ -69,11 +69,10 @@ class Circuit:
         """Attach a wire to this circuit, assigning its per-circuit auto-name.
 
         Runs at the wire's *first* attachment (consumed or driven,
-        whichever comes first), so attachment order — not the process-global
-        creation counter — determines anonymous names.
+        whichever comes first; the caller checks that ``wire._circuit`` is
+        still None), so attachment order — not the process-global creation
+        counter — determines anonymous names.
         """
-        if wire._circuit is not None:
-            return
         wire._circuit = self
         if not wire._user_named:
             fresh = f"_{next(self._anon_counter)}"
@@ -105,29 +104,33 @@ class Circuit:
             name = f"{element.name.lower()}{count}"
         node = Node(element, input_wires, output_wires, name=name)
 
+        dest_of = self.dest_of
         for port, wire in node.input_wires.items():
             # A wire may be consumed before its driver is placed (feedback
             # loops); validate() checks every consumed wire ends up driven.
-            if wire in self.dest_of:
-                other_node, other_port = self.dest_of[wire]
+            other = dest_of.get(wire)
+            if other is not None:
                 raise FanoutError(
-                    f"Wire {wire.name!r} already connects to input '{other_port}' of "
-                    f"'{other_node.element.name}'; SCE outputs cannot fan out — insert "
+                    f"Wire {wire.name!r} already connects to input '{other[1]}' of "
+                    f"'{other[0].element.name}'; SCE outputs cannot fan out — insert "
                     "a splitter (see split())"
                 )
-            self.dest_of[wire] = (node, port)
-            self._adopt_wire(wire)
+            dest_of[wire] = (node, port)
+            if wire._circuit is None:
+                self._adopt_wire(wire)
 
+        source_of = self.source_of
         for port, wire in node.output_wires.items():
-            if wire in self.source_of:
-                other_node, other_port = self.source_of[wire]
+            other = source_of.get(wire)
+            if other is not None:
                 raise WireError(
-                    f"Wire {wire.name!r} is already driven by output '{other_port}' "
-                    f"of '{other_node.element.name}'"
+                    f"Wire {wire.name!r} is already driven by output '{other[1]}' "
+                    f"of '{other[0].element.name}'"
                 )
-            self.source_of[wire] = (node, port)
+            source_of[wire] = (node, port)
             self._wires.append(wire)
-            self._adopt_wire(wire)
+            if wire._circuit is None:
+                self._adopt_wire(wire)
             self._index_wire(wire)
 
         self.nodes.append(node)
@@ -147,10 +150,6 @@ class Circuit:
     def wires(self) -> List[Wire]:
         """All wires, in creation order."""
         return list(self._wires)
-
-    def node_of_wire(self, wire: Wire) -> Optional[Tuple[Node, str]]:
-        """The (node, input port) consuming this wire, or None (circuit output)."""
-        return self.dest_of.get(wire)
 
     def output_wires(self) -> List[Wire]:
         """Wires with no consumer: the circuit's outputs."""
@@ -172,12 +171,11 @@ class Circuit:
         names keep first-registration-wins lookup, matching the semantics of
         the old linear scan.
         """
-        for label in {wire.name, wire.observed_as}:
-            existing = self._wire_index.get(label)
-            if existing is None:
-                self._wire_index[label] = wire
-            elif (existing is not wire and wire.is_user_named
-                  and existing.is_user_named):
+        name, alias = wire.name, wire.observed_as
+        for label in (name,) if alias == name else (name, alias):
+            existing = self._wire_index.setdefault(label, wire)
+            if (existing is not wire and wire._user_named
+                    and existing._user_named):
                 raise WireError(
                     f"Two wires observed under the same name {label!r}; names must "
                     "be unique for simulation events to be unambiguous"

@@ -11,8 +11,10 @@ produces a :class:`CompiledCircuit` — an immutable view of the netlist with
   its dataflow edges;
 * canonical name indexes (``node_index``, ``node_by_name``) replacing the
   per-backend ``{node.name: node}`` rebuilds;
-* per-node dispatch specs, precomputed so
-  :meth:`repro.core.simulation.Simulation.simulate` never re-derives them.
+* per-node dispatch specs (:class:`NodeDispatch`), and the *dispatch
+  plan* both simulation drains read (:class:`DispatchPlan`): built on the
+  first run of a revision and shared by every later run, so a run
+  allocates only its event series and counters.
 
 Views only the analyses and the caches read are computed on first read:
 a deterministic topological order with the feedback-edge set that had to
@@ -43,8 +45,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-    Tuple, Union,
+    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+    Sequence, Set, Tuple, Union,
 )
 
 from .circuit import Circuit
@@ -78,8 +80,7 @@ _NOISE_VERSION = "noise-v2"
 _EXPLORER_VERSION = "zone-v2"
 
 
-@dataclass(frozen=True)
-class OutSpec:
+class OutSpec(NamedTuple):
     """Static routing of one output port of one node."""
 
     port: str
@@ -90,23 +91,37 @@ class OutSpec:
     dest_port: str
 
 
-@dataclass(frozen=True)
-class NodeDispatch:
-    """Everything ``simulate()`` needs to know about a node, decided once.
-
-    A Transitional node is stepped through its machine; for any other
-    node ``uses_raw`` selects the delivery entry point (a hole's
-    ``raw_firings`` keeps distribution-valued delays for the drain to
-    resolve; ``handle_inputs`` is the plain-element fallback).
-    """
+class NodeDispatch(NamedTuple):
+    """One node's identity and output routing (``outs``, in port order);
+    its run-time form is the node's :class:`DispatchPlan` entry."""
 
     index: int
     name: str
     cell: str
     is_input: bool
-    is_transitional: bool
-    uses_raw: bool
     outs: Tuple[OutSpec, ...]
+
+
+#: Fields of a plan entry: the node, a ``Transitional`` cell's machine,
+#: any other element's delivery entry (a hole's ``raw_firings``, else
+#: ``handle_inputs``), the port -> route map and the dense index.
+PLAN_NODE, PLAN_MACHINE, PLAN_DELIVER, PLAN_ROUTES, PLAN_INDEX = range(5)
+
+
+class DispatchPlan(NamedTuple):
+    """What every run of one compiled revision reads; no run state.
+
+    ``entries[i]`` is node ``i``'s plan entry (a tuple, fields
+    ``PLAN_*``). A route is ``(slot, dest, dest_key, dest_entry,
+    dest_port, label)``: the run's series index, the consumer's dense id
+    and heap key (its placement ``node_id``, which orders simultaneous
+    groups), its entry (None for a circuit output, with dest and key -1),
+    its input port and the wire label. Wires sharing a label share a
+    series; ``series_labels`` names them in first-wire order.
+    """
+
+    entries: Tuple[tuple, ...]
+    series_labels: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -117,12 +132,11 @@ class CompiledCircuit:
     per-node or per-wire annotation is a tuple indexed by id. The dataclass
     is frozen: backends share one instance and none may mutate it.
 
-    Only what the simulation drains read is built by :func:`compile_circuit`
-    (the node and wire tables, the dispatch specs and the edge list). The
-    structural hash and the analysis views
-    (``topo_order``, ``feedback_edges``, ``is_acyclic``, ``cyclic_sccs``,
-    ``delay_windows``, ``clock_wires``) are computed the first time they are
-    read, from the snapshot taken at compile time.
+    :func:`compile_circuit` builds the node and wire tables, the dispatch
+    specs and the edge list. The dispatch ``plan``, the structural hash and
+    the analysis views (``topo_order``, ``feedback_edges``, ``is_acyclic``,
+    ``cyclic_sccs``, ``delay_windows``, ``clock_wires``) are computed the
+    first time they are read, from the snapshot taken at compile time.
     """
 
     circuit: Circuit
@@ -173,7 +187,7 @@ class CompiledCircuit:
         state["_cache"] = {}
         return state
 
-    def _memo(self, key: str, compute: Callable[[], object]):
+    def _memo(self, key, compute: Callable[[], object]):
         """``compute()`` on first read, then the value kept in ``_cache``."""
         try:
             return self._cache[key]
@@ -182,6 +196,11 @@ class CompiledCircuit:
             return value
 
     # -- computed on first read ----------------------------------------
+    @property
+    def plan(self) -> DispatchPlan:
+        """The dispatch plan every run of this revision shares."""
+        return self._memo("plan", lambda: _dispatch_plan(self))
+
     @property
     def structural_hash(self) -> str:
         """The stable Weisfeiler–Lehman digest (see the module docstring)."""
@@ -637,6 +656,11 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
     Consumed-but-undriven wires then simply don't appear in the IR's wire
     tables, matching how the graph walks this replaces treated them. A
     strict call on a tolerantly-compiled memo re-validates once.
+
+    One pass over the nodes records each wire's consumer; a second numbers
+    the driven wires (in elaboration order) and builds the specs. The
+    ``Circuit.validate`` checks ride along; when one trips, ``validate()``
+    itself raises, so each error and its precedence are unchanged.
     """
     cached = getattr(circuit, "_compiled_ir", None)
     if cached is not None and cached.version == circuit.version:
@@ -645,78 +669,66 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
             object.__setattr__(cached, "validated", True)
         return cached
 
-    if validate:
-        circuit.validate()
     version = circuit.version
-
     nodes = tuple(circuit.nodes)
     node_index: Dict[str, int] = {}
+    # wire -> (consuming node id, input port)
+    consumer: Dict[Wire, Tuple[int, str]] = {}
     for i, node in enumerate(nodes):
-        if node.name in node_index:
+        name = node.name
+        if name in node_index:
+            if validate:
+                circuit.validate()  # a structural error takes precedence
             raise PylseError(
-                f"Two nodes named {node.name!r}; node names must be unique "
+                f"Two nodes named {name!r}; node names must be unique "
                 "for dispatch records and findings to be unambiguous"
             )
-        node_index[node.name] = i
+        node_index[name] = i
+        for port, wire in node.input_wires.items():
+            consumer[wire] = (i, port)
 
-    wires = tuple(circuit.wires)
-    wire_ids: Dict[int, int] = {id(w): k for k, w in enumerate(wires)}
-    labels = tuple(w.observed_as for w in wires)
-    user_labels = tuple(
-        w.observed_as if w.is_user_named else None for w in wires
-    )
+    wires: List[Wire] = []
+    labels: List[str] = []
+    user_labels: List[Optional[str]] = []
     wire_index: Dict[str, int] = {}
-    for k, wire in enumerate(wires):
-        for name in {wire.name, wire.observed_as}:
-            wire_index.setdefault(name, k)
-
-    wire_source = tuple(
-        (node_index[circuit.source_of[w][0].name], circuit.source_of[w][1])
-        for w in wires
-    )
+    wire_source: List[Tuple[int, str]] = []
     wire_dest: List[Optional[Tuple[int, str]]] = []
-    for wire in wires:
-        dest = circuit.dest_of.get(wire)
-        wire_dest.append(
-            None if dest is None else (node_index[dest[0].name], dest[1])
-        )
-    output_wire_ids = tuple(
-        k for k, dest in enumerate(wire_dest) if dest is None
-    )
-
-    cell_ids = tuple(
-        i for i, node in enumerate(nodes) if not isinstance(node.element, InGen)
-    )
-    input_ids = tuple(
-        i for i, node in enumerate(nodes) if isinstance(node.element, InGen)
-    )
-
-    # -- dispatch specs -------------------------------------------------
+    cell_ids: List[int] = []
+    input_ids: List[int] = []
     dispatch: List[NodeDispatch] = []
     edges: List[Tuple[int, int, int]] = []
     for i, node in enumerate(nodes):
         element = node.element
-        is_input = isinstance(element, InGen)
-        is_transitional = isinstance(element, Transitional)
-        outs: List[OutSpec] = []
+        outs = []
         for port, wire in node.output_wires.items():
-            wid = wire_ids[id(wire)]
-            dest = wire_dest[wid]
+            k = len(wires)
+            wires.append(wire)
+            name, label = wire.name, wire.observed_as
+            labels.append(label)
+            user_labels.append(label if wire._user_named else None)
+            wire_index.setdefault(name, k)
+            if label != name:
+                wire_index.setdefault(label, k)
+            wire_source.append((i, port))
+            dest = consumer.get(wire)
+            wire_dest.append(dest)
             if dest is None:
-                outs.append(OutSpec(port, wid, -1, ""))
+                outs.append(OutSpec(port, k, -1, ""))
             else:
-                dest_id, dest_port = dest
-                outs.append(OutSpec(port, wid, dest_id, dest_port))
-                edges.append((i, dest_id, wid))
-        dispatch.append(NodeDispatch(
-            index=i,
-            name=node.name,
-            cell=element.name,
-            is_input=is_input,
-            is_transitional=is_transitional,
-            uses_raw=isinstance(element, Functional),
-            outs=tuple(outs),
-        ))
+                outs.append(OutSpec(port, k, dest[0], dest[1]))
+                edges.append((i, dest[0], k))
+        is_input = isinstance(element, InGen)
+        (input_ids if is_input else cell_ids).append(i)
+        dispatch.append(
+            NodeDispatch(i, node.name, element.name, is_input, tuple(outs))
+        )
+    output_wire_ids = tuple(k for k, d in enumerate(wire_dest) if d is None)
+    named = [label for label in user_labels if label is not None]
+    if validate and (
+        not nodes or len(set(named)) < len(named)
+        or len(edges) < len(consumer)  # a consumed wire is undriven
+    ):
+        circuit.validate()
 
     compiled = CompiledCircuit(
         circuit=circuit,
@@ -724,20 +736,57 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
         validated=validate,
         nodes=nodes,
         node_index=node_index,
-        cell_ids=cell_ids,
-        input_ids=input_ids,
+        cell_ids=tuple(cell_ids),
+        input_ids=tuple(input_ids),
         dispatch=tuple(dispatch),
-        wires=wires,
+        wires=tuple(wires),
         wire_index=wire_index,
-        labels=labels,
-        user_labels=user_labels,
-        wire_source=wire_source,
+        labels=tuple(labels),
+        user_labels=tuple(user_labels),
+        wire_source=tuple(wire_source),
         wire_dest=tuple(wire_dest),
         output_wire_ids=output_wire_ids,
         edges=tuple(edges),
     )
     circuit._compiled_ir = compiled
     return compiled
+
+
+def _dispatch_plan(compiled: CompiledCircuit) -> DispatchPlan:
+    """Build the :class:`DispatchPlan` of a compiled revision.
+
+    Entries are made first, routes second: a route holds its destination's
+    entry, and feedback wires point at entries built later.
+    """
+    nodes = compiled.nodes
+    entries: List[tuple] = []
+    for i, node in enumerate(nodes):
+        element = node.element
+        machine = deliver = None
+        if isinstance(element, Transitional):
+            machine = element.machine
+        elif isinstance(element, Functional):
+            deliver = element.raw_firings
+        elif not isinstance(element, InGen):
+            deliver = element.handle_inputs
+        entries.append((node, machine, deliver, {}, i))
+    labels = compiled.labels
+    series_labels = tuple(dict.fromkeys(labels))
+    slots: Sequence[int] = range(len(labels))  # usually a series per wire
+    if len(series_labels) < len(labels):
+        slot_of = {label: k for k, label in enumerate(series_labels)}
+        slots = [slot_of[label] for label in labels]
+    for nd, entry in zip(compiled.dispatch, entries):
+        ports = entry[PLAN_ROUTES]
+        for port, wire_id, dest, dest_port in nd.outs:
+            if dest < 0:
+                ports[port] = (slots[wire_id], -1, -1, None, "", labels[wire_id])
+            else:
+                ports[port] = (
+                    slots[wire_id], dest, nodes[dest].node_id, entries[dest],
+                    dest_port, labels[wire_id],
+                )
+    return DispatchPlan(tuple(entries), series_labels)
 
 
 def structural_hash(circuit: Circuit) -> str:

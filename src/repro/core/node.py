@@ -29,30 +29,24 @@ class Node:
         output_wires: Sequence[Wire],
         name: Optional[str] = None,
     ):
-        if len(input_wires) != len(element.inputs):
+        inputs, outputs = element.inputs, element.outputs
+        if len(input_wires) != len(inputs):
             raise PylseError(
-                f"{element.name}: expected {len(element.inputs)} input wire(s) "
-                f"({', '.join(element.inputs)}), got {len(input_wires)}"
+                f"{element.name}: expected {len(inputs)} input wire(s) "
+                f"({', '.join(inputs)}), got {len(input_wires)}"
             )
-        if len(output_wires) != len(element.outputs):
+        if len(output_wires) != len(outputs):
             raise PylseError(
-                f"{element.name}: expected {len(element.outputs)} output wire(s) "
-                f"({', '.join(element.outputs)}), got {len(output_wires)}"
+                f"{element.name}: expected {len(outputs)} output wire(s) "
+                f"({', '.join(outputs)}), got {len(output_wires)}"
             )
         self.element = element
-        self.node_id = next(Node._id_counter)
+        self.node_id = node_id = next(Node._id_counter)
         # Per-type naming (c0, s0, s1, jtl0, ...) is assigned by the circuit;
         # this is only the fallback for nodes created outside one.
-        self.name = name if name is not None else f"{element.name.lower()}{self.node_id}"
-        self.input_wires: Dict[str, Wire] = dict(zip(element.inputs, input_wires))
-        self.output_wires: Dict[str, Wire] = dict(zip(element.outputs, output_wires))
-
-    def port_of_input_wire(self, wire: Wire) -> str:
-        """Which input port the given wire drives on this node."""
-        for port, bound in self.input_wires.items():
-            if bound is wire:
-                return port
-        raise PylseError(f"Wire {wire!r} does not drive any input of node {self.name}")
+        self.name = name if name is not None else f"{element.name.lower()}{node_id}"
+        self.input_wires: Dict[str, Wire] = dict(zip(inputs, input_wires))
+        self.output_wires: Dict[str, Wire] = dict(zip(outputs, output_wires))
 
     def __repr__(self) -> str:
         ins = ", ".join(f"{p}={w.name}" for p, w in self.input_wires.items())

@@ -6,22 +6,26 @@ drain a contiguous chunk of seeds through
 :func:`repro.core.batchsim.run_batch` (the vectorized drain, with
 per-seed replays for diverging lanes). :func:`run_chunk` is that
 computation in-process; :func:`_engine_chunk` is the same ``run_batch``
-inside a pool worker, against a circuit installed once per worker. Both
-return ``run_batch``'s ``(outcomes, per_seed_stats, report)`` triple.
+inside a pool worker, against a circuit the worker installs once per
+task. Both return ``run_batch``'s ``(outcomes, per_seed_stats, report)``
+triple.
 
 The pool lives inside a :class:`YieldEngine`, which is built to be
 *reused*: one ``ProcessPoolExecutor`` is created lazily on the first
 parallel run and kept warm across every subsequent ``measure_yield`` /
-``yield_curve`` / ``critical_sigma`` call that uses the same engine (the
-module-level :func:`default_engine` cache, keyed by worker count, makes
-this automatic). Two costs are amortized away:
+``yield_curve`` / ``critical_sigma`` call that uses the same engine,
+whatever design it sweeps (the module-level :func:`default_engine`
+cache, keyed by worker count, makes this automatic). Two costs are
+amortized away:
 
-* ``factory`` and ``predicate`` are shipped to each worker **once**, via
-  the pool ``initializer``, instead of being pickled into every chunk;
-* each worker elaborates the circuit **once** and re-simulates it per
-  seed (placed cells are immutable and every run's state lives in the
-  drain, so a re-run is bit-identical to a fresh elaboration —
-  ``tests/test_determinism.py`` locks this).
+* the parent elaborates and compiles each ``(factory, predicate)`` task
+  **once**; every chunk carries the task's key and its pickled compiled
+  design, and a worker unpickles the design only when the key differs
+  from the last task it loaded;
+* each worker then re-simulates that circuit per seed (placed cells are
+  immutable and every run's state lives in the drain, so a re-run is
+  bit-identical to a fresh elaboration — ``tests/test_determinism.py``
+  locks this).
 
 One rule picks the backend: a sweep uses the pool only when
 ``workers > 1`` and its seeds need more than one batched pass — more
@@ -53,6 +57,7 @@ traceback.
 from __future__ import annotations
 
 import atexit
+import hashlib
 import os
 import pickle
 import threading
@@ -231,11 +236,12 @@ def _check_chunk(
 # ----------------------------------------------------------------------
 
 class _WorkerContext:
-    """Per-worker-process task state, installed by the pool initializer."""
+    """Per-worker-process state of the last task the worker loaded."""
 
-    __slots__ = ("predicate", "sim")
+    __slots__ = ("key", "predicate", "sim")
 
-    def __init__(self, circuit, predicate):
+    def __init__(self, key: str, circuit, predicate):
+        self.key = key
         self.predicate = predicate
         self.sim = Simulation(circuit)
 
@@ -243,8 +249,8 @@ class _WorkerContext:
 _WORKER_CTX: Optional[_WorkerContext] = None
 
 
-def _engine_worker_init(init_blob: bytes) -> None:
-    """Pool initializer: install the design once per worker process.
+def _engine_worker_init(key: str, init_blob: bytes) -> _WorkerContext:
+    """Install a task's design in this worker process.
 
     ``init_blob`` is either ``("compiled", CompiledCircuit, predicate)`` —
     the parent elaborated and compiled the design exactly once and ships
@@ -252,19 +258,21 @@ def _engine_worker_init(init_blob: bytes) -> None:
     pass (the unpickled circuit arrives with its compile memo warm) — or
     the fallback ``("factory", factory, predicate)`` for designs whose
     circuit does not pickle (e.g. closure-bodied holes), where each
-    worker elaborates once. Afterwards every chunk task is just
-    ``(sigma, seeds, batch, collect_stats)``.
+    worker elaborates once per task.
     """
     global _WORKER_CTX
     kind, payload, predicate = pickle.loads(init_blob)
     if kind == "compiled":
         circuit = payload.circuit
     else:
-        circuit = payload()  # elaborate once per worker
-    _WORKER_CTX = _WorkerContext(circuit, predicate)
+        circuit = payload()  # elaborate once per worker and task
+    _WORKER_CTX = _WorkerContext(key, circuit, predicate)
+    return _WORKER_CTX
 
 
 def _engine_chunk(
+    key: str,
+    init_blob: bytes,
     sigma: float,
     seeds: Sequence[int],
     batch: Union[int, str, None] = None,
@@ -272,14 +280,20 @@ def _engine_chunk(
 ) -> Tuple[List[str], List["SimMetrics"], BatchReport]:
     """The pool task: :func:`run_chunk` against the worker's circuit.
 
-    Each worker drains its chunk as one (or a few) batched passes —
-    multiplicative with the pool parallelism. Every drain starts each cell
-    from its initial configuration, so each seed sees exactly the state a
-    fresh ``factory()`` circuit would have — the re-simulation stability
-    locked by ``tests/test_determinism.py`` is what makes this
-    bit-identical to :func:`run_chunk`.
+    The worker keeps the last task it loaded; a chunk of another task
+    (a different ``key``, the digest of ``init_blob``) installs its
+    ``init_blob`` first. A digest key cannot name a stale design, not
+    even one a forked worker inherited from its parent. Each worker
+    drains its chunk as one (or a few) batched passes — multiplicative
+    with the pool parallelism. Every drain starts each cell from its
+    initial configuration, so each seed sees exactly the state a fresh
+    ``factory()`` circuit would have — the re-simulation stability locked
+    by ``tests/test_determinism.py`` is what makes this bit-identical to
+    :func:`run_chunk`.
     """
     ctx = _WORKER_CTX
+    if ctx is None or ctx.key != key:
+        ctx = _engine_worker_init(key, init_blob)
     return run_batch(
         ctx.sim, ctx.predicate, sigma, seeds, collect_stats=collect_stats,
         batch=batch,
@@ -290,10 +304,10 @@ class YieldEngine:
     """A persistent, reusable parallel Monte-Carlo backend.
 
     One process pool, created lazily on the first parallel run and kept
-    warm for every later call with the same ``(factory, predicate)`` task
-    (a different task tears the pool down and builds a fresh one, since
-    the task is shipped through the pool initializer). Use as a context
-    manager, or rely on the module-level :func:`default_engine` cache —
+    warm for every later call, whatever ``(factory, predicate)`` task it
+    runs: each chunk carries its task, and workers switch tasks in place.
+    Use as a context manager, or rely on the module-level
+    :func:`default_engine` cache —
     ``measure_yield(..., workers=N)`` does the latter automatically::
 
         with YieldEngine(workers=4) as engine:
@@ -331,11 +345,10 @@ class YieldEngine:
         #: Serializes run() across threads: the pool and the last_*
         #: observability fields are single-sweep state.
         self._run_lock = threading.RLock()
-        self._task_key: Optional[bytes] = None
-        #: task blob -> pool-initializer payload (compiled design when the
-        #: circuit pickles, factory fallback otherwise), built at most once
-        #: per task so repeated runs never re-elaborate in the parent.
-        self._init_blob_by_task: Dict[bytes, bytes] = {}
+        #: task blob -> (payload digest, worker payload): the compiled design
+        #: when the circuit pickles, the factory otherwise. Built at most
+        #: once per task so repeated runs never re-elaborate in the parent.
+        self._tasks: Dict[bytes, Tuple[str, bytes]] = {}
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "YieldEngine":
@@ -358,25 +371,15 @@ class YieldEngine:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-            self._task_key = None
 
-    def _ensure_pool(
-        self, task_blob: bytes, init_blob: bytes
-    ) -> ProcessPoolExecutor:
-        if self._pool is not None and self._task_key == task_blob:
-            return self._pool
-        self._shutdown_pool()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_engine_worker_init,
-            initargs=(init_blob,),
-        )
-        self._task_key = task_blob
-        self.pools_created += 1
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self.pools_created += 1
         return self._pool
 
-    def _task_init_blob(self, factory, predicate, task_blob: bytes) -> bytes:
-        """The initializer payload for a task, built (at most) once.
+    def _task(self, factory, predicate, task_blob: bytes) -> Tuple[str, bytes]:
+        """The task's ``(key, worker payload)``, built (at most) once.
 
         Prefers shipping the parent-compiled :class:`CompiledCircuit` —
         one elaboration + compile for the whole sweep, with every worker
@@ -385,17 +388,18 @@ class YieldEngine:
         *relative* order matters for heap pop ordering, and a pickled
         circuit preserves it — so worker results stay bit-identical to
         the factory path. Falls back to shipping the factory when the
-        circuit itself does not pickle.
+        circuit itself does not pickle. The key is the payload's digest.
         """
-        blob = self._init_blob_by_task.get(task_blob)
-        if blob is None:
+        task = self._tasks.get(task_blob)
+        if task is None:
             try:
                 compiled = compile_circuit(factory())
                 blob = pickle.dumps(("compiled", compiled, predicate))
             except Exception:
                 blob = pickle.dumps(("factory", factory, predicate))
-            self._init_blob_by_task[task_blob] = blob
-        return blob
+            key = hashlib.sha256(blob).hexdigest()
+            task = self._tasks[task_blob] = (key, blob)
+        return task
 
     # -- the run entry point -------------------------------------------
     def run(
@@ -466,13 +470,12 @@ class YieldEngine:
                 # already dead) or at result time, so both live under the
                 # same failure handling.
                 if need_submit:
-                    pool = self._ensure_pool(
-                        task_blob,
-                        self._task_init_blob(factory, predicate, task_blob),
-                    )
+                    key, init_blob = self._task(factory, predicate,
+                                                task_blob)
+                    pool = self._ensure_pool()
                     futures[index:] = [
-                        pool.submit(_engine_chunk, sigma, c, batch,
-                                    collect_stats)
+                        pool.submit(_engine_chunk, key, init_blob, sigma, c,
+                                    batch, collect_stats)
                         for c in chunks[index:]
                     ]
                     need_submit = False

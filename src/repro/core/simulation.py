@@ -15,10 +15,12 @@ The inner loop is the hot path behind every workload in this repo (Table 2,
 the bitonic scaling study, the Section 5.2 Monte-Carlo sweeps), so
 ``simulate`` front-loads every decision before draining the heap:
 
-* each node gets a *dispatch record* carrying its machine (a
-  ``Transitional`` cell) or its bound deliver method (any other element),
-  its activity counters, and a per-output-port map to ``(event series,
-  destination record)`` so ``emit`` costs one dict probe instead of two;
+* every node's *dispatch plan entry* — its machine (a ``Transitional``
+  cell) or its bound deliver method (any other element), and a
+  per-output-port route to ``(event series, destination entry)`` so
+  ``emit`` costs one dict probe — is part of the compiled IR
+  (:attr:`~repro.core.ir.CompiledCircuit.plan`), built once per circuit
+  revision; a run allocates only its event series and activity counters;
 * the drain holds every cell's run state — the configuration
   ``<q, tau_done, Theta>`` of Section 3 — in node-indexed lists and steps
   it through the machine's precomputed dispatch table; placed cells are
@@ -47,24 +49,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .circuit import Circuit, working_circuit
 from .errors import PylseError, SimulationError
 from .events import PulseHeap
-from .ir import CompiledCircuit, compile_circuit
+from .ir import (
+    PLAN_DELIVER, PLAN_INDEX, PLAN_MACHINE, PLAN_NODE, PLAN_ROUTES,
+    CompiledCircuit, compile_circuit,
+)
 from .machine import Configuration
 from .node import Node
 from .timing import Distribution, VariabilitySpec
 
 Events = Dict[str, List[float]]
-
-#: Per-node dispatch record indices (plain lists beat attribute access in
-#: the inner loop): NODE is the placed node, MACHINE a Transitional cell's
-#: machine (None for any other element), DELIVER any other element's bound
-#: dispatch method, COUNTS the mutable [pulses_in, pulses_out] pair shared
-#: with ``Simulation.activity``, OUTS the per-output-port emit map, and
-#: INDEX the dense IR index (the run-state slot and counter-noise stream).
-(
-    _REC_NODE, _REC_MACHINE, _REC_DELIVER, _REC_COUNTS, _REC_OUTS,
-    _REC_INDEX,
-) = range(6)
-
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -173,23 +166,21 @@ class Simulation:
         # Validates the circuit (once per revision) and yields the frozen
         # dispatch topology; repeated simulate() calls hit the memo.
         compiled = compile_circuit(circuit)
+        plan = compiled.plan
+        entries = plan.entries
         spec = VariabilitySpec.normalize(variability)
         rng = random.Random(seed)
         tie_rng = random.Random(rng.random()) if seed is not None else None
 
-        # ---- instantiate the per-run dispatch plan --------------------
-        # Wires sharing an observation label share one series list, exactly
-        # as the previous per-emit dict lookup behaved; insertion order is
-        # the wires' elaboration order (compiled.labels preserves it).
-        events: Events = {}
-        series_by_wire: List[List[float]] = [None] * len(compiled.labels)  # type: ignore[list-item]
-        for wid, label in enumerate(compiled.labels):
-            series = events.get(label)
-            if series is None:
-                series = events[label] = []
-            series_by_wire[wid] = series
+        # The run's own state: one series per distinct wire label (wires
+        # sharing an observation label share it; insertion order is the
+        # wires' elaboration order) and per-node activity counters.
+        series = [[] for _ in plan.series_labels]
+        events: Events = dict(zip(plan.series_labels, series))
+        size = len(entries)
+        pulses_in = [0] * size
+        pulses_out = [0] * size
 
-        nodes = compiled.nodes
         # A noisy run draws its delays and tie-breaks from counter-based
         # per-(seed, node) streams: the width-1 form of the vectorized
         # Monte-Carlo drain, bit-identical to one lane of a batched pass
@@ -200,88 +191,53 @@ class Simulation:
             from .batchsim import CounterNoise
 
             counter = CounterNoise.for_run(
-                seed, spec.applies_by_node(compiled), spec, rng, nodes
+                seed, spec.applies_by_node(compiled), spec, rng,
+                compiled.nodes,
             )
-        records: List[Optional[list]] = [None] * len(nodes)
-        activity: Dict[str, List[int]] = {}
-        for nd in compiled.dispatch:
-            if nd.is_input:
-                continue
-            element = nodes[nd.index].element
-            if nd.is_transitional:
-                machine, deliver = element.machine, None
-            else:
-                machine = None
-                deliver = (
-                    element.raw_firings if nd.uses_raw
-                    else element.handle_inputs
-                )
-            counts = [0, 0]
-            activity[nd.name] = counts
-            records[nd.index] = [
-                nodes[nd.index], machine, deliver, counts, {}, nd.index,
-            ]
-        for nd in compiled.dispatch:
-            if nd.is_input:
-                continue
-            outs = records[nd.index][_REC_OUTS]
-            for o in nd.outs:
-                if o.dest < 0:
-                    outs[o.port] = (
-                        series_by_wire[o.wire_id], -1, None, "",
-                        compiled.labels[o.wire_id],
-                    )
-                else:
-                    # Heap key stays node.node_id (global placement id),
-                    # not the dense IR index: pop ordering of simultaneous
-                    # cross-node groups depends on it bit-for-bit.
-                    outs[o.port] = (
-                        series_by_wire[o.wire_id], nodes[o.dest].node_id,
-                        records[o.dest], o.dest_port,
-                        compiled.labels[o.wire_id],
-                    )
 
         heap = PulseHeap()
         push = heap.push_raw
         self.pulses_processed = 0
         self.until = until
-        self.activity = activity
+        self.activity = {}
         self.trace = []
         self.observer = observer
         if observer is not None:
             observer.begin(circuit)
 
         for i in compiled.input_ids:
-            node = nodes[i]
-            spec_out = compiled.dispatch[i].outs[0]
-            series = series_by_wire[spec_out.wire_id]
-            label = compiled.labels[spec_out.wire_id]
-            if spec_out.dest < 0:
-                series.extend(node.element.times)  # type: ignore[attr-defined]
+            node = entries[i][PLAN_NODE]
+            (slot, _d, dkey, drec, dport, label), = (
+                entries[i][PLAN_ROUTES].values()
+            )
+            out = series[slot]
+            times = node.element.times  # type: ignore[attr-defined]
+            out.extend(times)
+            if drec is None:
                 if observer is not None:
-                    for t in node.element.times:  # type: ignore[attr-defined]
+                    for t in times:
                         observer.on_input(node.name, label, t, -1, "")
                 continue
-            dkey = nodes[spec_out.dest].node_id
-            drec = records[spec_out.dest]
-            dport = spec_out.dest_port
-            for t in node.element.times:  # type: ignore[attr-defined]
-                series.append(t)
+            for t in times:
                 push(t, dkey, drec, dport)
                 if observer is not None:
                     observer.on_input(node.name, label, t, dkey, dport)
 
         try:
             self._drain(
-                heap, len(nodes), rng, until, max_pulses, observer, record,
-                counter, tie_rng,
+                heap, series, pulses_in, pulses_out, rng, until, max_pulses,
+                observer, record, counter, tie_rng,
             )
         finally:
+            self.activity = {
+                entries[i][PLAN_NODE].name: [pulses_in[i], pulses_out[i]]
+                for i in compiled.cell_ids
+            }
             if observer is not None:
                 observer.end(heap.max_depth, self.pulses_processed)
 
-        for series in events.values():
-            series.sort()
+        for out in series:
+            out.sort()
         self.events = events
         return events
 
@@ -289,7 +245,9 @@ class Simulation:
     def _drain(
         self,
         heap: PulseHeap,
-        size: int,
+        series: List[List[float]],
+        pulses_in: List[int],
+        pulses_out: List[int],
         rng: random.Random,
         until: Optional[float],
         max_pulses: Optional[int],
@@ -301,8 +259,10 @@ class Simulation:
         """Drain the heap: pop a simultaneous group, dispatch it, push.
 
         Every cell's configuration ``<q, tau_done, Theta>`` lives here, in
-        lists indexed by the dense node index (``size`` slots), created on
-        the node's first dispatch. A group steps it through the machine's
+        lists indexed by the dense node index, created on the node's first
+        dispatch. Heap payloads are plan entries; emitted pulses join the
+        run's ``series`` and the node's ``pulses_in``/``pulses_out``
+        counters advance per group. A group steps it through the machine's
         precomputed dispatch table; a timing violation re-raises through
         :meth:`PylseMachine.step`, so the error messages are the formal
         semantics' own, and simultaneous inputs are ordered by
@@ -329,6 +289,7 @@ class Simulation:
         observe = observer is not None
         book = observe or record
         trace = self.trace
+        size = len(pulses_in)
         state: List[Optional[str]] = [None] * size
         tau_done: List[float] = [0.0] * size
         theta: List[Optional[Dict[str, float]]] = [None] * size
@@ -352,8 +313,8 @@ class Simulation:
                 if processed >= limit:
                     self._overflow(max_pulses, time)
                 processed += len(ports)
-                machine = rec[_REC_MACHINE]
-                index = rec[_REC_INDEX]
+                machine = rec[PLAN_MACHINE]
+                index = rec[PLAN_INDEX]
                 if machine is not None:
                     st = state[index]
                     if st is None:
@@ -363,7 +324,7 @@ class Simulation:
                         th = theta[index]
                     td = tau_done[index]
                 if book:
-                    node = rec[_REC_NODE]
+                    node = rec[PLAN_NODE]
                     element = node.element
                     state_before = st if machine is not None else None
                     parents = (
@@ -375,7 +336,7 @@ class Simulation:
                         tlabels = []
                 try:
                     if machine is None:
-                        firings = rec[_REC_DELIVER](ports, time)
+                        firings = rec[PLAN_DELIVER](ports, time)
                     else:
                         fast = machine._fast
                         if len(ports) == 1:
@@ -431,11 +392,10 @@ class Simulation:
                         )
                         if observe else None
                     )
-                    self._dispatch_error(rec[_REC_NODE], ports, err, chain)
-                counts = rec[_REC_COUNTS]
-                counts[0] += len(ports)
-                counts[1] += len(firings)
-                outs = rec[_REC_OUTS]
+                    self._dispatch_error(rec[PLAN_NODE], ports, err, chain)
+                pulses_in[index] += len(ports)
+                pulses_out[index] += len(firings)
+                routes = rec[PLAN_ROUTES]
                 for out_port, delay in firings:
                     if resolve is not None:
                         delay = resolve(delay, index)
@@ -446,8 +406,8 @@ class Simulation:
                                 f"Resolved firing delay is negative: {delay}"
                             )
                     t = time + delay
-                    series, dkey, drec, dport, label = outs[out_port]
-                    series.append(t)
+                    slot, _d, dkey, drec, dport, label = routes[out_port]
+                    series[slot].append(t)
                     if drec is not None:
                         push(t, dkey, drec, dport)
                     if book:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 from .errors import PylseError
 
@@ -192,15 +192,17 @@ class VariabilitySpec:
             return True
         return False
 
-    def applies_by_node(self, compiled) -> List[bool]:
-        """:meth:`applies_to` for every node of a compiled circuit, by index."""
-        nodes = compiled.nodes
-        applies = [False] * len(nodes)
-        for nd in compiled.dispatch:
-            if not nd.is_input:
-                node = nodes[nd.index]
-                applies[nd.index] = self.applies_to(node.element.name, node.name)
-        return applies
+    def applies_by_node(self, compiled) -> Tuple[bool, ...]:
+        """:meth:`applies_to` for every node of a compiled circuit, by index.
+
+        Memoised on the compiled circuit per node selection, since every
+        noisy run of a sweep asks for the same one.
+        """
+        key = ("applies", self.enabled, self.cell_types, self.instances)
+        return compiled._memo(key, lambda: tuple(
+            not nd.is_input and self.applies_to(nd.cell, nd.name)
+            for nd in compiled.dispatch
+        ))
 
     def perturb(self, delay: float, node: object) -> float:
         """Apply the callable variability to a nominal firing delay."""

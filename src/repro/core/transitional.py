@@ -314,7 +314,12 @@ class Transitional(Element):
         if machines is None:
             machines = cls._machines = {}
         try:
-            key = (name_override, _freeze(firing_delay), _freeze(transition_time))
+            # None (no override) keys as itself: _freeze never returns None.
+            key = (
+                name_override,
+                None if firing_delay is None else _freeze(firing_delay),
+                None if transition_time is None else _freeze(transition_time),
+            )
             machine = machines.get(key)
         except TypeError:
             key = machine = None

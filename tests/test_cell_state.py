@@ -122,6 +122,8 @@ class TestRunsLeaveNoState:
                 run(Simulation(circuit))
             except PriorInputViolation:
                 assert factory is figure13
+            # The runs built and read the dispatch plan; it never travels.
+            assert "plan" in compile_circuit(circuit)._cache
             assert pickle.dumps(compile_circuit(circuit)) == before
 
     def test_violating_run_repeats_exactly(self):

@@ -11,8 +11,11 @@ from repro.core.circuit import (
 from repro.core.element import InGen
 from repro.core.errors import FanoutError, PylseError, WireError
 from repro.core.helpers import inp, inp_at, inspect
+from repro.core.ir import compile_circuit
+from repro.core.simulation import Simulation
+from repro.core.transitional import Transitional
 from repro.core.wire import Wire
-from repro.sfq import and_s, jtl, m, s, split
+from repro.sfq import JTL, and_s, c, jtl, m, s, split
 
 
 class TestWire:
@@ -240,3 +243,125 @@ class TestWrapperArgs:
     def test_non_wire_input_rejected(self):
         with pytest.raises(PylseError, match="Wire"):
             jtl("zap")  # type: ignore[arg-type]
+
+
+def _port_count_inputs():
+    Circuit().add_node(JTL(), [], [Wire()])
+
+
+def _port_count_outputs():
+    circuit = Circuit()
+    circuit.add_node(JTL(), [circuit.add_input(InGen([1.0]))], [])
+
+
+def _fanout():
+    a = inp_at(1.0, name="A")
+    jtl(a)
+    jtl(a)
+
+
+def _fanout_within_one_node():
+    a = inp_at(1.0, name="A")
+    c(a, a)
+
+
+def _double_driver():
+    q = jtl(inp_at(1.0, name="A"), name="Q")
+    working_circuit().add_node(JTL(), [inp_at(2.0, name="B")], [q])
+
+
+def _duplicate_names_at_add():
+    jtl(inp_at(1.0, name="A"), name="Q")
+    jtl(inp_at(2.0, name="B"), name="Q")
+
+
+def _duplicate_names_at_observe():
+    jtl(inp_at(1.0, name="A"), name="Q")
+    jtl(inp_at(2.0, name="B")).observe("Q")
+
+
+def _check_ports():
+    class Twin(Transitional):
+        name = "Twin"
+        inputs = ["a", "a"]
+        outputs = ["q"]
+        transitions = [{"src": "idle", "trigger": "a", "dst": "idle"}]
+
+    Twin()
+
+
+def _undriven():
+    jtl(Wire("floating"), name="Q")
+    Simulation(working_circuit()).simulate()
+
+
+def _empty():
+    Simulation(Circuit()).simulate()
+
+
+def _duplicate_node_names():
+    circuit = Circuit()
+    circuit.add_node(JTL(), [circuit.add_input(InGen([1.0]), "A")], name="x")
+    circuit.add_node(JTL(), [circuit.add_input(InGen([2.0]), "B")], name="x")
+    compile_circuit(circuit)
+
+
+def _duplicate_node_names_and_undriven():
+    circuit = Circuit()
+    circuit.add_node(JTL(), [Wire("floating")], name="x")
+    circuit.add_node(JTL(), [circuit.add_input(InGen([2.0]), "B")], name="x")
+    compile_circuit(circuit)
+
+
+def _duplicate_labels_past_the_index():
+    jtl(inp_at(1.0, name="A"), name="Q")
+    r = jtl(inp_at(2.0, name="B"), name="R")
+    r.observed_as = "Q"  # bypasses observe(); validate() still catches it
+    Simulation(working_circuit()).simulate()
+
+
+_DUPLICATE = (
+    "Two wires observed under the same name 'Q'; names must be unique for "
+    "simulation events to be unambiguous"
+)
+_UNDRIVEN = (
+    "Wire 'floating' (input 'a' of 'JTL') has no driver; connect it to an "
+    "element output or an input generator"
+)
+
+
+class TestConstructionErrors:
+    """Every construction-time check raises its error class and message at
+    the same call, whichever stage (placement, observe, compile) runs it."""
+
+    @pytest.mark.parametrize("build, kind, message", [
+        (_port_count_inputs, PylseError,
+         "JTL: expected 1 input wire(s) (a), got 0"),
+        (_port_count_outputs, PylseError,
+         "JTL: expected 1 output wire(s) (q), got 0"),
+        (_fanout, FanoutError,
+         "Wire 'A' already connects to input 'a' of 'JTL'; SCE outputs "
+         "cannot fan out — insert a splitter (see split())"),
+        (_fanout_within_one_node, FanoutError,
+         "Wire 'A' already connects to input 'a' of 'C'; SCE outputs "
+         "cannot fan out — insert a splitter (see split())"),
+        (_double_driver, WireError,
+         "Wire 'Q' is already driven by output 'q' of 'JTL'"),
+        (_duplicate_names_at_add, WireError, _DUPLICATE),
+        (_duplicate_names_at_observe, WireError, _DUPLICATE),
+        (_check_ports, PylseError, "Twin: duplicate input port 'a'"),
+        (_undriven, WireError, _UNDRIVEN),
+        (_empty, PylseError, "Circuit is empty: nothing to simulate"),
+        (_duplicate_node_names, PylseError,
+         "Two nodes named 'x'; node names must be unique for dispatch "
+         "records and findings to be unambiguous"),
+        # A structural error takes precedence over a duplicate node name.
+        (_duplicate_node_names_and_undriven, WireError, _UNDRIVEN),
+        (_duplicate_labels_past_the_index, WireError, _DUPLICATE),
+    ], ids=lambda value: getattr(value, "__name__", "")[1:] or None)
+    def test_error_class_and_message(self, build, kind, message):
+        with fresh_circuit():
+            with pytest.raises(kind) as caught:
+                build()
+        assert type(caught.value) is kind
+        assert str(caught.value) == message

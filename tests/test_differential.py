@@ -36,15 +36,14 @@ from repro.core.errors import (
 from repro.core.helpers import inp, inp_at
 from repro.core.montecarlo import measure_yield
 from repro.core.parallel import default_engine
-from repro.core.simulation import (
-    _REC_COUNTS,
-    _REC_DELIVER,
-    _REC_INDEX,
-    _REC_MACHINE,
-    _REC_NODE,
-    _REC_OUTS,
-    Simulation,
+from repro.core.ir import (
+    PLAN_DELIVER,
+    PLAN_INDEX,
+    PLAN_MACHINE,
+    PLAN_NODE,
+    PLAN_ROUTES,
 )
+from repro.core.simulation import Simulation
 from repro.core.timing import Distribution
 from repro.designs import bitonic_sorter
 from repro.obs import Observer
@@ -78,17 +77,17 @@ class FrozenFastSimulation(Simulation):
     with the production drain it checks.
     """
 
-    def _drain(self, heap, size, rng, until, max_pulses, observer, record,
-               counter, tie_rng):
+    def _drain(self, heap, series, pulses_in, pulses_out, rng, until,
+               max_pulses, observer, record, counter, tie_rng):
         assert not record and counter is None, "oracle covers nominal runs"
         self.oracle_drained = True
         configs = {}
 
         def deliver(rec, ports, time):
-            machine = rec[_REC_MACHINE]
+            machine = rec[PLAN_MACHINE]
             if machine is None:
-                return rec[_REC_DELIVER](ports, time), ()
-            index = rec[_REC_INDEX]
+                return rec[PLAN_DELIVER](ports, time), ()
+            index = rec[PLAN_INDEX]
             config = configs.get(index) or machine.initial_configuration()
             configs[index], firings, labels = oracle_dispatch(
                 machine, config, ports, time, tie_rng
@@ -115,7 +114,7 @@ class FrozenFastSimulation(Simulation):
                 self._overflow(max_pulses, time)
             processed += len(ports)
             if observe:
-                node = rec[_REC_NODE]
+                node = rec[PLAN_NODE]
                 parents = observer.group_parents(node.node_id, ports, time)
                 try:
                     firings, tlabels = deliver(rec, ports, time)
@@ -131,11 +130,11 @@ class FrozenFastSimulation(Simulation):
                     firings, tlabels = deliver(rec, ports, time)
                 except SimulationError as err:
                     self.pulses_processed = processed
-                    self._dispatch_error(rec[_REC_NODE], ports, err)
-            counts = rec[_REC_COUNTS]
-            counts[0] += len(ports)
-            counts[1] += len(firings)
-            outs = rec[_REC_OUTS]
+                    self._dispatch_error(rec[PLAN_NODE], ports, err)
+            index = rec[PLAN_INDEX]
+            pulses_in[index] += len(ports)
+            pulses_out[index] += len(firings)
+            routes = rec[PLAN_ROUTES]
             if observe:
                 emitted = []
                 for out_port, delay in firings:
@@ -146,8 +145,8 @@ class FrozenFastSimulation(Simulation):
                                 f"Resolved firing delay is negative: {delay}"
                             )
                     t = time + delay
-                    series, dkey, drec, dport, label = outs[out_port]
-                    series.append(t)
+                    slot, _d, dkey, drec, dport, label = routes[out_port]
+                    series[slot].append(t)
                     pushed = drec is not None
                     if pushed:
                         push(t, dkey, drec, dport)
@@ -167,8 +166,8 @@ class FrozenFastSimulation(Simulation):
                                 f"Resolved firing delay is negative: {delay}"
                             )
                     t = time + delay
-                    series, dkey, drec, dport, _label = outs[out_port]
-                    series.append(t)
+                    slot, _d, dkey, drec, dport, _label = routes[out_port]
+                    series[slot].append(t)
                     if drec is not None:
                         push(t, dkey, drec, dport)
         heap.max_depth = max_depth

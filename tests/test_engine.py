@@ -2,13 +2,14 @@
 
 Covers the engine-specific contracts on top of ``test_parallel.py``'s
 bit-identity suite: pool reuse (one pool across a whole bisection
-search), the backend rule (the pool only for sweeps that need more than
+search, and across tasks), the backend rule (the pool only for sweeps that need more than
 one batched pass), crash degradation back to the sequential reference
 path, per-chunk retry-once, and stats determinism under the chunked
 engine. Every test reaches the pool through the rule itself: a ``batch``
 width below the seed count, or more seeds than one 256-lane pass.
 """
 
+import hashlib
 import multiprocessing
 import os
 import pickle
@@ -22,7 +23,6 @@ from repro.core.montecarlo import critical_sigma, measure_yield, yield_curve
 from repro.core.parallel import (
     YieldEngine,
     _engine_chunk,
-    _engine_worker_init,
     default_engine,
     shutdown_default_engines,
 )
@@ -123,16 +123,40 @@ class TestPoolReuse:
             seeds=range(8),
         )
 
-    def test_task_change_recreates_pool(self):
-        """A different factory/predicate means a different initializer
-        payload, so the pool is rebuilt once."""
+    def test_task_change_reuses_pool(self):
+        """A different factory/predicate travels with its chunks: the
+        workers switch tasks and the pool stays."""
         from test_parallel import minmax_factory as other_factory
 
         measure_yield(minmax_factory, minmax_ok, 0.0, seeds=range(4),
                       workers=2, batch=0)
         measure_yield(other_factory, minmax_ok, 0.0, seeds=range(4),
                       workers=2, batch=0)
-        assert default_engine(2).pools_created == 2
+        assert default_engine(2).pools_created == 1
+
+    def test_registry_sweep_shares_one_pool(self):
+        """Every design of the registry on one pool, each result equal to
+        the in-process one: workers load each task, then switch back."""
+        from repro.core.simulation import Simulation
+        from repro.exp.registry import (
+            PulseCountPredicate, RegistryFactory, registry,
+        )
+
+        tasks = []
+        for entry in registry():
+            factory = RegistryFactory(entry.name)
+            tasks.append(
+                (factory, PulseCountPredicate(Simulation(factory()).simulate()))
+            )
+        tasks.append(tasks[0])  # a task the workers loaded before
+        for factory, predicate in tasks:
+            pooled = measure_yield(factory, predicate, 3.0, seeds=range(300),
+                                   workers=2)
+            assert default_engine(2).last_backend == "pool"
+            assert_identical(pooled, measure_yield(
+                factory, predicate, 3.0, seeds=range(300)
+            ))
+        assert default_engine(2).pools_created == 1
 
     def test_default_engine_cached_by_worker_count(self):
         assert default_engine(2) is default_engine(2)
@@ -154,7 +178,8 @@ class TestInitBlobProtocol:
 
         task_blob = pickle.dumps((minmax_factory, minmax_ok))
         with YieldEngine(workers=2) as engine:
-            blob = engine._task_init_blob(minmax_factory, minmax_ok, task_blob)
+            key, blob = engine._task(minmax_factory, minmax_ok, task_blob)
+            assert key == hashlib.sha256(blob).hexdigest()
             kind, payload, predicate = pickle.loads(blob)
             assert kind == "compiled"
             assert isinstance(payload, CompiledCircuit)
@@ -162,9 +187,9 @@ class TestInitBlobProtocol:
             # The pickle cycle keeps the memo warm on the receiving side.
             assert compile_circuit(payload.circuit) is payload
             # One pickling per task: the blob is cached.
-            assert engine._task_init_blob(
+            assert engine._task(
                 minmax_factory, minmax_ok, task_blob
-            ) is blob
+            )[1] is blob
 
     def test_factory_fallback_when_compiled_form_unpicklable(self):
         """Hole circuits wrap arbitrary callables; when the compiled form
@@ -172,7 +197,7 @@ class TestInitBlobProtocol:
         and the worker elaborates once itself."""
         task_blob = pickle.dumps((unpicklable_hole_factory, minmax_ok))
         with YieldEngine(workers=2) as engine:
-            blob = engine._task_init_blob(
+            _, blob = engine._task(
                 unpicklable_hole_factory, minmax_ok, task_blob
             )
             kind, payload, predicate = pickle.loads(blob)
@@ -361,11 +386,8 @@ class TestDegradation:
         from concurrent.futures.process import BrokenProcessPool
 
         engine = YieldEngine(workers=2)
-        blob = pickle.dumps(("factory", minmax_factory, minmax_ok))
-        # Run the worker initializer in-process so the fake pool can
-        # execute chunk tasks inline.
-        _engine_worker_init(blob)
 
+        # The fake pool executes chunk tasks inline, in this process.
         class FakeFuture:
             def __init__(self, fail, fn, args):
                 self._fail = fail
@@ -391,11 +413,10 @@ class TestDegradation:
 
         fake = FakePool()
 
-        def install_fake(task_blob, init_blob):
+        def install_fake():
             # Mirror _ensure_pool: register the pool on the engine so the
             # failure path's _shutdown_pool() reaches fake.shutdown().
             engine._pool = fake
-            engine._task_key = task_blob
             return fake
 
         engine._ensure_pool = install_fake
@@ -422,11 +443,10 @@ class TestWorkerReuseSemantics:
         elaboration per seed, with and without per-seed metrics (run
         in-process via the initializer)."""
         blob = pickle.dumps(("factory", minmax_factory, minmax_ok))
-        _engine_worker_init(blob)
         seeds = list(range(25))
         for collect_stats in (False, True):
             outcomes, stats, report = _engine_chunk(
-                12.0, seeds, None, collect_stats
+                "minmax", blob, 12.0, seeds, None, collect_stats
             )
             want_outcomes, want_stats = reference_chunk(
                 minmax_factory, minmax_ok, 12.0, seeds, collect_stats
@@ -452,3 +472,21 @@ class TestWorkerReuseSemantics:
         assert sim.activity == {}
         again = sim.simulate(variability={"stddev": 3.0}, seed=7)
         assert again == snapshot
+
+    def test_worker_keeps_last_task_until_key_changes(self):
+        """A chunk of the loaded task reuses the worker's circuit; a chunk
+        of another task replaces it (run in-process)."""
+        import repro.core.parallel as parallel
+        from test_parallel import minmax_factory as other_factory
+
+        first = pickle.dumps(("factory", minmax_factory, minmax_ok))
+        second = pickle.dumps(("factory", other_factory, minmax_ok))
+        _engine_chunk("first", first, 12.0, [0, 1])
+        loaded = parallel._WORKER_CTX
+        _engine_chunk("first", first, 12.0, [2, 3])
+        assert parallel._WORKER_CTX is loaded
+        outcomes, _, _ = _engine_chunk("second", second, 12.0, [4, 5])
+        assert parallel._WORKER_CTX is not loaded
+        assert parallel._WORKER_CTX.key == "second"
+        assert outcomes == reference_chunk(other_factory, minmax_ok, 12.0,
+                                           [4, 5])[0]

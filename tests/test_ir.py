@@ -17,7 +17,14 @@ from repro.core.circuit import Circuit, fresh_circuit
 from repro.core.element import InGen
 from repro.core.errors import PylseError, WireError
 from repro.core.helpers import inp, inp_at
-from repro.core.ir import CompiledCircuit, compile_circuit, structural_hash
+from repro.core.ir import (
+    PLAN_INDEX,
+    PLAN_NODE,
+    PLAN_ROUTES,
+    CompiledCircuit,
+    compile_circuit,
+    structural_hash,
+)
 from repro.core.serialize import circuit_to_json
 from repro.core.simulation import Simulation
 from repro.core.wire import Wire
@@ -175,6 +182,99 @@ class TestPickleRoundTrip:
         assert Simulation(clone.circuit).simulate() == Simulation(
             compiled.circuit
         ).simulate()
+
+
+class TestDispatchPlan:
+    """The run-invariant dispatch plan is built once per compiled revision
+    and shared by every run, ``Simulation`` and batched pass over it."""
+
+    @pytest.fixture
+    def plan_builds(self, monkeypatch):
+        import repro.core.ir as ir
+
+        built = []
+        original = ir._dispatch_plan
+
+        def counting(compiled):
+            built.append(compiled)
+            return original(compiled)
+
+        monkeypatch.setattr(ir, "_dispatch_plan", counting)
+        return built
+
+    def test_runs_and_simulations_share_one_plan(self, plan_builds):
+        circuit = build_fig12()
+        sim = Simulation(circuit)
+        first = sim.simulate()
+        plan = compile_circuit(circuit).plan
+        assert sim.simulate() == first
+        assert Simulation(circuit).simulate(seed=4, record=True) == first
+        assert Simulation(circuit).simulate(
+            variability={"stddev": 0.5}, seed=2
+        )
+        assert compile_circuit(circuit).plan is plan
+        assert len(plan_builds) == 1
+
+    def test_batched_pass_reads_the_same_plan(self, plan_builds):
+        from repro.core.batchsim import run_batch
+
+        circuit = build_fig12()
+        sim = Simulation(circuit)
+        plan = compile_circuit(circuit).plan
+        run_batch(sim, lambda events: len(events["Q"]) == 3, 1.0, range(8))
+        assert compile_circuit(circuit).plan is plan
+        assert len(plan_builds) == 1
+
+    def test_observe_after_a_run_rebuilds_the_plan(self, plan_builds):
+        circuit = build_fig12()
+        before = Simulation(circuit).simulate()
+        plan = compile_circuit(circuit).plan
+        circuit.find_wire("Q").observe("OUT")
+        after = Simulation(circuit).simulate()
+        assert compile_circuit(circuit).plan is not plan
+        assert len(plan_builds) == 2
+        assert "Q" in before and "Q" not in after
+        assert after["OUT"] == before["Q"]
+
+    def test_plan_routes_follow_the_dispatch_specs(self):
+        compiled = compile_circuit(build_feedback())
+        plan = compiled.plan
+        for nd, entry in zip(compiled.dispatch, plan.entries):
+            assert entry[PLAN_NODE] is compiled.nodes[nd.index]
+            assert entry[PLAN_INDEX] == nd.index
+            routes = entry[PLAN_ROUTES]
+            assert list(routes) == [o.port for o in nd.outs]
+            for o in nd.outs:
+                slot, dest, key, dest_entry, dest_port, label = routes[o.port]
+                assert plan.series_labels[slot] == label
+                assert label == compiled.labels[o.wire_id]
+                assert (dest, dest_port) == (o.dest, o.dest_port)
+                if o.dest < 0:
+                    assert (key, dest_entry) == (-1, None)
+                else:
+                    assert key == compiled.nodes[o.dest].node_id
+                    assert dest_entry is plan.entries[o.dest]
+
+    def test_wires_sharing_a_label_share_a_series(self):
+        """A user name equal to an anonymous one merges the two series, as
+        a per-emit lookup by label would."""
+        with fresh_circuit() as circuit:
+            jtl(inp_at(1.0))
+            jtl(inp_at(20.0, name="B"), name="_1")
+        plan = compile_circuit(circuit).plan
+        assert plan.series_labels == ("_0", "_1", "B")
+        events = Simulation(circuit).simulate()
+        assert events == {"_0": [1.0], "_1": [6.0, 25.0], "B": [20.0]}
+
+    def test_plan_is_not_pickled(self):
+        compiled = compile_circuit(build_fig12())
+        before = pickle.dumps(compiled)
+        events = Simulation(compiled).simulate()
+        assert "plan" in compiled._cache
+        assert pickle.dumps(compiled) == before
+        clone = pickle.loads(before)
+        assert "plan" not in clone._cache
+        assert Simulation(clone).simulate() == events
 
 
 class TestDelayWindows:

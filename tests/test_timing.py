@@ -87,6 +87,30 @@ class TestVariabilitySpec:
         assert spec.applies_to("JTL", "jtl1")
         assert not spec.applies_to("JTL", "jtl0")
 
+    def test_applies_by_node_is_memoised_per_selection(self):
+        from repro.core.circuit import fresh_circuit
+        from repro.core.helpers import inp_at
+        from repro.core.ir import compile_circuit
+        from repro.sfq import jtl
+
+        with fresh_circuit() as circuit:
+            jtl(jtl(inp_at(5.0, name="A")), name="Q")
+        compiled = compile_circuit(circuit)
+        spec = VariabilitySpec.normalize({"instances": ["jtl1"]})
+        applies = spec.applies_by_node(compiled)
+        assert applies == tuple(
+            not nd.is_input and spec.applies_to(nd.cell, nd.name)
+            for nd in compiled.dispatch
+        )
+        assert applies == (False, False, True)
+        again = VariabilitySpec.normalize({"instances": ["jtl1"]})
+        assert again.applies_by_node(compiled) is applies
+        everywhere = VariabilitySpec.normalize(True).applies_by_node(compiled)
+        assert everywhere == (False, True, True)
+        assert not any(VariabilitySpec.normalize(False).applies_by_node(
+            compiled
+        ))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(PylseError, match="Unknown variability"):
             VariabilitySpec.normalize({"bogus": 1})
