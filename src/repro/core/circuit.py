@@ -6,12 +6,17 @@ nodes to an ambient *working circuit* as Python code runs; the
 :class:`repro.core.simulation.Simulation` then simulates whatever workspace
 it is given (the working circuit by default).
 
-The circuit enforces the Section 4.2 structural checks:
+The circuit enforces the Section 4.2 structural checks as each node is
+placed or each wire observed:
 
-* every wire has exactly one driver (an element output or an input
-  generator);
+* no wire has two drivers;
 * every wire feeds at most one element input — SCE outputs cannot fan out
-  without an explicit splitter cell (:class:`~repro.core.errors.FanoutError`).
+  without an explicit splitter cell (:class:`~repro.core.errors.FanoutError`);
+* no two wires carry the same user-visible name.
+
+The whole-circuit checks (not empty, every consumed wire driven, unique
+observed and node names) run once per revision, in
+:func:`repro.core.ir.compile_circuit`.
 """
 
 from __future__ import annotations
@@ -21,9 +26,17 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .element import Element, InGen
-from .errors import FanoutError, PylseError, WireError
+from .errors import FanoutError, WireError
 from .node import Node
 from .wire import Wire
+
+
+def same_name_error(label: str) -> WireError:
+    """The error for two wires observed under one user-visible name."""
+    return WireError(
+        f"Two wires observed under the same name {label!r}; names must "
+        "be unique for simulation events to be unambiguous"
+    )
 
 
 class Circuit:
@@ -33,14 +46,16 @@ class Circuit:
         self.nodes: List[Node] = []
         #: per-cell-type instance counters for node naming (c0, s0, s1, ...)
         self._type_counts: Dict[str, int] = {}
-        #: wire -> (node, output port) producing pulses on it
+        #: wire -> (node, output port) producing pulses on it; in insertion
+        #: order, so its keys are the driven wires in creation order.
         self.source_of: Dict[Wire, Tuple[Node, str]] = {}
         #: wire -> (node, input port) consuming pulses from it
         self.dest_of: Dict[Wire, Tuple[Node, str]] = {}
-        self._wires: List[Wire] = []
-        #: name/alias -> wire index for O(1) find_wire; first registration of
-        #: a non-user name wins, matching the old linear-scan semantics.
-        self._wire_index: Dict[str, Wire] = {}
+        #: user-visible label -> the wire that last claimed it, for the
+        #: "same name" check at add and observe time. An entry whose wire
+        #: has since been observed under another alias is stale, and
+        #: :meth:`_label_owner` skips it.
+        self._labels: Dict[str, Wire] = {}
         #: per-circuit counter for anonymous wire names: auto-names are
         #: assigned when a wire first attaches to this circuit, so ``_0``,
         #: ``_1``, ... are reproducible per circuit regardless of how many
@@ -80,6 +95,13 @@ class Circuit:
                 wire.observed_as = fresh
             wire.name = fresh
 
+    def _label_owner(self, label: str) -> Optional[Wire]:
+        """The wire currently carrying user-visible ``label``, if any."""
+        wire = self._labels.get(label)
+        if wire is not None and label in (wire.name, wire.observed_as):
+            return wire
+        return None
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -95,47 +117,84 @@ class Circuit:
         ``input_wires`` must already exist (they are outputs of other nodes or
         input generators). ``output_wires`` are created fresh when omitted.
         Returns the new :class:`Node`.
+
+        Every check (port counts, fan-out, double driver, user-visible name
+        collision) runs before the first mutation, so a failed add leaves
+        the circuit, its naming counters and the wires passed in unchanged.
         """
         if output_wires is None:
             output_wires = [Wire() for _ in element.outputs]
+        count = -1
         if name is None:
             count = self._type_counts.get(element.name, 0)
-            self._type_counts[element.name] = count + 1
             name = f"{element.name.lower()}{count}"
         node = Node(element, input_wires, output_wires, name=name)
 
-        dest_of = self.dest_of
-        for port, wire in node.input_wires.items():
+        # A port whose wire an earlier port of this node carries conflicts
+        # with that port.
+        dest_of, source_of = self.dest_of, self.source_of
+        for k, wire in enumerate(input_wires):
             # A wire may be consumed before its driver is placed (feedback
-            # loops); validate() checks every consumed wire ends up driven.
+            # loops); compile_circuit checks every consumed wire ends up
+            # driven.
             other = dest_of.get(wire)
+            first = input_wires.index(wire) if k else 0
+            if first < k:
+                other = (node, element.inputs[first])
             if other is not None:
                 raise FanoutError(
                     f"Wire {wire.name!r} already connects to input '{other[1]}' of "
                     f"'{other[0].element.name}'; SCE outputs cannot fan out — insert "
                     "a splitter (see split())"
                 )
-            dest_of[wire] = (node, port)
-            if wire._circuit is None:
-                self._adopt_wire(wire)
-
-        source_of = self.source_of
-        for port, wire in node.output_wires.items():
+        claims = None
+        for k, wire in enumerate(output_wires):
             other = source_of.get(wire)
+            first = output_wires.index(wire) if k else 0
+            if first < k:
+                other = (node, element.outputs[first])
             if other is not None:
                 raise WireError(
                     f"Wire {wire.name!r} is already driven by output '{other[1]}' "
                     f"of '{other[0].element.name}'"
                 )
-            source_of[wire] = (node, port)
-            self._wires.append(wire)
+            if wire._user_named:
+                claims = self._claim_labels(
+                    wire, (wire.name, wire.observed_as), claims
+                )
+
+        for port, wire in node.input_wires.items():
+            dest_of[wire] = (node, port)
             if wire._circuit is None:
                 self._adopt_wire(wire)
-            self._index_wire(wire)
-
+        for port, wire in node.output_wires.items():
+            source_of[wire] = (node, port)
+            if wire._circuit is None:
+                self._adopt_wire(wire)
+        if claims:
+            self._labels.update(claims)
+        if count >= 0:
+            self._type_counts[element.name] = count + 1
         self.nodes.append(node)
         self._mutated()
         return node
+
+    def _claim_labels(
+        self,
+        wire: Wire,
+        labels: Sequence[str],
+        claims: Optional[Dict[str, Wire]] = None,
+    ) -> Dict[str, Wire]:
+        """Add ``labels`` of ``wire`` to ``claims`` (the pending claims of
+        one change), rejecting a label another wire carries."""
+        if claims is None:
+            claims = {}
+        for label in labels:
+            owner = claims.get(label) or self._label_owner(label)
+            if owner is not None and owner is not wire:
+                raise same_name_error(label)
+            claims[label] = wire
+        return claims
 
     def add_input(self, element: InGen, name: Optional[str] = None) -> Wire:
         """Place an input generator; returns its output wire."""
@@ -148,12 +207,12 @@ class Circuit:
     # ------------------------------------------------------------------
     @property
     def wires(self) -> List[Wire]:
-        """All wires, in creation order."""
-        return list(self._wires)
+        """All driven wires, in creation order."""
+        return list(self.source_of)
 
     def output_wires(self) -> List[Wire]:
         """Wires with no consumer: the circuit's outputs."""
-        return [w for w in self._wires if w not in self.dest_of]
+        return [w for w in self.source_of if w not in self.dest_of]
 
     def input_nodes(self) -> List[Node]:
         """Nodes whose element is an input generator."""
@@ -163,129 +222,44 @@ class Circuit:
         """Nodes that are actual cells (not input generators)."""
         return [n for n in self.nodes if not isinstance(n.element, InGen)]
 
-    def _index_wire(self, wire: Wire) -> None:
-        """Register a driven wire's name and alias in the lookup index.
-
-        User-visible name collisions are rejected here (loudly, at
-        construction time) rather than at :meth:`validate`; auto-generated
-        names keep first-registration-wins lookup, matching the semantics of
-        the old linear scan.
-        """
-        name, alias = wire.name, wire.observed_as
-        for label in (name,) if alias == name else (name, alias):
-            existing = self._wire_index.setdefault(label, wire)
-            if (existing is not wire and wire._user_named
-                    and existing._user_named):
-                raise WireError(
-                    f"Two wires observed under the same name {label!r}; names must "
-                    "be unique for simulation events to be unambiguous"
-                )
-
     def _rename_wire(self, wire: Wire, name: str) -> None:
-        """Re-alias an indexed wire, rejecting duplicate user-visible names.
+        """Claim the alias ``name`` for an attached wire.
 
-        Called by :meth:`Wire.observe` before the alias changes. The index
-        stays consistent through the rename: the new alias resolves
-        immediately (also for consumed-but-not-yet-driven feedback wires,
-        which used to stay unfindable until driven), the wire's own ``name``
-        keeps resolving, and a superseded alias is dropped rather than left
-        dangling. Colliding with an existing *auto-generated* entry keeps
-        first-registration-wins, matching :meth:`_index_wire`.
+        Called by :meth:`Wire.observe` before the alias changes; rejects a
+        name another wire of this circuit carries. The new alias resolves
+        at once, also for a consumed-but-not-yet-driven feedback wire.
         """
-        existing = self._wire_index.get(name)
-        if existing is not None and existing is not wire and existing.is_user_named:
-            raise WireError(
-                f"Two wires observed under the same name {name!r}; names must "
-                "be unique for simulation events to be unambiguous"
-            )
-        old_alias = wire.observed_as
-        if old_alias != wire.name and self._wire_index.get(old_alias) is wire:
-            del self._wire_index[old_alias]
-        if existing is None or existing is wire:
-            self._wire_index[name] = wire
+        self._labels.update(self._claim_labels(wire, (name,)))
         self._mutated()
 
     def find_wire(self, name: str) -> Wire:
-        """Look up a wire by its name or observation alias (O(1))."""
-        wire = self._wire_index.get(name)
+        """Look up a wire by its name or current observation alias.
+
+        User-visible labels resolve through the add-time label map;
+        anonymous ``_k`` names through the compiled IR's ``wire_index``.
+        """
+        wire = self._label_owner(name)
         if wire is None:
-            raise WireError(f"No wire named {name!r} in this circuit")
+            from .ir import compile_circuit
+
+            compiled = compile_circuit(self, validate=False)
+            index = compiled.wire_index.get(name)
+            if index is None:
+                raise WireError(f"No wire named {name!r} in this circuit")
+            wire = compiled.wires[index]
         return wire
 
-    def index_problems(self) -> List[str]:
-        """Consistency audit of the wire-name index against the wire lists.
-
-        Returns human-readable descriptions of every disagreement between
-        ``_wire_index`` and the circuit's actual wires — an empty list means
-        the index is sound. Exercised by the lint self-check in
-        :func:`repro.lint.circuit_rules.lint_circuit` after rename/feedback
-        patterns, and directly by tests.
-        """
-        problems: List[str] = []
-        attached = set(map(id, self._wires))
-        attached.update(id(w) for w in self.dest_of)
-        for label, wire in self._wire_index.items():
-            if id(wire) not in attached:
-                problems.append(
-                    f"index entry {label!r} points at wire {wire.name!r} "
-                    "which is no longer attached to this circuit"
-                )
-            elif label not in (wire.name, wire.observed_as):
-                problems.append(
-                    f"index entry {label!r} points at wire {wire.name!r} "
-                    f"(observed as {wire.observed_as!r}) which no longer "
-                    "carries that label"
-                )
-        for wire in self._wires:
-            for label in {wire.name, wire.observed_as}:
-                entry = self._wire_index.get(label)
-                if entry is None:
-                    problems.append(
-                        f"driven wire {wire.name!r} (observed as "
-                        f"{wire.observed_as!r}) is missing from the index "
-                        f"under {label!r}"
-                    )
-                elif entry is not wire and label not in (
-                    entry.name, entry.observed_as
-                ):
-                    problems.append(
-                        f"label {label!r} of wire {wire.name!r} resolves to "
-                        f"wire {entry.name!r} which does not carry it"
-                    )
-        return problems
-
     def validate(self) -> None:
-        """Run whole-circuit structural checks.
+        """Run the whole-circuit structural checks of :func:`compile_circuit`."""
+        from .ir import compile_circuit
 
-        Add-time checks already guarantee single-driver/single-reader; this
-        re-verifies and additionally rejects empty circuits and duplicate
-        observation names, which would make the events dict ambiguous.
-        """
-        if not self.nodes:
-            raise PylseError("Circuit is empty: nothing to simulate")
-        for wire, (node, port) in self.dest_of.items():
-            if wire not in self.source_of:
-                raise WireError(
-                    f"Wire {wire.name!r} (input '{port}' of "
-                    f"'{node.element.name}') has no driver; connect it to an "
-                    "element output or an input generator"
-                )
-        seen: Dict[str, Wire] = {}
-        for wire in self._wires:
-            label = wire.observed_as
-            if wire.is_user_named and label in seen:
-                raise WireError(
-                    f"Two wires observed under the same name {label!r}; names must "
-                    "be unique for simulation events to be unambiguous"
-                )
-            if wire.is_user_named:
-                seen[label] = wire
+        compile_circuit(self)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __repr__(self) -> str:
-        return f"Circuit({len(self.nodes)} nodes, {len(self._wires)} wires)"
+        return f"Circuit({len(self.nodes)} nodes, {len(self.source_of)} wires)"
 
 
 # ----------------------------------------------------------------------

@@ -49,9 +49,9 @@ from typing import (
     Sequence, Set, Tuple, Union,
 )
 
-from .circuit import Circuit
+from .circuit import Circuit, same_name_error
 from .element import Element, InGen
-from .errors import PylseError
+from .errors import PylseError, WireError
 from .functional import Functional
 from .node import Node
 from .timing import Distribution, Normal, Uniform, nominal_delay
@@ -142,11 +142,12 @@ class CompiledCircuit:
     circuit: Circuit
     #: Mutation version of ``circuit`` this compile reflects.
     version: int
-    #: Whether ``Circuit.validate()`` has passed for this revision. Lint
-    #: compiles tolerantly (``validate=False``) so it can report on broken
-    #: circuits (undriven wires are its PL204 finding, not a crash); a later
-    #: strict consumer re-validates once and flips this.
-    validated: bool
+    #: The first whole-circuit structural problem of this revision, or
+    #: None. A strict compile raises it; lint compiles tolerantly
+    #: (``validate=False``) so it can report on broken circuits (undriven
+    #: wires are its PL204 finding, not a crash), and a later strict call
+    #: on that memo raises the recorded problem without checking again.
+    problem: Optional[PylseError]
 
     # -- nodes ---------------------------------------------------------
     nodes: Tuple[Node, ...]
@@ -651,38 +652,36 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
     anywhere — ``simulate()``, ``lint_circuit()``, ``translate_circuit()``,
     ``circuit_to_json()`` — compiles at most once per circuit revision.
 
-    ``validate=False`` compiles without the whole-circuit structural checks
-    (lint uses this: an undriven wire is its PL204 *finding*, not a crash).
-    Consumed-but-undriven wires then simply don't appear in the IR's wire
-    tables, matching how the graph walks this replaces treated them. A
-    strict call on a tolerantly-compiled memo re-validates once.
+    These are the whole-circuit structural checks, in order of
+    precedence: the circuit is not empty, every consumed wire is driven
+    (reported in consumption order), no two wires share an observed
+    label, and no two nodes share a name. A strict compile raises the
+    first problem found. ``validate=False`` records it instead (lint uses
+    this: an undriven wire is its PL204 *finding*, not a crash); only a
+    duplicate node name, which leaves ``node_index`` ambiguous, still
+    raises. Consumed-but-undriven wires simply don't appear in the IR's
+    wire tables. A strict call on a tolerantly-compiled memo raises the
+    recorded problem.
 
     One pass over the nodes records each wire's consumer; a second numbers
-    the driven wires (in elaboration order) and builds the specs. The
-    ``Circuit.validate`` checks ride along; when one trips, ``validate()``
-    itself raises, so each error and its precedence are unchanged.
+    the driven wires (in elaboration order) and builds the specs.
     """
     cached = getattr(circuit, "_compiled_ir", None)
     if cached is not None and cached.version == circuit.version:
-        if validate and not cached.validated:
-            circuit.validate()
-            object.__setattr__(cached, "validated", True)
+        if validate and cached.problem is not None:
+            raise cached.problem
         return cached
 
     version = circuit.version
     nodes = tuple(circuit.nodes)
     node_index: Dict[str, int] = {}
+    duplicate_node: Optional[str] = None
     # wire -> (consuming node id, input port)
     consumer: Dict[Wire, Tuple[int, str]] = {}
     for i, node in enumerate(nodes):
         name = node.name
-        if name in node_index:
-            if validate:
-                circuit.validate()  # a structural error takes precedence
-            raise PylseError(
-                f"Two nodes named {name!r}; node names must be unique "
-                "for dispatch records and findings to be unambiguous"
-            )
+        if name in node_index and duplicate_node is None:
+            duplicate_node = name
         node_index[name] = i
         for port, wire in node.input_wires.items():
             consumer[wire] = (i, port)
@@ -723,17 +722,37 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
             NodeDispatch(i, node.name, element.name, is_input, tuple(outs))
         )
     output_wire_ids = tuple(k for k, d in enumerate(wire_dest) if d is None)
+
+    problem: Optional[PylseError] = None
     named = [label for label in user_labels if label is not None]
-    if validate and (
-        not nodes or len(set(named)) < len(named)
-        or len(edges) < len(consumer)  # a consumed wire is undriven
-    ):
-        circuit.validate()
+    if not nodes:
+        problem = PylseError("Circuit is empty: nothing to simulate")
+    elif len(edges) < len(consumer):  # a consumed wire is undriven
+        wire, (i, port) = next(
+            (w, d) for w, d in consumer.items() if w not in circuit.source_of
+        )
+        problem = WireError(
+            f"Wire {wire.name!r} (input '{port}' of "
+            f"'{nodes[i].element.name}') has no driver; connect it to an "
+            "element output or an input generator"
+        )
+    elif len(set(named)) < len(named):
+        seen: Set[str] = set()
+        problem = same_name_error(
+            next(label for label in named if label in seen or seen.add(label))
+        )
+    if validate and problem is not None:
+        raise problem
+    if duplicate_node is not None:
+        raise PylseError(
+            f"Two nodes named {duplicate_node!r}; node names must be unique "
+            "for dispatch records and findings to be unambiguous"
+        )
 
     compiled = CompiledCircuit(
         circuit=circuit,
         version=version,
-        validated=validate,
+        problem=problem,
         nodes=nodes,
         node_index=node_index,
         cell_ids=tuple(cell_ids),

@@ -19,9 +19,10 @@ cache, keyed by worker count, makes this automatic). Two costs are
 amortized away:
 
 * the parent elaborates and compiles each ``(factory, predicate)`` task
-  **once**; every chunk carries the task's key and its pickled compiled
-  design, and a worker unpickles the design only when the key differs
-  from the last task it loaded;
+  **once** while it stays among the engine's ``_TASK_CACHE_SIZE`` most
+  recent tasks; every chunk carries the task's key and its pickled
+  compiled design, and a worker unpickles the design only when the key
+  differs from the last task it loaded;
 * each worker then re-simulates that circuit per seed (placed cells are
   immutable and every run's state lives in the drain, so a re-run is
   bit-identical to a fresh elaboration — ``tests/test_determinism.py``
@@ -89,6 +90,12 @@ from .simulation import Events, Simulation
 
 if TYPE_CHECKING:  # layering: core never imports repro.obs at runtime
     from ..obs.metrics import SimMetrics
+
+#: How many tasks' worker payloads one engine keeps, least recently used
+#: first out. It covers the 22-design registry, so a repeated registry
+#: sweep never re-elaborates, while a long-lived engine (``repro serve``,
+#: explore) stops growing with every distinct design it ever pooled.
+_TASK_CACHE_SIZE = 32
 
 
 def run_chunk(
@@ -345,10 +352,15 @@ class YieldEngine:
         #: Serializes run() across threads: the pool and the last_*
         #: observability fields are single-sweep state.
         self._run_lock = threading.RLock()
+        # Imported here, not at module level: a process that never builds
+        # an engine (a plain simulate) does not load repro.cache.
+        from ..cache.lru import LRUCache
+
         #: task blob -> (payload digest, worker payload): the compiled design
-        #: when the circuit pickles, the factory otherwise. Built at most
-        #: once per task so repeated runs never re-elaborate in the parent.
-        self._tasks: Dict[bytes, Tuple[str, bytes]] = {}
+        #: when the circuit pickles, the factory otherwise. Built once per
+        #: task while it stays cached, so repeated runs never re-elaborate
+        #: in the parent.
+        self._tasks = LRUCache(_TASK_CACHE_SIZE)
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "YieldEngine":
@@ -379,7 +391,7 @@ class YieldEngine:
         return self._pool
 
     def _task(self, factory, predicate, task_blob: bytes) -> Tuple[str, bytes]:
-        """The task's ``(key, worker payload)``, built (at most) once.
+        """The task's ``(key, worker payload)``, built once while cached.
 
         Prefers shipping the parent-compiled :class:`CompiledCircuit` —
         one elaboration + compile for the whole sweep, with every worker
@@ -390,16 +402,14 @@ class YieldEngine:
         the factory path. Falls back to shipping the factory when the
         circuit itself does not pickle. The key is the payload's digest.
         """
-        task = self._tasks.get(task_blob)
-        if task is None:
+        if task_blob not in self._tasks:
             try:
                 compiled = compile_circuit(factory())
                 blob = pickle.dumps(("compiled", compiled, predicate))
             except Exception:
                 blob = pickle.dumps(("factory", factory, predicate))
-            key = hashlib.sha256(blob).hexdigest()
-            task = self._tasks[task_blob] = (key, blob)
-        return task
+            self._tasks.put(task_blob, (hashlib.sha256(blob).hexdigest(), blob))
+        return self._tasks.get(task_blob)
 
     # -- the run entry point -------------------------------------------
     def run(

@@ -31,7 +31,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from ..core.analysis import balance_report, clock_skew
 from ..core.circuit import Circuit, working_circuit
 from ..core.element import InGen
-from ..core.errors import PylseError
 from ..core.ir import compile_circuit
 from ..core.transitional import Transitional
 from .findings import Finding, Location, Severity
@@ -130,16 +129,6 @@ def lint_circuit(
     select = _patterns(select)
     ignore = _patterns(ignore) or ()
     suppressions = dict(suppressions or {})
-
-    # Self-check: the O(1) wire-name index must agree with the circuit's
-    # wire lists (rename/feedback-wire patterns are the historical risk).
-    # An inconsistency is a core bug, not a design finding — fail loudly.
-    index_problems = circuit.index_problems()
-    if index_problems:
-        raise PylseError(
-            "circuit wire-name index is inconsistent with circuit.wires "
-            "(core invariant violated): " + "; ".join(index_problems)
-        )
 
     node_suppress: Dict[str, Tuple[str, ...]] = {}
     for node in circuit.cells():

@@ -1,6 +1,8 @@
 """Tests for wires, nodes, and the circuit workspace (Section 4.2 checks)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.circuit import (
     Circuit,
@@ -15,7 +17,9 @@ from repro.core.ir import compile_circuit
 from repro.core.simulation import Simulation
 from repro.core.transitional import Transitional
 from repro.core.wire import Wire
-from repro.sfq import JTL, and_s, c, jtl, m, s, split
+from repro.sfq import C, JTL, M, and_s, c, jtl, m, s, split
+
+from test_random_circuits import build_random_circuit
 
 
 class TestWire:
@@ -190,6 +194,113 @@ class TestCircuit:
         assert len(circuit.cells()) == 1
         assert len(circuit.input_nodes()) == 1
         assert isinstance(circuit.input_nodes()[0].element, InGen)
+
+
+def _snapshot(circuit, wires):
+    """Everything a failed ``add_node`` or ``observe()`` must leave as is."""
+    return (
+        list(circuit.nodes), dict(circuit.source_of), dict(circuit.dest_of),
+        circuit.version, dict(circuit._type_counts),
+        [(w.name, w.observed_as, w.is_user_named, w._circuit) for w in wires],
+    )
+
+
+class TestAtomicAdd:
+    """A rejected ``add_node`` changes nothing, so the wires it was given
+    stay usable and the next node of the type keeps its name."""
+
+    def test_failed_fanout_within_one_node_changes_nothing(self):
+        circuit = working_circuit()
+        a = inp_at(10.0, name="A")
+        before = _snapshot(circuit, [a])
+        with pytest.raises(FanoutError):
+            c(a, a)
+        assert _snapshot(circuit, [a]) == before
+        q = jtl(a)  # ``a`` has no reader yet
+        assert circuit.dest_of[a][0].name == "jtl0"
+        assert c(q, inp_at(20.0, name="B")) in circuit.wires
+        assert [n.name for n in circuit.cells()] == ["jtl0", "c0"]
+
+    def test_failed_add_adopts_no_wire(self):
+        circuit = working_circuit()
+        a = inp_at(10.0, name="A")
+        jtl(a)
+        fresh, out = Wire(), Wire("OUT")
+        names = (fresh.name, out.name)
+        before = _snapshot(circuit, [a, fresh, out])
+        with pytest.raises(FanoutError):
+            circuit.add_node(C(), [fresh, a], [out])
+        assert _snapshot(circuit, [a, fresh, out]) == before
+        assert (fresh.name, out.name) == names and fresh._circuit is None
+
+    def test_failed_label_claim_changes_nothing(self):
+        circuit = working_circuit()
+        inp_at(10.0, name="X")
+        a = inp_at(20.0, name="A")
+        taken = Wire().observe("X")
+        before = _snapshot(circuit, [a, taken])
+        with pytest.raises(WireError, match="same name 'X'"):
+            circuit.add_node(JTL(), [a], [taken])
+        assert _snapshot(circuit, [a, taken]) == before
+        assert jtl(a, name="Q") is circuit.find_wire("Q")
+
+
+def _wire_tables_agree(circuit, superseded=()):
+    """The circuit's own wire queries match its compiled IR's tables."""
+    compiled = compile_circuit(circuit)
+    assert circuit.wires == list(compiled.wires)
+    assert circuit.output_wires() == [
+        compiled.wires[k] for k in compiled.output_wire_ids
+    ]
+    for k, wire in enumerate(compiled.wires):
+        for label in (wire.name, wire.observed_as):
+            assert circuit.find_wire(label) is wire
+            assert compiled.wire_index[label] == k
+    for label in superseded:
+        assert label not in compiled.wire_index
+        with pytest.raises(WireError):
+            circuit.find_wire(label)
+
+
+class TestNetlistIndexProperty:
+    """Random netlists, renames and a feedback wire: the add-time label map
+    and the compiled wire tables answer every lookup the same way."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_cells=st.integers(1, 12),
+        renames=st.lists(st.integers(0, 999), max_size=8),
+    )
+    def test_label_map_agrees_with_compiled_ir(self, seed, n_cells, renames):
+        circuit = build_random_circuit(seed, 3, n_cells)
+        wires = circuit.wires
+        used = {w.observed_as for w in wires}
+        for n, pick in enumerate(renames):
+            wires[pick % len(wires)].observe(f"r{n}")
+            used.add(f"r{n}")
+
+        # One feedback wire: consumed, observed, found, and then driven.
+        fb = Wire()
+        out = circuit.add_node(M(), [circuit.output_wires()[0], fb])
+        fb.observe("fb")
+        assert circuit.find_wire("fb") is fb
+        circuit.add_node(JTL(), [out.output_wires["q"]], [fb])
+        current = {l for w in circuit.wires for l in (w.name, w.observed_as)}
+        _wire_tables_agree(circuit, used - current)
+
+        # A colliding observe or add raises and changes nothing.
+        victim = circuit.wires[seed % len(circuit.wires)]
+        owner = circuit.wires[(seed + 1) % len(circuit.wires)]
+        taken = owner.observed_as
+        if victim is not owner and owner.is_user_named:
+            before = _snapshot(circuit, circuit.wires)
+            with pytest.raises(WireError, match="same name"):
+                victim.observe(taken)
+            with pytest.raises(WireError, match="same name"):
+                circuit.add_input(InGen([1.0]), taken)
+            assert _snapshot(circuit, circuit.wires) == before
+        _wire_tables_agree(circuit)
 
 
 class TestHelpers:

@@ -13,6 +13,7 @@ import hashlib
 import multiprocessing
 import os
 import pickle
+from functools import partial
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.errors import PylseError
 from repro.core.helpers import inp_at
 from repro.core.montecarlo import critical_sigma, measure_yield, yield_curve
 from repro.core.parallel import (
+    _TASK_CACHE_SIZE,
     YieldEngine,
     _engine_chunk,
     default_engine,
@@ -59,6 +61,20 @@ def minmax_ok(events) -> bool:
         and len(events["high"]) == 1
         and events["low"][0] < events["high"][0]
     )
+
+
+#: The ``a_time`` of every ``shifted_minmax`` elaboration in this process.
+_ELABORATIONS = []
+
+
+def shifted_minmax(a_time: float) -> Circuit:
+    """Min-Max with input A at ``a_time``: one distinct design per time."""
+    _ELABORATIONS.append(a_time)
+    with fresh_circuit() as circuit:
+        low, high = min_max(inp_at(a_time, name="A"), inp_at(25.0, name="B"))
+        low.observe("low")
+        high.observe("high")
+    return circuit
 
 
 def crashing_predicate(events) -> bool:
@@ -204,6 +220,46 @@ class TestInitBlobProtocol:
             assert kind == "factory"
             assert payload is unpicklable_hole_factory
             assert predicate is minmax_ok
+
+
+class TestTaskCache:
+    """The engine keeps at most ``_TASK_CACHE_SIZE`` task payloads, least
+    recently used first out, and never rebuilds one it still holds."""
+
+    def test_payloads_are_bounded_and_pool_matches_serial(self):
+        times = [40.0 + k for k in range(_TASK_CACHE_SIZE + 3)]
+        with YieldEngine(workers=2) as engine:
+            for a_time in times:
+                factory = partial(shifted_minmax, a_time)
+                pooled, _ = engine.run(factory, minmax_ok, 12.0, range(4),
+                                       batch=0)
+                assert engine.last_backend == "pool"
+                assert pooled == reference_chunk(factory, minmax_ok, 12.0,
+                                                 range(4))[0]
+                assert len(engine._tasks) <= _TASK_CACHE_SIZE
+            assert len(engine._tasks) == _TASK_CACHE_SIZE
+            assert engine.pools_created == 1
+
+    def test_repeated_task_inside_the_bound_is_not_rebuilt(self):
+        built = []
+        with YieldEngine(workers=2) as engine:
+            for a_time in (50.0, 60.0, 50.0):
+                calls = len(_ELABORATIONS)
+                engine.run(partial(shifted_minmax, a_time), minmax_ok, 12.0,
+                           range(4), batch=0)
+                assert engine.last_backend == "pool"
+                built.append(len(_ELABORATIONS) - calls)
+        assert built == [1, 1, 0]
+
+    def test_evicted_task_is_rebuilt(self):
+        with YieldEngine(workers=2) as engine:
+            for k in range(_TASK_CACHE_SIZE + 1):
+                engine.run(partial(shifted_minmax, 40.0 + k), minmax_ok,
+                           12.0, range(2), batch=0)
+            calls = len(_ELABORATIONS)
+            engine.run(partial(shifted_minmax, 40.0), minmax_ok, 12.0,
+                       range(2), batch=0)
+            assert len(_ELABORATIONS) == calls + 1
 
 
 def assert_identical(got, want, collect_stats=False):

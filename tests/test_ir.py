@@ -136,9 +136,32 @@ class TestMemoization:
     def test_tolerant_then_strict_revalidates_in_place(self):
         circuit = build_fig12()
         tolerant = compile_circuit(circuit, validate=False)
-        assert not tolerant.validated
+        assert tolerant.problem is None
         strict = compile_circuit(circuit)
-        assert strict is tolerant and strict.validated
+        assert strict is tolerant
+
+    def test_strict_call_raises_the_recorded_problem(self):
+        with fresh_circuit() as circuit:
+            jtl(Wire("floating"), name="q")
+        tolerant = compile_circuit(circuit, validate=False)
+        assert isinstance(tolerant.problem, WireError)
+        with pytest.raises(WireError) as caught:
+            compile_circuit(circuit)
+        assert caught.value is tolerant.problem
+        assert compile_circuit(circuit, validate=False) is tolerant
+
+    def test_duplicate_label_precedes_duplicate_node_name(self):
+        circuit = Circuit()
+        circuit.add_node(JTL(), [circuit.add_input(InGen([1.0]), "A")],
+                         [Wire("Q")], name="x")
+        r = Wire("R")
+        circuit.add_node(JTL(), [circuit.add_input(InGen([2.0]), "B")],
+                         [r], name="x")
+        r.observed_as = "Q"  # bypasses observe()'s add-time check
+        with pytest.raises(WireError, match="same name 'Q'"):
+            compile_circuit(circuit)
+        with pytest.raises(PylseError, match="Two nodes named 'x'"):
+            compile_circuit(circuit, validate=False)
 
     def test_tolerant_compile_skips_validation(self):
         with fresh_circuit() as circuit:
@@ -363,16 +386,11 @@ class TestWireNamingIsolation:
 
 
 class TestWireIndexConsistency:
-    def test_clean_circuit_has_no_problems(self):
-        circuit = build_fig12()
-        assert circuit.index_problems() == []
-
     def test_rename_keeps_index_consistent(self):
         circuit = build_fig12()
         q = circuit.find_wire("Q")
         q.observe("stage1")
         q.observe("stage2")
-        assert circuit.index_problems() == []
         assert circuit.find_wire("stage2") is q
         with pytest.raises(WireError):
             circuit.find_wire("stage1")  # superseded alias dropped
@@ -385,23 +403,7 @@ class TestWireIndexConsistency:
             fb.observe("fb_alias")
             assert circuit.find_wire("fb_alias") is fb
             circuit.add_node(JTL(), [x], [fb])
-        assert circuit.index_problems() == []
-
-    def test_corrupted_index_is_reported(self):
-        circuit = build_fig12()
-        stray = Wire("stray")
-        circuit._wire_index["stray"] = stray
-        problems = circuit.index_problems()
-        assert any("no longer attached" in p for p in problems)
-
-    def test_stale_label_is_reported(self):
-        circuit = build_fig12()
-        q = circuit.find_wire("Q")
-        # Bypass observe() to simulate the historical staleness bug.
-        q.observed_as = "sneaky"
-        q._user_named = True
-        problems = circuit.index_problems()
-        assert problems
+        assert circuit.find_wire("fb_alias") is fb
 
 
 def _refuse(*args, **kwargs):
