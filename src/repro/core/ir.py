@@ -76,8 +76,8 @@ _NOISE_VERSION = "noise-v2"
 #: Bumped whenever the zone explorer's state counts or search order
 #: change, so a cached PL4xx analysis (its "(N states)" messages, its BFS
 #: prefix under a ``max_states`` cut) from an older explorer is a miss.
-#: v2: active-clock zones.
-_EXPLORER_VERSION = "zone-v2"
+#: v2: active-clock zones. v3: same-instant persistent sets.
+_EXPLORER_VERSION = "zone-v3"
 
 
 class OutSpec(NamedTuple):

@@ -63,6 +63,10 @@ class Wire:
         """
         if not name or not isinstance(name, str):
             raise WireError(f"Observation name must be a non-empty string, got {name!r}")
+        if self._user_named and self.observed_as == name:
+            # Already observed under this name: nothing changes, so the
+            # circuit keeps its version and its compiled IR.
+            return self
         if self._circuit is not None:
             self._circuit._rename_wire(self, name)
         self.observed_as = name

@@ -145,6 +145,27 @@ class TestCircuit:
         with pytest.raises(WireError, match="same name"):
             working_circuit().add_node(JTL(), [a], [floating])
 
+    def test_repeated_observe_keeps_compiled_ir(self):
+        q = jtl(inp_at(5.0, name="A"))
+        q.observe("Q")
+        circuit = working_circuit()
+        compiled = compile_circuit(circuit)
+        version = circuit.version
+        q.observe("Q")
+        assert circuit.version == version
+        assert compile_circuit(circuit) is compiled
+
+    def test_observing_anonymous_wire_under_its_own_name_is_a_change(self):
+        # The user label enters the structural hash, so naming an
+        # anonymous wire "_k" explicitly is a new revision.
+        q = jtl(inp_at(5.0, name="A"))
+        circuit = working_circuit()
+        compiled = compile_circuit(circuit)
+        assert q.observed_as == q.name and not q.is_user_named
+        q.observe(q.name)
+        assert compile_circuit(circuit) is not compiled
+        assert compile_circuit(circuit).structural_hash != compiled.structural_hash
+
     def test_find_wire_by_name_and_alias(self):
         a = inp_at(5.0, name="A")
         q = jtl(a)

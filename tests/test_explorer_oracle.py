@@ -1,33 +1,40 @@
-"""Active-clock zones against the frozen full-dimension explorer.
+"""The production explorer against the frozen full-dimension explorer.
 
-Active-clock reduction is exact for location reachability, so on every
-network the production :class:`repro.mc.ModelChecker` and the frozen
-full-dimension copy in ``tests/frozen_explorer.py`` must reach the same
-location vectors and report the same violations (with their step
-windows), the same races (with their windows) and the same coverage.
-Only the number of symbolic states may differ, and only downwards.
+Active-clock zones are exact for location reachability, and the
+same-instant persistent sets fire one cell's internal steps where all
+interleavings would reach the same locations. So on every network the
+production :class:`repro.mc.ModelChecker` and the frozen full-dimension,
+unreduced copy in ``tests/frozen_explorer.py`` must report the same
+violations (with their step windows), the same races (with their
+windows), the same coverage and the same dead ends. The production
+explorer reaches a subset of the location vectors (the interleavings it
+skips) in at most as many symbolic states.
 
-The networks are every registry design whose exploration completes
-within :data:`BUDGET` states, under the PL4xx queries (Query 2 and
-deadlock) plus Query 1 where the design simulates, and the pinned cases
-of ``tests/test_mc.py::TestExplorerIdentity``.
+The networks are every registry design whose unreduced exploration
+completes within :data:`BUDGET` states, under the PL4xx queries (Query 2
+and deadlock) plus Query 1 where the design simulates; the pinned cases
+of ``tests/test_mc.py::TestExplorerIdentity``; and random acyclic
+circuits with coincident inputs on the 0.1 ps grid.
 """
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from frozen_explorer import FullDimensionChecker
 from repro.core.circuit import working_circuit
-from repro.core.errors import PriorInputViolation, PylseError
+from repro.core.errors import PylseError, SimulationError
 from repro.core.simulation import Simulation
 from repro.exp.registry import build_in_fresh_circuit, registry
 from repro.mc import ModelChecker
 from repro.ta import translate_circuit
 from repro.ta.queries import correctness_query, deadlock_query, no_error_query
 from test_mc import IDENTITY_CASES
+from test_random_circuits import ASYNC_KINDS, build_random_circuit
 
-#: State budget of both explorers. Race Tree, Adder (Sync) and the
-#: bitonic sorters need more than this with active clocks already (and
-#: far more, minutes' worth, without), so they are out of scope here.
+#: State budget of the explorers. Race Tree, Adder (Sync) and the bitonic
+#: sorters need more than this without the reduction (and far more,
+#: minutes' worth, without active clocks), so they are out of scope here.
 BUDGET = 1000
 
 
@@ -39,22 +46,31 @@ def _recording(checker_class):
             self.locvecs = set()
             return super().run(*args, **kwargs)
 
-        def _note_visited(self, locvec, visited):
+        def _check_state(self, locvec, *args):
             self.locvecs.add(locvec)
-            super()._note_visited(locvec, visited)
+            super()._check_state(locvec, *args)
 
     return Recording
 
 
-ActiveClocks = _recording(ModelChecker)
+Reduced = _recording(ModelChecker)
 FullDimension = _recording(FullDimensionChecker)
+
+
+class Unreduced(ModelChecker):
+    """The production explorer with every state expanded fully. A case is
+    in scope when it completes within :data:`BUDGET` states: the frozen
+    explorer, far slower per state, then completes within it too."""
+
+    def _persistent(self, *args):
+        return None
 
 
 def _queries(circuit, translation):
     queries = [no_error_query(translation), deadlock_query()]
     try:
         events = Simulation(circuit).simulate()
-    except PriorInputViolation:
+    except SimulationError:  # a timing violation stops the simulation
         pass
     else:
         queries.insert(0, correctness_query(circuit, translation, events))
@@ -85,22 +101,47 @@ def _outcome(checker, queries):
     }
 
 
-def _assert_same(network, queries, use_inclusion=True):
+def _compare(network, queries, use_inclusion=True, traces=True):
+    """Assert the oracle contracts; returns the two results, or None when
+    the unreduced search needs more than :data:`BUDGET` states.
+
+    With ``traces=False`` violations are compared as the set of what fails
+    where — (query, automaton, location, detail) — and not as the list of
+    violating states with their paths. A violation is reported for every
+    violating symbolic state, with the breadth-first path to it; after an
+    error the reduction visits fewer of those states, and it may reach one
+    through another order of the same instant's steps (an invisible step of
+    one cell before another cell's delivery), so path and count differ
+    while every path is still a run of the network.
+    """
+    if not Unreduced(network, max_states=BUDGET,
+                     use_inclusion=use_inclusion).run(queries).completed:
+        return None
     new, new_outcome = _outcome(
-        ActiveClocks(network, max_states=BUDGET, use_inclusion=use_inclusion),
+        Reduced(network, max_states=BUDGET, use_inclusion=use_inclusion),
         queries,
     )
-    if not new.completed:
-        pytest.skip(f"needs more than {BUDGET} states")
     old, old_outcome = _outcome(
         FullDimension(network, max_states=BUDGET,
                       use_inclusion=use_inclusion),
         queries,
     )
-    assert old.completed
+    assert new.completed and old.completed
     assert new.states_explored <= old.states_explored
+    # The one contract the reduction changes: it skips interleavings.
+    assert new_outcome.pop("locvecs") <= old_outcome.pop("locvecs")
+    assert new.satisfied == old.satisfied
+    if not traces:
+        for outcome in (new_outcome, old_outcome):
+            outcome["violations"] = {v[:4] for v in outcome["violations"]}
     for key in old_outcome:
         assert new_outcome[key] == old_outcome[key], key
+    return new, old
+
+
+def _assert_same(network, queries, use_inclusion=True):
+    if _compare(network, queries, use_inclusion) is None:
+        pytest.skip(f"needs more than {BUDGET} states unreduced")
 
 
 @pytest.mark.parametrize(
@@ -124,3 +165,52 @@ def test_identity_case_matches_full_dimension(name, use_inclusion):
     _assert_same(
         translation.network, _queries(circuit, translation), use_inclusion
     )
+
+
+# --------------------------------------------------------------------------
+# random circuits: coincident and near-coincident inputs
+# --------------------------------------------------------------------------
+RANDOM_KINDS = ASYNC_KINDS + ("dro",)
+
+
+def _random_case(seed, n_inputs, n_cells, tenths):
+    """A random acyclic circuit whose inputs pulse ``tenths`` / 10 ps apart
+    (0: all at once), with its network and queries."""
+    circuit = build_random_circuit(seed, n_inputs, n_cells, kinds=RANDOM_KINDS,
+                                   spacing=tenths / 10)
+    translation = translate_circuit(circuit)
+    return translation.network, _queries(circuit, translation)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    n_inputs=st.integers(1, 4),
+    n_cells=st.integers(1, 6),
+    tenths=st.sampled_from([0, 0, 1, 5, 12, 37, 100, 250, 1200]),
+)
+def test_random_circuit_matches_full_dimension(seed, n_inputs, n_cells,
+                                               tenths):
+    outcome = _compare(*_random_case(seed, n_inputs, n_cells, tenths),
+                       traces=False)
+    if outcome is None:
+        event("out of budget")
+    else:
+        new, old = outcome
+        event("reduced" if new.states_explored < old.states_explored
+              else "not reduced")
+
+
+def test_random_circuits_are_reduced():
+    """The reduction is exercised on random circuits, not only on the
+    registry: a fixed sample with coincident inputs, compared in full."""
+    compared = reduced = 0
+    for seed in range(12):
+        outcome = _compare(*_random_case(seed, 3, 5, 0), traces=False)
+        if outcome is not None:
+            compared += 1
+            new, old = outcome
+            reduced += new.states_explored < old.states_explored
+    assert compared >= 10
+    assert reduced > 0

@@ -319,6 +319,29 @@ class TestIncrementalCache:
         assert cached3
         assert from_disk.truncation_reason == "max_states"
 
+    def test_analysis_of_an_older_explorer_is_a_miss(self, tmp_path,
+                                                     monkeypatch):
+        """The persistent-set explorer (``zone-v3``) explores fewer states
+        in another order than ``zone-v2`` did, so an analysis stored under
+        the old key, in either tier, must not be served."""
+        from repro.core import ir
+
+        assert ir._EXPLORER_VERSION == "zone-v3"
+        with monkeypatch.context() as patch:
+            patch.setattr(ir, "_EXPLORER_VERSION", "zone-v2")
+            _, cached = analyze_reach(build_broken_and(), budget=BUDGET,
+                                      cache_dir=tmp_path)
+            assert not cached
+        _, cached = analyze_reach(build_broken_and(), budget=BUDGET,
+                                  cache_dir=tmp_path)
+        assert not cached
+        clear_reach_cache()  # the old entry is still on disk, and found
+        with monkeypatch.context() as patch:  # under its own key
+            patch.setattr(ir, "_EXPLORER_VERSION", "zone-v2")
+            _, cached = analyze_reach(build_broken_and(), budget=BUDGET,
+                                      cache_dir=tmp_path)
+            assert cached
+
     def test_report_marks_cache_hits(self):
         kwargs = dict(reach=True, reach_budget=BUDGET)
         cold = lint_circuit(build_broken_and(), **kwargs)
