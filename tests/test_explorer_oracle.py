@@ -13,8 +13,9 @@ skips) in at most as many symbolic states.
 The networks are every registry design whose unreduced exploration
 completes within :data:`BUDGET` states, under the PL4xx queries (Query 2
 and deadlock) plus Query 1 where the design simulates; the pinned cases
-of ``tests/test_mc.py::TestExplorerIdentity``; and random acyclic
-circuits with coincident inputs on the 0.1 ps grid.
+of ``tests/test_mc.py::TestExplorerIdentity``; random acyclic circuits
+with coincident inputs on the 0.1 ps grid; and hand-built networks that
+each break one fact the reduction relies on.
 """
 
 import pytest
@@ -28,7 +29,13 @@ from repro.core.simulation import Simulation
 from repro.exp.registry import build_in_fresh_circuit, registry
 from repro.mc import ModelChecker
 from repro.ta import translate_circuit
-from repro.ta.queries import correctness_query, deadlock_query, no_error_query
+from repro.ta.automaton import Action, Constraint, TANetwork, TimedAutomaton
+from repro.ta.queries import (
+    Query,
+    correctness_query,
+    deadlock_query,
+    no_error_query,
+)
 from test_mc import IDENTITY_CASES
 from test_random_circuits import ASYNC_KINDS, build_random_circuit
 
@@ -214,3 +221,173 @@ def test_random_circuits_are_reduced():
             reduced += new.states_explored < old.states_explored
     assert compared >= 10
     assert reduced > 0
+
+
+# --------------------------------------------------------------------------
+# hand-built networks, each breaking one fact the reduction relies on
+# --------------------------------------------------------------------------
+def _automaton(name, role, clocks, locations, edges):
+    """``locations``: (name, invariant, is_error) triples, the first one
+    initial; ``edges``: (source, target, action, guard, resets) with the
+    action ``"ch!"``, ``"ch?"`` or None."""
+    ta = TimedAutomaton(name=name, initial=locations[0][0], role=role,
+                        clocks=list(clocks))
+    for loc, invariant, error in locations:
+        ta.add_location(loc, invariant=invariant, error=error)
+    for source, target, action, guard, resets in edges:
+        ta.add_edge(source, target,
+                    action and Action(action[:-1], action[-1]), guard, resets)
+    return ta
+
+
+def _pulse(name, channel, at):
+    """An input automaton sending on ``channel`` at time ``at``."""
+    clock = f"c_{name}"
+    return _automaton(
+        name, "input", [clock],
+        [("i0", [Constraint(clock, "<=", at)], False), ("i1", [], False)],
+        [("i0", "i1", f"{channel}!", [Constraint(clock, "==", at)], [])],
+    )
+
+
+def _receive_overlapping_the_exit():
+    """A wait location whose receive guard overlaps its exit guard: the
+    receive reaches an error only if it comes before the exit."""
+    h = "h"
+    main = _automaton("M", "cell", [h], [
+        ("idle", [], False), ("wait", [Constraint(h, "<=", 0)], False),
+        ("done", [], False), ("err", [], True),
+    ], [
+        ("idle", "wait", "go?", [], [h]),
+        ("wait", "done", None, [Constraint(h, "==", 0)], []),
+        ("wait", "err", "x?", [Constraint(h, "<=", 0)], []),
+    ])
+    return TANetwork(automata=[main, _pulse("T", "go", 50),
+                               _pulse("S", "x", 50)],
+                     channels=["go", "x"])
+
+
+def _clock_read_by_another_cell():
+    """M's exit resets ``k``, which another automaton reads at the same
+    instant to reach an error."""
+    main = _automaton("M", "cell", ["h", "k"], [
+        ("idle", [], False), ("q", [Constraint("h", "<=", 0)], False),
+        ("wait", [Constraint("h", "<=", 0)], False), ("done", [], False),
+    ], [
+        ("idle", "q", "go?", [], ["h"]),
+        ("q", "wait", "go2!", [Constraint("h", "==", 0)], []),
+        ("wait", "done", None, [Constraint("h", "==", 0)], ["k"]),
+    ])
+    reader = _automaton("N", "cell", ["j"], [
+        ("idle", [], False), ("n0", [Constraint("j", "<=", 0)], False),
+        ("err", [], True),
+    ], [
+        ("idle", "n0", "go2?", [], ["j"]),
+        ("n0", "err", None, [Constraint("k", "==", 50)], []),
+    ])
+    return TANetwork(automata=[main, reader, _pulse("T", "go", 50)],
+                     channels=["go", "go2"])
+
+
+def _spoke_emitting_while_the_hub_fires():
+    """A firing automaton emits at the instant its hub fires again; only
+    by returning to ``f0`` first can it take the message (into an error).
+    The hub reaches its fire location by its own delayed exit, so no
+    delivery at that instant lets the search order the emission first."""
+    hub = _automaton("M", "cell", ["h"], [
+        ("idle", [], False), ("wait", [Constraint("h", "<=", 10)], False),
+        ("q", [Constraint("h", "<=", 0)], False), ("done", [], False),
+    ], [
+        ("idle", "wait", "go?", [], ["h"]),
+        ("wait", "q", None, [Constraint("h", "==", 10)], ["h"]),
+        ("q", "done", "f!", [Constraint("h", "==", 0)], []),
+    ])
+    busy = _automaton("F1", "firing", ["p"], [
+        ("f1", [Constraint("p", "<=", 50)], False),
+        ("fend", [Constraint("p", "<=", 50)], False),
+        ("f0", [], False), ("err", [], True),
+    ], [
+        ("f1", "fend", "w!", [Constraint("p", "==", 50)], []),
+        ("fend", "f0", None, [Constraint("p", "==", 50)], []),
+        ("f0", "err", "f?", [], []),
+    ])
+    free = _automaton("F2", "firing", ["p2"], [
+        ("f0", [], False), ("f1", [], False),
+    ], [("f0", "f1", "f?", [], ["p2"])])
+    sink = _automaton("sink", "sink", [], [("s0", [], False)],
+                      [("s0", "s0", "w?", [], [])])
+    return TANetwork(automata=[hub, busy, free, _pulse("T", "go", 40), sink],
+                     channels=["go", "w"], internal_channels=["f"])
+
+
+def _exit_that_need_not_be_taken_now():
+    """M may stay in ``wait`` past the pinned instant (its exit is not
+    urgent), and only by staying can it receive into an error."""
+    main = _automaton("M", "cell", ["h"], [
+        ("idle", [], False), ("wait", [Constraint("h", "<=", 10)], False),
+        ("done", [], False), ("err", [], True),
+    ], [
+        ("idle", "wait", "go?", [], ["h"]),
+        ("wait", "done", None, [Constraint("h", "<=", 2)], []),
+        ("wait", "err", "x?", [Constraint("h", ">=", 3)], []),
+    ])
+    pinner = _automaton("P", "cell", ["r"], [
+        ("idle", [], False), ("p0", [Constraint("r", "<=", 0)], False),
+        ("p1", [], False),
+    ], [
+        ("idle", "p0", "go2?", [], ["r"]),
+        ("p0", "p1", None, [Constraint("r", "==", 0)], []),
+    ])
+    return TANetwork(
+        automata=[main, pinner, _pulse("T1", "go", 50),
+                  _pulse("T2", "go2", 50), _pulse("S", "x", 53)],
+        channels=["go", "go2", "x"],
+    )
+
+
+def _exit_enabled_on_part_of_the_zone():
+    """M entered ``wait`` at some time in [40, 45], so at the instant 50
+    its exit (``h == 10``) is enabled for one entry time only; for the
+    others P's pulse, sent after P's own step at 50, arrives while M still
+    waits."""
+    main = _automaton("M", "cell", ["h"], [
+        ("idle", [], False), ("wait", [Constraint("h", "<=", 10)], False),
+        ("done", [], False), ("err", [], True),
+    ], [
+        ("idle", "wait", "go?", [], ["h"]),
+        ("wait", "done", None, [Constraint("h", "==", 10)], []),
+        ("wait", "err", "x?", [Constraint("h", "<", 10)], []),
+    ])
+    early = _automaton("T", "input", ["c"], [
+        ("i0", [Constraint("c", "<=", 45)], False), ("i1", [], False),
+    ], [("i0", "i1", "go!", [Constraint("c", ">=", 40)], [])])
+    pinner = _automaton("P", "cell", ["r"], [
+        ("idle", [], False), ("p0", [Constraint("r", "<=", 0)], False),
+        ("p1", [Constraint("r", "<=", 0)], False), ("p2", [], False),
+    ], [
+        ("idle", "p0", "go2?", [], ["r"]),
+        ("p0", "p1", None, [Constraint("r", "==", 0)], []),
+        ("p1", "p2", "x!", [Constraint("r", "==", 0)], []),
+    ])
+    return TANetwork(
+        automata=[main, pinner, early, _pulse("T2", "go2", 50)],
+        channels=["go", "go2", "x"],
+    )
+
+
+@pytest.mark.parametrize("build", [
+    _receive_overlapping_the_exit,
+    _exit_enabled_on_part_of_the_zone,
+    _clock_read_by_another_cell,
+    _spoke_emitting_while_the_hub_fires,
+    _exit_that_need_not_be_taken_now,
+], ids=lambda build: build.__name__.strip("_"))
+def test_network_breaking_a_fact_keeps_its_error(build):
+    """The facts are checked on the network, not assumed from the
+    translation: where one fails, the error the full search reaches is
+    still reached."""
+    outcome = _compare(build(), [Query(kind="no_errors"), deadlock_query()],
+                       traces=False)
+    assert outcome is not None
+    new, old = outcome
+    assert old.violations_for("query2")
