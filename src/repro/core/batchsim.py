@@ -54,14 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ._np import np
 from .errors import PylseError, SimulationError
 from .ir import PLAN_ROUTES, CompiledCircuit, compile_circuit
-from .timing import (
-    Distribution,
-    Normal,
-    Uniform,
-    VariabilitySpec,
-    nominal_delay,
-    sample_delay,
-)
+from .timing import Normal, Uniform, VariabilitySpec, nominal_delay
 
 #: Outcome tokens, one per seed (re-exported by :mod:`repro.core.parallel`,
 #: which historically defined them). ``OK`` counts toward yield.
@@ -171,8 +164,9 @@ class CounterNoise:
     vector call draws a block of the next values of many streams, and a
     draw is a list pop. The batched drain pre-draws the first normals of
     every node that can draw one when a pass starts; its draws are
-    read-only rows of that block. Every noisy per-seed run uses a
-    width-1 instance from :meth:`for_run` and the scalar draws
+    read-only rows of that block. Every per-seed run that is noisy,
+    seeded or samples a distribution delay uses a width-1 instance from
+    :meth:`for_run` and the scalar draws
     (:meth:`resolve_scalar`, :meth:`tie_scalar`), whose blocks hold
     Python values. A scalar Box-Muller on ``math.log`` would be cheaper
     still, but it is not bit-identical: libm's ``log`` and numpy's SIMD
@@ -182,7 +176,7 @@ class CounterNoise:
 
     __slots__ = (
         "n", "_roots", "_pos", "_blocks", "_scalars", "_applies", "_spec",
-        "_rng", "_perturb", "_nodes",
+        "_perturb", "_nodes",
     )
 
     def __init__(self, roots: "np.ndarray"):
@@ -196,7 +190,6 @@ class CounterNoise:
         self._scalars = False
         self._applies: Sequence[bool] = ()
         self._spec: Optional[VariabilitySpec] = None
-        self._rng = None
         #: A callable spec's bound ``perturb``, or None for Gaussian noise.
         self._perturb = None
         self._nodes: Sequence = ()
@@ -214,23 +207,20 @@ class CounterNoise:
         seed: Optional[int],
         applies: Sequence[bool],
         spec: VariabilitySpec,
-        rng,
         nodes: Sequence = (),
     ) -> "CounterNoise":
-        """The width-1 instance one noisy per-seed run consumes.
+        """The width-1 instance one per-seed run consumes.
 
         ``applies[i]`` says whether ``spec`` perturbs node ``i``'s
-        constant delays, resolved once per run instead of per firing;
-        ``rng`` only backs custom distributions, and ``nodes[i]`` is the
-        node a callable ``spec`` receives. Unless the spec is a callable,
-        the first ``_BLOCK`` normals of every perturbed node are drawn
-        here, in one call.
+        constant delays, resolved once per run instead of per firing, and
+        ``nodes[i]`` is the node a callable ``spec`` receives. Unless the
+        spec is a callable, the first ``_BLOCK`` normals of every
+        perturbed node are drawn here, in one call.
         """
         noise = cls.for_seeds([seed])
         noise._scalars = True
         noise._applies = applies
         noise._spec = spec
-        noise._rng = rng
         noise._nodes = nodes
         if spec.custom is not None:
             noise._perturb = spec.perturb
@@ -312,9 +302,7 @@ class CounterNoise:
 
         Returns a ``float64[N]`` vector when a draw was consumed, or a
         plain float when the delay is a constant the spec does not perturb
-        (no draw — callers broadcast). Custom ``Distribution`` subclasses
-        never get here: :func:`batch_eligible` keeps their designs off the
-        batched drain.
+        (no draw — callers broadcast).
         """
         if isinstance(delay, Normal):
             return np.maximum(0.0, delay.mean + delay.stddev * self.normal(index))
@@ -336,22 +324,14 @@ class CounterNoise:
         ``0.0 if v < 0.0 else v`` is ``np.maximum(0.0, v)``, NaN and -0.0
         included. So a replayed seed reproduces its batched lane exactly.
         A callable spec perturbs constant delays in place of the Gaussian
-        noise; custom distributions sample the run's python ``rng``.
+        noise.
         """
-        if isinstance(delay, Distribution):
-            if isinstance(delay, Normal):
-                value = delay.mean + delay.stddev * self._next(index, _NORMAL)
-            elif isinstance(delay, Uniform):
-                return delay.low + (delay.high - delay.low) * self._next(
-                    index, _UNIFORM
-                )
-            else:
-                value = sample_delay(delay, self._rng)
-                if value < 0:
-                    raise PylseError(
-                        f"Resolved firing delay is negative: {value}"
-                    )
-                return value
+        if isinstance(delay, Normal):
+            value = delay.mean + delay.stddev * self._next(index, _NORMAL)
+        elif isinstance(delay, Uniform):
+            return delay.low + (delay.high - delay.low) * self._next(
+                index, _UNIFORM
+            )
         else:
             value = float(delay)
             if not self._applies[index]:
@@ -374,7 +354,8 @@ class CounterNoise:
 class _CounterTieRng:
     """Adapter giving :meth:`PylseMachine.choose` its ``rng.choice`` shape.
 
-    Made per node by a noisy per-seed run at the node's first tie; consumes
+    Made per node by a noisy or seeded per-seed run at the node's first
+    tie; consumes
     the node's ``_TIE`` stream only when an actual tie occurs, mirroring
     exactly when the batched drain consumes it.
     """
@@ -396,10 +377,9 @@ def batch_eligible(compiled: CompiledCircuit) -> bool:
     """Whether the batched drain covers this design.
 
     Eligible means every non-input node is a :class:`Transitional` machine
-    (``Functional`` holes run arbitrary Python per dispatch) and every
-    firing delay is a constant, :class:`Normal`, or :class:`Uniform` — the
-    delay shapes the counter streams can resolve lane-wise. The answer is
-    memoized on the compile cache. It only decides whether to batch:
+    (``Functional`` holes run arbitrary Python per dispatch). Every delay
+    is a constant, :class:`Normal` or :class:`Uniform`, which the counter
+    streams resolve lane-wise. The answer is memoized on the compile cache. It only decides whether to batch:
     ineligible designs replay every seed on the per-seed drain, which
     draws from the same counter streams.
     """
@@ -417,16 +397,10 @@ def _delays(element) -> list:
 def _compute_eligible(compiled: CompiledCircuit) -> bool:
     from .transitional import Transitional
 
-    for nd in compiled.dispatch:
-        if nd.is_input:
-            continue
-        element = compiled.nodes[nd.index].element
-        if not isinstance(element, Transitional) or any(
-            isinstance(d, Distribution) and not isinstance(d, (Normal, Uniform))
-            for d in _delays(element)
-        ):
-            return False
-    return True
+    return all(
+        isinstance(compiled.nodes[i].element, Transitional)
+        for i in compiled.cell_ids
+    )
 
 
 def _normal_nodes(compiled: CompiledCircuit) -> frozenset:

@@ -71,8 +71,7 @@ class Functional(Element):
         else:
             delays = {out: delay for out in self.outputs}
         for out, d in delays.items():
-            if nominal_delay(d) < 0:
-                raise HoleError(f"{self.name}: negative delay for output {out!r}")
+            nominal_delay(d, f"{self.name}: output {out!r}")
         return delays
 
     def handle_inputs(self, active: Sequence[str], time: float) -> List[Firing]:

@@ -249,6 +249,19 @@ class CompiledCircuit:
         ))
 
     @property
+    def has_distributions(self) -> bool:
+        """Whether some firing delay is a ``Normal`` or ``Uniform``, so a
+        run samples delays from its counter streams."""
+        return self._memo("has_distributions", lambda: any(
+            element.machine.has_distributions
+            if isinstance(element, Transitional)
+            else isinstance(element, Functional) and any(
+                isinstance(d, Distribution) for d in element.delays.values()
+            )
+            for element in (self.nodes[i].element for i in self.cell_ids)
+        ))
+
+    @property
     def clock_wires(self) -> Dict[str, Tuple[str, ...]]:
         """Input label -> names of cells whose ``clk`` port its pulses reach."""
         return self._memo("clock_wires", lambda: _clock_wires(self))
@@ -319,13 +332,11 @@ class CompiledCircuit:
 # Hashing helpers
 # ----------------------------------------------------------------------
 def _delay_token(delay) -> tuple:
-    """A process-stable token for a delay value or distribution."""
+    """A process-stable token for a delay: a number, Normal or Uniform."""
     if isinstance(delay, Normal):
         return ("normal", repr(float(delay.mean)), repr(float(delay.stddev)))
     if isinstance(delay, Uniform):
         return ("uniform", repr(float(delay.low)), repr(float(delay.high)))
-    if isinstance(delay, Distribution):  # user-defined distribution
-        return ("dist", type(delay).__name__, repr(float(delay.nominal())))
     return ("const", repr(float(delay)))
 
 

@@ -36,7 +36,7 @@ from .errors import (
     TransitionTimeViolation,
     WellFormednessError,
 )
-from .timing import DelayLike, nominal_delay
+from .timing import DelayLike, Distribution, nominal_delay
 
 #: Wildcard symbol in past constraints: "any input".
 WILDCARD = "*"
@@ -166,6 +166,12 @@ class PylseMachine:
             )
             for key, t in self._delta.items()
         }
+        #: Whether some firing delay is a ``Normal`` or ``Uniform``, which a
+        #: run samples from its counter streams.
+        self.has_distributions: bool = any(
+            isinstance(d, Distribution)
+            for t in self.transitions for d in t.firing.values()
+        )
         #: theta template for initial configurations (copied, never mutated).
         self._init_theta: Dict[str, float] = {
             sym: -math.inf for sym in self.inputs
@@ -207,7 +213,9 @@ class PylseMachine:
                         f"{self.name}: transition {t.id} fires unknown output "
                         f"{out!r} (outputs: {sorted(output_set)})"
                     )
-                nominal_delay(t.firing[out])  # validates the delay value
+                nominal_delay(
+                    t.firing[out], f"{self.name}: transition {t.id} output {out!r}"
+                )
             for sym, dist in t.past_constraints.items():
                 if sym != WILDCARD and sym not in input_set:
                     raise WellFormednessError(

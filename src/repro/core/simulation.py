@@ -42,7 +42,6 @@ With no observer and no trace the loop skips all of it behind that flag.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -55,7 +54,7 @@ from .ir import (
 )
 from .machine import Configuration
 from .node import Node
-from .timing import Distribution, VariabilitySpec
+from .timing import VariabilitySpec
 
 Events = Dict[str, List[float]]
 
@@ -121,7 +120,7 @@ class Simulation:
 
         Drops the events, trace, activity counters, pulse count and the
         attached observer. The circuit needs no reset: every run's state
-        (cell configurations, RNG, noise streams, event series) lives in
+        (cell configurations, noise streams, event series) lives in
         ``simulate()``, so each run starts from the initial configuration
         whether or not this is called.
         """
@@ -147,10 +146,14 @@ class Simulation:
         ``variability`` adds Gaussian noise to firing delays (Section 5.2):
         ``True`` for all cells, a dict selecting ``cell_types`` /
         ``instances`` and the noise magnitude, or a callable
-        ``f(delay, node) -> delay`` for full control. ``seed`` makes both
-        variability and nondeterministic priority tie-breaks reproducible;
-        a noisy run draws from the seed's counter streams, so it equals
-        that seed's lane of a batched Monte-Carlo drain.
+        ``f(delay, node) -> delay`` for full control. ``seed`` names one
+        set of counter streams, from which a run draws its noise, its
+        ``Normal`` / ``Uniform`` delay samples and its nondeterministic
+        priority tie-breaks: a seeded run equals that seed's lane of a
+        batched Monte-Carlo drain, and with variability off it equals
+        the seed's run at zero noise. Unseeded, ties fall in input
+        declaration order (noisy runs and distribution samples draw
+        fresh entropy).
         ``record=True`` keeps a dispatch-level trace in ``self.trace`` (one
         :class:`TraceEntry` per simultaneous pulse group, with machine
         states before/after) — the debugging view of the Network Relation.
@@ -169,8 +172,6 @@ class Simulation:
         plan = compiled.plan
         entries = plan.entries
         spec = VariabilitySpec.normalize(variability)
-        rng = random.Random(seed)
-        tie_rng = random.Random(rng.random()) if seed is not None else None
 
         # The run's own state: one series per distinct wire label (wires
         # sharing an observation label share it; insertion order is the
@@ -181,19 +182,24 @@ class Simulation:
         pulses_in = [0] * size
         pulses_out = [0] * size
 
-        # A noisy run draws its delays and tie-breaks from counter-based
-        # per-(seed, node) streams: the width-1 form of the vectorized
+        # A run that perturbs or samples delays resolves them through
+        # counter-based per-(seed, node) streams, and a seeded or noisy run
+        # draws its ties there: the width-1 form of the vectorized
         # Monte-Carlo drain, bit-identical to one lane of a batched pass
-        # over the same seed. Whether the spec perturbs a node is settled
-        # here, once per run; None keeps the drain's inline nominal path.
-        counter = None
-        if spec.enabled:
+        # over the same seed. Otherwise the drain adds constant delays
+        # inline and breaks ties in declaration order.
+        resolve = tie_source = None
+        samples = spec.enabled or compiled.has_distributions
+        if samples or seed is not None:
             from .batchsim import CounterNoise
 
             counter = CounterNoise.for_run(
-                seed, spec.applies_by_node(compiled), spec, rng,
-                compiled.nodes,
+                seed, spec.applies_by_node(compiled), spec, compiled.nodes
             )
+            if samples:
+                resolve = counter.resolve_scalar
+            if spec.enabled or seed is not None:
+                tie_source = counter.tie_rng
 
         heap = PulseHeap()
         push = heap.push_raw
@@ -225,8 +231,8 @@ class Simulation:
 
         try:
             self._drain(
-                heap, series, pulses_in, pulses_out, rng, until, max_pulses,
-                observer, record, counter, tie_rng,
+                heap, series, pulses_in, pulses_out, until, max_pulses,
+                observer, record, resolve, tie_source,
             )
         finally:
             self.activity = {
@@ -248,13 +254,12 @@ class Simulation:
         series: List[List[float]],
         pulses_in: List[int],
         pulses_out: List[int],
-        rng: random.Random,
         until: Optional[float],
         max_pulses: Optional[int],
         observer,
         record: bool,
-        counter,
-        tie_rng: Optional[random.Random],
+        resolve: Optional[Callable[[object, int], float]],
+        tie_source: Optional[Callable[[int], object]],
     ) -> None:
         """Drain the heap: pop a simultaneous group, dispatch it, push.
 
@@ -266,14 +271,15 @@ class Simulation:
         precomputed dispatch table; a timing violation re-raises through
         :meth:`PylseMachine.step`, so the error messages are the formal
         semantics' own, and simultaneous inputs are ordered by
-        :meth:`PylseMachine.choose` with the node's tie-break source (its
-        counter stream in a noisy run, else ``tie_rng``).
+        :meth:`PylseMachine.choose` with the node's tie-break chooser,
+        ``tie_source(index)`` (its counter stream), or in declaration order
+        when ``tie_source`` is None.
 
-        With ``counter`` None (a nominal run) scalar delays are added
-        directly (they were validated non-negative when the machine / hole
-        was built) and distribution-valued delays are sampled from ``rng``;
-        otherwise ``counter.resolve_scalar(delay, index)`` draws the run's
-        noise. The observer hooks and the ``record=True`` trace share one
+        With ``resolve`` None every delay is a constant, added directly (it
+        was validated non-negative when the machine / hole was built);
+        otherwise ``resolve(delay, index)`` (the run's
+        :meth:`CounterNoise.resolve_scalar`) draws its noise and samples.
+        The observer hooks and the ``record=True`` trace share one
         local flag checked per group and per firing, so a plain run pays
         for neither. ``until`` and ``max_pulses`` are normalized to
         infinities, which saves two None-checks per iteration. The pulse
@@ -285,7 +291,6 @@ class Simulation:
         push = heap.push_raw
         stop = math.inf if until is None else until
         limit = math.inf if max_pulses is None else max_pulses
-        resolve = counter.resolve_scalar if counter is not None else None
         observe = observer is not None
         book = observe or record
         trace = self.trace
@@ -351,12 +356,8 @@ class Simulation:
                                     symbol = remaining.pop()
                                 else:
                                     tie = ties[index]
-                                    if tie is None:
-                                        tie = ties[index] = (
-                                            counter.tie_rng(index)
-                                            if counter is not None
-                                            else tie_rng
-                                        )
+                                    if tie is None and tie_source is not None:
+                                        tie = ties[index] = tie_source(index)
                                     symbol = machine.choose(
                                         st, frozenset(remaining), tie
                                     )
@@ -399,12 +400,6 @@ class Simulation:
                 for out_port, delay in firings:
                     if resolve is not None:
                         delay = resolve(delay, index)
-                    elif isinstance(delay, Distribution):
-                        delay = delay.sample(rng)
-                        if delay < 0:
-                            raise PylseError(
-                                f"Resolved firing delay is negative: {delay}"
-                            )
                     t = time + delay
                     slot, _d, dkey, drec, dport, label = routes[out_port]
                     series[slot].append(t)

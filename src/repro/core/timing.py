@@ -9,7 +9,8 @@ subtracted from it".
 This module provides:
 
 * :class:`Normal` and :class:`Uniform` delay distributions that can be used
-  anywhere a firing delay is expected;
+  anywhere a firing delay is expected; with plain numbers they are the only
+  kinds of delay, which :func:`nominal_delay` checks where one is placed;
 * :class:`VariabilitySpec`, the normalized form of the ``variability``
   argument to ``Simulation.simulate`` (a bool, a dict, or a callable).
 
@@ -19,7 +20,6 @@ All times are picoseconds, matching the paper's examples.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple, Union
 
@@ -31,12 +31,14 @@ DEFAULT_VARIABILITY_FRACTION = 0.05
 
 
 class Distribution:
-    """A delay distribution; subclasses implement :meth:`sample`."""
+    """The base of the delay distributions :class:`Normal` and :class:`Uniform`.
+
+    A run samples them from its counter streams
+    (:class:`repro.core.batchsim.CounterNoise`); no other subclass is a
+    valid delay.
+    """
 
     mean: float
-
-    def sample(self, rng: random.Random) -> float:
-        raise NotImplementedError
 
     def nominal(self) -> float:
         """The deterministic value used when variability is disabled."""
@@ -60,9 +62,6 @@ class Normal(Distribution):
         if self.stddev < 0:
             raise PylseError(f"Normal delay stddev must be >= 0, got {self.stddev}")
 
-    def sample(self, rng: random.Random) -> float:
-        return max(0.0, rng.gauss(self.mean, self.stddev))
-
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
@@ -82,28 +81,28 @@ class Uniform(Distribution):
     def mean(self) -> float:  # type: ignore[override]
         return (self.low + self.high) / 2.0
 
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
+
+DelayLike = Union[float, int, Normal, Uniform]
 
 
-DelayLike = Union[float, int, Distribution]
+def nominal_delay(delay: DelayLike, owner: str = "") -> float:
+    """Collapse a delay to its deterministic value, checking its kind.
 
-
-def nominal_delay(delay: DelayLike) -> float:
-    """Collapse a delay (number or distribution) to its deterministic value."""
-    if isinstance(delay, Distribution):
+    A delay is a finite non-negative number, a :class:`Normal` or a
+    :class:`Uniform`. Anything else, a custom :class:`Distribution`
+    included, raises :class:`PylseError` whose message starts with
+    ``owner`` (the cell or hole placing the delay) when one is given.
+    """
+    if isinstance(delay, (Normal, Uniform)):
         return delay.nominal()
-    value = float(delay)
-    if value < 0 or math.isnan(value) or math.isinf(value):
-        raise PylseError(f"Delay must be a finite non-negative number, got {delay!r}")
-    return value
-
-
-def sample_delay(delay: DelayLike, rng: random.Random) -> float:
-    """Sample a delay, honoring distributions."""
-    if isinstance(delay, Distribution):
-        return delay.sample(rng)
-    return nominal_delay(delay)
+    if (isinstance(delay, (int, float)) and not isinstance(delay, bool)
+            and 0 <= delay < math.inf):
+        return float(delay)
+    where = f"{owner}: " if owner else ""
+    raise PylseError(
+        f"{where}Delay must be a finite non-negative number, Normal or "
+        f"Uniform, got {delay!r}"
+    )
 
 
 #: Signature of a user-supplied variability function: it receives the nominal
@@ -125,14 +124,14 @@ class VariabilitySpec:
       of the nominal delay);
     * a callable ``f(delay, node) -> delay`` for full control.
 
-    Every noisy run draws its Gaussian noise, and its ``Normal`` /
-    ``Uniform`` delay samples, from counter-based per-(seed, node)
-    streams (:class:`repro.core.batchsim.CounterNoise`). A draw is
-    addressed by its position in its node's stream, so a per-seed run
-    and one lane of the vectorized Monte-Carlo drain agree bit for bit.
-    A callable replaces the Gaussian noise on constant delays only;
-    custom :class:`Distribution` subclasses sample the run's seeded
-    ``random.Random``.
+    A seed names one set of counter-based per-(seed, node) streams
+    (:class:`repro.core.batchsim.CounterNoise`). A run draws its Gaussian
+    noise, its ``Normal`` / ``Uniform`` delay samples and, when seeded or
+    noisy, its priority tie-breaks from them. A draw is addressed by its
+    position in its node's stream, so a per-seed run and one lane of the
+    vectorized Monte-Carlo drain agree bit for bit, and a seeded run with
+    variability off equals that seed's run at zero noise. A callable
+    replaces the Gaussian noise on constant delays only.
     """
 
     enabled: bool = False

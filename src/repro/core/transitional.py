@@ -218,16 +218,25 @@ def parse_transitions(
     return parsed
 
 
-def _freeze(value: object) -> object:
+def _freeze(owner: str, option: str, value: object) -> object:
     """A hashable stand-in for an override value.
 
     Mappings become sorted item tuples; every other value is tagged with
     its type, so ``2`` and ``2.0`` (equal, and equal in hash) key distinct
-    machines. Raises ``TypeError`` for a value that cannot be keyed.
+    machines. Every valid override (numbers, ``Normal``, ``Uniform`` and
+    dicts of them) can be keyed, so a value that cannot is rejected here,
+    naming ``owner`` and the ``option`` it was passed as.
     """
-    if isinstance(value, Mapping):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    hash(value)
+    try:
+        if isinstance(value, Mapping):
+            return tuple(sorted(
+                (k, _freeze(owner, option, v)) for k, v in value.items()
+            ))
+        hash(value)
+    except TypeError:
+        raise WellFormednessError(
+            f"{owner}: invalid {option} value {value!r}"
+        ) from None
     return (type(value), value)
 
 
@@ -243,7 +252,8 @@ class Transitional(Element):
 
     Per-instance keyword overrides (Section 4.1, Full-Circuit level):
 
-    * ``firing_delay=`` — scalar, distribution, or ``{output: delay}`` dict;
+    * ``firing_delay=`` — number, ``Normal``, ``Uniform``, or
+      ``{output: delay}`` dict;
     * ``transition_time=`` — ``{(src, trigger): time}`` dict;
     * ``name_override=`` — a different cell-type label for this instance
       (and its machine, which error messages name).
@@ -307,22 +317,21 @@ class Transitional(Element):
 
         Built, with the class-attribute and port checks, once per
         ``(class, name_override, firing_delay, transition_time)`` and kept
-        in the class's own ``_machines`` dict (subclasses get their own);
-        an override value that cannot be hashed builds an uncached machine.
+        in the class's own ``_machines`` dict (subclasses get their own).
         """
         machines = cls.__dict__.get("_machines")
         if machines is None:
             machines = cls._machines = {}
-        try:
-            # None (no override) keys as itself: _freeze never returns None.
-            key = (
-                name_override,
-                None if firing_delay is None else _freeze(firing_delay),
-                None if transition_time is None else _freeze(transition_time),
-            )
-            machine = machines.get(key)
-        except TypeError:
-            key = machine = None
+        # None (no override) keys as itself: _freeze never returns None.
+        owner = cls.__name__
+        key = (
+            name_override,
+            None if firing_delay is None
+            else _freeze(owner, "firing_delay", firing_delay),
+            None if transition_time is None
+            else _freeze(owner, "transition_time", transition_time),
+        )
+        machine = machines.get(key)
         if machine is None:
             cls._check_class_attrs()
             name = cls.name if name_override is None else name_override
@@ -339,8 +348,7 @@ class Transitional(Element):
                     transition_time,
                 ),
             )
-            if key is not None:
-                machines[key] = machine
+            machines[key] = machine
         return machine
 
     def __repr__(self) -> str:

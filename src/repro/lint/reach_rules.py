@@ -72,9 +72,10 @@ REACH_RULES: Tuple[str, ...] = ("PL401", "PL402", "PL403", "PL404")
 DEFAULT_MAX_STATES = 20_000
 DEFAULT_TIME_LIMIT = 15.0
 
-#: Seeds swept when grading a PL402 race: the simulator's simultaneous-
-#: group tie-break is a seeded shuffle, so outcome differences across
-#: seeds demonstrate the schedule-dependence dynamically.
+#: Seeds swept when grading a PL402 race: a seeded run breaks same-priority
+#: ties in a simultaneous group with each node's counter tie stream, so
+#: outcome differences across seeds demonstrate the schedule-dependence
+#: dynamically.
 RACE_REPLAY_SEEDS: Tuple[int, ...] = (0, 1, 2, 3)
 
 

@@ -9,8 +9,6 @@ and the CLI, and reuse of a warm ``Simulation`` / compiled-circuit memo
 across batched drains.
 """
 
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,8 +90,7 @@ def _width1(seed, index, predrawn, spec=None):
     applies = [False] * (index + 1)
     applies[index] = predrawn
     return CounterNoise.for_run(
-        seed, applies, spec or VariabilitySpec.normalize(True),
-        random.Random(0),
+        seed, applies, spec or VariabilitySpec.normalize(True)
     )
 
 
@@ -166,7 +163,7 @@ class TestCounterStreams:
         wide = CounterNoise.for_seeds(seeds)
         narrow = [
             CounterNoise.for_run(
-                seed, [True] * nodes, VariabilitySpec.normalize(True), None
+                seed, [True] * nodes, VariabilitySpec.normalize(True)
             )
             for seed in seeds
         ]
@@ -191,7 +188,7 @@ class TestCounterStreams:
 
     def test_one_pre_draw_serves_every_perturbed_node(self):
         spec = VariabilitySpec.normalize(True)
-        noise = CounterNoise.for_run(5, [True, False, True], spec, None)
+        noise = CounterNoise.for_run(5, [True, False, True], spec)
         assert set(noise._blocks) == {(0, 0), (2, 0)}
         assert all(len(b) == batchsim._BLOCK for b in noise._blocks.values())
 

@@ -64,6 +64,24 @@ class Busy(Transitional):
     ]
 
 
+class Which(Transitional):
+    """Reports on ``ab`` or ``ba`` which of two equal-priority inputs came
+    first, then starts over."""
+
+    name = "WHICH"
+    inputs = ["a", "b"]
+    outputs = ["ab", "ba"]
+    firing_delay = 1.0
+    transitions = [
+        {"src": "idle", "trigger": "a", "dst": "A", "priority": 0},
+        {"src": "idle", "trigger": "b", "dst": "B", "priority": 0},
+        {"src": "A", "trigger": "a", "dst": "A"},
+        {"src": "A", "trigger": "b", "dst": "idle", "firing": "ab"},
+        {"src": "B", "trigger": "b", "dst": "B"},
+        {"src": "B", "trigger": "a", "dst": "idle", "firing": "ba"},
+    ]
+
+
 class Toggle(Transitional):
     """Fires on every second ``a``."""
 
@@ -165,6 +183,24 @@ class TestTieBreak:
             "AB", "BA",
         }
 
+    def test_one_seed_one_stream(self):
+        """A seeded nominal run breaks ties from the seed's counter streams,
+        exactly as the same seed's zero-noise run does."""
+        times = [5.0, 20.0, 35.0]
+        with fresh_circuit() as circuit:
+            circuit.add_node(
+                Which(), [inp_at(*times, name="A"), inp_at(*times, name="B")],
+                [Wire("AB"), Wire("BA")],
+            )
+        outcomes = set()
+        for seed in range(32):
+            events = Simulation(circuit).simulate(seed=seed)
+            assert events == Simulation(circuit).simulate(
+                variability={"stddev": 0.0}, seed=seed
+            )
+            outcomes.add((tuple(events["AB"]), tuple(events["BA"])))
+        assert len(outcomes) >= 2
+
     def test_same_seed_same_choice(self):
         def run():
             sim = Simulation(place(Race(), [5.0, 9.0], [5.0, 9.0]))
@@ -205,12 +241,6 @@ class Unhashable(Distribution):
 
     value: float
 
-    def sample(self, rng):
-        return self.value
-
-    def nominal(self):
-        return self.value
-
 
 class TestMachineLookup:
     def test_one_machine_per_key(self):
@@ -224,11 +254,22 @@ class TestMachineLookup:
     def test_int_and_float_overrides_key_apart(self):
         assert JTL(firing_delay=2).machine is not JTL(firing_delay=2.0).machine
 
-    def test_unhashable_override_builds_uncached(self):
-        first = JTL(firing_delay=Unhashable(2.0))
-        second = JTL(firing_delay=Unhashable(2.0))
-        assert first.machine is not second.machine
-        assert first.machine.delta("idle", "a").firing == {"q": Unhashable(2.0)}
+    @pytest.mark.parametrize("override,message", [
+        ({"firing_delay": [1.0]}, r"JTL: invalid firing_delay value \[1\.0\]"),
+        ({"firing_delay": {"q": [1.0]}},
+         r"JTL: invalid firing_delay value \[1\.0\]"),
+        ({"firing_delay": "2"}, r"JTL: transition 0 output 'q': .*got '2'"),
+        ({"firing_delay": Unhashable(2.0)},
+         r"JTL: invalid firing_delay value Unhashable\(value=2\.0\)"),
+        ({"transition_time": {("idle", "a"): [1.0]}},
+         r"JTL: invalid transition_time value \[1\.0\]"),
+    ], ids=["list", "dict-of-list", "string", "custom-distribution",
+            "transition-time-list"])
+    def test_invalid_override_rejected(self, override, message):
+        """An override that is not a delay fails with the cell's name and
+        the value; every valid override keys the machine cache."""
+        with pytest.raises(PylseError, match=message):
+            JTL(**override)
 
     def test_jjs_override_is_per_instance(self):
         small, plain = JTL(jjs=1), JTL()

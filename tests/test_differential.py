@@ -29,7 +29,6 @@ from repro.core.batchsim import run_batch
 from repro.core.circuit import fresh_circuit
 from repro.core.errors import (
     PriorInputViolation,
-    PylseError,
     SimulationError,
     TransitionTimeViolation,
 )
@@ -44,7 +43,6 @@ from repro.core.ir import (
     PLAN_ROUTES,
 )
 from repro.core.simulation import Simulation
-from repro.core.timing import Distribution
 from repro.designs import bitonic_sorter
 from repro.obs import Observer
 from repro.sfq import jtl
@@ -77,9 +75,9 @@ class FrozenFastSimulation(Simulation):
     with the production drain it checks.
     """
 
-    def _drain(self, heap, series, pulses_in, pulses_out, rng, until,
-               max_pulses, observer, record, counter, tie_rng):
-        assert not record and counter is None, "oracle covers nominal runs"
+    def _drain(self, heap, series, pulses_in, pulses_out, until,
+               max_pulses, observer, record, resolve, tie_source):
+        assert not record, "oracle covers unrecorded runs"
         self.oracle_drained = True
         configs = {}
 
@@ -90,7 +88,8 @@ class FrozenFastSimulation(Simulation):
             index = rec[PLAN_INDEX]
             config = configs.get(index) or machine.initial_configuration()
             configs[index], firings, labels = oracle_dispatch(
-                machine, config, ports, time, tie_rng
+                machine, config, ports, time,
+                tie_source(index) if tie_source is not None else None,
             )
             return firings, tuple(labels)
 
@@ -138,12 +137,8 @@ class FrozenFastSimulation(Simulation):
             if observe:
                 emitted = []
                 for out_port, delay in firings:
-                    if isinstance(delay, Distribution):
-                        delay = delay.sample(rng)
-                        if delay < 0:
-                            raise PylseError(
-                                f"Resolved firing delay is negative: {delay}"
-                            )
+                    if resolve is not None:
+                        delay = resolve(delay, index)
                     t = time + delay
                     slot, _d, dkey, drec, dport, label = routes[out_port]
                     series[slot].append(t)
@@ -159,12 +154,8 @@ class FrozenFastSimulation(Simulation):
                 )
             else:
                 for out_port, delay in firings:
-                    if isinstance(delay, Distribution):
-                        delay = delay.sample(rng)
-                        if delay < 0:
-                            raise PylseError(
-                                f"Resolved firing delay is negative: {delay}"
-                            )
+                    if resolve is not None:
+                        delay = resolve(delay, index)
                     t = time + delay
                     slot, _d, dkey, drec, dport, _label = routes[out_port]
                     series[slot].append(t)

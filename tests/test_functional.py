@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.circuit import working_circuit
-from repro.core.errors import HoleError
+from repro.core.errors import HoleError, PylseError
 from repro.core.functional import Functional, hole
 from repro.core.helpers import inp_at
 from repro.core.simulation import Simulation
@@ -40,6 +40,14 @@ class TestFunctionalElement:
     def test_delay_dict_must_cover_outputs(self):
         with pytest.raises(HoleError, match="missing"):
             Functional(lambda a, t: 1, ["a"], ["x", "y"], delay={"x": 1.0})
+
+    @pytest.mark.parametrize("delay", [[1.0], {"q": "3"}, -1.0],
+                             ids=["list", "dict-of-string", "negative"])
+    def test_bad_delay_rejected(self, delay):
+        """A hole's delay is a number, ``Normal`` or ``Uniform``; anything
+        else fails at construction, naming the hole and the value."""
+        with pytest.raises(PylseError, match=r"^model: output 'q': .*got"):
+            Functional(lambda a, t: 1, ["a"], ["q"], delay=delay, name="model")
 
     def test_delay_dict_unknown_output_rejected(self):
         with pytest.raises(HoleError, match="unknown output"):

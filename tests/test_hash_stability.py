@@ -27,7 +27,7 @@ from repro.core.element import Element, InGen
 from repro.core.functional import Functional, hole
 from repro.core.helpers import inp, inp_at
 from repro.core.ir import compile_circuit, structural_hash
-from repro.core.timing import Distribution, Normal, Uniform
+from repro.core.timing import Normal, Uniform
 from repro.core.transitional import Transitional
 from repro.core.wire import Wire
 from repro.sfq import and_s, c, c_inv, dro, jtl, m, s
@@ -165,8 +165,6 @@ def _delay_token(delay) -> tuple:
         return ("normal", repr(float(delay.mean)), repr(float(delay.stddev)))
     if isinstance(delay, Uniform):
         return ("uniform", repr(float(delay.low)), repr(float(delay.high)))
-    if isinstance(delay, Distribution):  # user-defined distribution
-        return ("dist", type(delay).__name__, repr(float(delay.nominal())))
     return ("const", repr(float(delay)))
 
 

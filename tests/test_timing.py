@@ -1,12 +1,11 @@
 """Tests for delay distributions and the variability machinery."""
 
-import random
-
 import pytest
 
 from repro.core.batchsim import CounterNoise
 from repro.core.circuit import working_circuit
 from repro.core.errors import PylseError
+from repro.core.functional import hole
 from repro.core.helpers import inp_at
 from repro.core.ir import compile_circuit
 from repro.core.simulation import Simulation
@@ -16,9 +15,21 @@ from repro.core.timing import (
     Uniform,
     VariabilitySpec,
     nominal_delay,
-    sample_delay,
 )
 from repro.sfq import jtl
+
+
+def seeded_delays(delay, seeds):
+    """The firing delay a JTL took in a seeded nominal run, per seed."""
+    jtl(inp_at(10.0, name="A"), firing_delay=delay, name="Q")
+    sim = Simulation()
+    return [sim.simulate(seed=seed)["Q"][0] - 10.0 for seed in seeds]
+
+
+class Triangular(Distribution):
+    """A user distribution: not one of the supported delay kinds."""
+
+    mean = 5.0
 
 
 class TestDistributions:
@@ -26,16 +37,14 @@ class TestDistributions:
         assert Normal(9.2, 0.5).nominal() == 9.2
 
     def test_normal_sampling_varies(self):
-        rng = random.Random(0)
-        dist = Normal(10.0, 1.0)
-        samples = {dist.sample(rng) for _ in range(10)}
-        assert len(samples) > 1
+        samples = seeded_delays(Normal(10.0, 1.0), range(10))
+        assert len(set(samples)) > 1
         assert all(s >= 0 for s in samples)
 
     def test_normal_truncates_at_zero(self):
-        rng = random.Random(0)
-        dist = Normal(0.1, 100.0)
-        assert all(dist.sample(rng) >= 0 for _ in range(50))
+        samples = seeded_delays(Normal(0.1, 100.0), range(50))
+        assert all(s >= 0 for s in samples)
+        assert 0.0 in samples   # about half the draws fall below zero
 
     def test_normal_rejects_negative_params(self):
         with pytest.raises(PylseError):
@@ -46,8 +55,9 @@ class TestDistributions:
     def test_uniform_mean_and_bounds(self):
         dist = Uniform(2.0, 4.0)
         assert dist.mean == 3.0
-        rng = random.Random(1)
-        assert all(2.0 <= dist.sample(rng) <= 4.0 for _ in range(50))
+        samples = seeded_delays(dist, range(50))
+        assert all(2.0 <= s <= 4.0 for s in samples)
+        assert len(set(samples)) == 50
 
     def test_uniform_rejects_bad_bounds(self):
         with pytest.raises(PylseError):
@@ -62,8 +72,22 @@ class TestDistributions:
         with pytest.raises(PylseError):
             nominal_delay(float("inf"))
 
-    def test_sample_delay_passes_scalars_through(self):
-        assert sample_delay(3.0, random.Random(0)) == 3.0
+    @pytest.mark.parametrize("bad", [
+        [1.0], "1.0", True, None, Triangular(),
+    ], ids=["list", "string", "bool", "none", "custom-distribution"])
+    def test_nominal_delay_rejects_other_kinds(self, bad):
+        with pytest.raises(PylseError, match="Normal or Uniform, got"):
+            nominal_delay(bad, "X")
+
+    def test_seeded_runs_reproduce_samples(self):
+        delays = [Normal(5.0, 1.0), Uniform(2.0, 4.0), 3.0]
+        for i, delay in enumerate(delays):
+            jtl(inp_at(10.0, name=f"A{i}"), firing_delay=delay, name=f"Q{i}")
+        sim = Simulation()
+        first = sim.simulate(seed=11)
+        assert sim.simulate(seed=11) == first
+        assert first["Q2"] == [13.0]   # constants pass through unsampled
+        assert sim.simulate(seed=12) != first
 
 
 class TestVariabilitySpec:
@@ -196,21 +220,12 @@ class TestSimulationVariability:
         assert events["Q"] == [10.0 + max(0.0, 5.0 + 1.0 * z)]
         assert events["R"] == [events["Q"][0] + 10.0]
 
-    @pytest.mark.parametrize("variability", [False, True])
-    def test_negative_custom_distribution_rejected(self, variability):
-        """A custom ``Distribution`` samples the run's seeded rng, nominal
-        or noisy, and a negative sample is an error on both paths."""
-
-        class Negative(Distribution):
-            mean = 1.0
-
-            def sample(self, rng):
-                return -rng.random()
-
+    def test_custom_distribution_rejected_at_placement(self):
+        """Only ``Normal`` and ``Uniform`` are delay distributions; a
+        custom subclass fails when the cell is placed, naming it."""
         a = inp_at(10.0, name="A")
-        jtl(a, firing_delay=Negative(), name="Q")
-        with pytest.raises(PylseError, match="negative"):
-            Simulation().simulate(variability=variability, seed=1)
+        with pytest.raises(PylseError, match=r"^JTL: .*got <"):
+            jtl(a, firing_delay=Triangular(), name="Q")
 
     def test_distribution_delay_samples_even_without_variability(self):
         a = inp_at(10.0, name="A")
@@ -223,3 +238,34 @@ class TestSimulationVariability:
         jtl(a, firing_delay=Normal(5.0, 0.0), name="Q")
         events = Simulation().simulate(seed=5)
         assert events["Q"] == [15.0]
+
+    def test_unseeded_constant_run_builds_no_streams(self, monkeypatch):
+        """Only a seeded or noisy run, or a design that samples a delay,
+        builds counter streams; whether a design samples is read once per
+        compile."""
+        built = []
+        original = CounterNoise.for_run.__func__
+
+        def for_run(cls, seed, *args):
+            built.append(seed)
+            return original(cls, seed, *args)
+
+        monkeypatch.setattr(CounterNoise, "for_run", classmethod(for_run))
+        jtl(jtl(inp_at(10.0, name="A")), name="Q")
+        compiled = compile_circuit(working_circuit())
+        assert Simulation().simulate()["Q"] == [20.0]
+        assert built == [] and compiled._cache["has_distributions"] is False
+        Simulation().simulate(seed=4)
+        assert built == [4]
+
+    def test_hole_distribution_delay_is_sampled(self):
+        @hole(delay=Uniform(1.0, 3.0), inputs=["a"], outputs=["q"])
+        def passthrough(a, time):
+            return a
+
+        passthrough(inp_at(10.0, name="A"), names="Q")
+        compiled = compile_circuit(working_circuit())
+        assert compiled.has_distributions
+        runs = [Simulation().simulate(seed=seed)["Q"] for seed in range(8)]
+        assert all(11.0 <= q <= 13.0 for (q,) in runs)
+        assert len({q for (q,) in runs}) == 8
