@@ -220,12 +220,20 @@ class TestSimulationVariability:
         assert events["Q"] == [10.0 + max(0.0, 5.0 + 1.0 * z)]
         assert events["R"] == [events["Q"][0] + 10.0]
 
-    def test_custom_distribution_rejected_at_placement(self):
-        """Only ``Normal`` and ``Uniform`` are delay distributions; a
-        custom subclass fails when the cell is placed, naming it."""
+    @pytest.mark.parametrize("variability", [False, True])
+    def test_negative_custom_distribution_rejected(self, variability):
+        """Only ``Normal`` and ``Uniform`` are delay distributions: a custom
+        subclass, even one whose samples would be negative, fails when the
+        cell is placed, naming it, so no nominal or noisy run sees it."""
+
+        class Negative(Distribution):
+            mean = -1.0
+
         a = inp_at(10.0, name="A")
-        with pytest.raises(PylseError, match=r"^JTL: .*got <"):
-            jtl(a, firing_delay=Triangular(), name="Q")
+        with pytest.raises(PylseError, match=r"^JTL: .*negative.*got <"):
+            jtl(a, firing_delay=Negative(), name="Q")
+        events = Simulation().simulate(variability=variability, seed=1)
+        assert events == {"A": [10.0]}
 
     def test_distribution_delay_samples_even_without_variability(self):
         a = inp_at(10.0, name="A")
