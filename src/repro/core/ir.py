@@ -30,20 +30,33 @@ version), so repeated ``simulate()`` / ``measure_yield()`` /
 picklable, which is how the parallel Monte-Carlo workers receive the
 elaborated design exactly once (see :mod:`repro.core.parallel`).
 
-The structural hash is a Weisfeiler–Lehman-style digest over element
-behavior (machine transitions, hole delays, input schedules), port wiring,
-and user-visible wire labels. It is computed from dense ids and sorted
-neighbor multisets, so it is independent of the process-global anonymous
-wire counter, of node insertion order for isomorphic builds, and of the
-process it runs in — while any change to a delay, a transition, a
-connection, or an observed label changes it. Auto-generated node names and
-anonymous wire names deliberately do not participate.
+The structural hash (recipe ``repro-ir-v2``) is an integer colour
+refinement in the Weisfeiler–Lehman style over element behavior (machine
+transitions, hole delays, input schedules), port wiring, and user-visible
+wire labels. Edge attributes ``(source port, dest port, wire label)`` and
+initial node keys ``(repr(signature), repr(open outputs))`` get canonical
+integer ids, their ranks in the sorted tables of distinct values; each of
+three rounds re-colours a node by the rank of ``(colour, degree, sorted
+neighbour ints)``. One sha256 covers the version, the node count, every
+round's key table, the sorted final colours and the sorted edges: a
+canonical certificate of the refinement, so two netlists hash equal
+exactly when their three-round neighbourhood multisets and labelled edge
+multisets are equal. The hash is independent of the process-global
+anonymous wire counter, of node insertion order for isomorphic builds,
+and of the process and host it runs in — while any change to a delay, a
+transition, a connection, or an observed label changes it. Auto-generated
+node names and anonymous wire names deliberately do not participate.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+import weakref
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
     Sequence, Set, Tuple, Union,
@@ -59,14 +72,15 @@ from .transitional import Transitional
 from .wire import Wire
 
 #: Rounds of neighborhood refinement in the structural hash. Three rounds
-#: fold every node's 3-hop neighborhood into its label — enough to make any
-#: single rewiring change the digest while keeping compilation O(rounds *
-#: edges); the final digest also mixes in every edge explicitly, so even
-#: changes beyond the refinement horizon cannot cancel out.
+#: fold every node's 3-hop neighborhood into its colour — enough to make
+#: any single rewiring change the digest while keeping the hash
+#: O(rounds * edges log edges); the final digest also mixes in every edge
+#: explicitly, so even changes beyond the refinement horizon cannot
+#: cancel out.
 _HASH_ROUNDS = 3
 
 #: Bumped whenever the hash recipe changes, so stale manifests fail loudly.
-_HASH_VERSION = "repro-ir-v1"
+_HASH_VERSION = "repro-ir-v2"
 
 #: Bumped whenever the noise a seed draws changes, so a cached yield
 #: computed under older noise is a miss instead of a stale hit. v2: every
@@ -204,7 +218,7 @@ class CompiledCircuit:
 
     @property
     def structural_hash(self) -> str:
-        """The stable Weisfeiler–Lehman digest (see the module docstring)."""
+        """The stable colour-refinement digest (see the module docstring)."""
         digest = self._hash
         if digest is None:
             digest = _structural_hash(self.nodes, self.dispatch, self.user_labels)
@@ -382,9 +396,35 @@ def _element_signature(element: Element) -> tuple:
     return ("element", element.name, tuple(element.inputs), tuple(element.outputs))
 
 
-def _digest(*parts) -> str:
-    """sha256 over the repr of nested tuples of primitives (process-stable)."""
-    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+#: Per shared machine: cell name -> repr of that cell's signature. A
+#: machine is immutable and shared by every instance placed with the same
+#: overrides, so a cell's signature is built once per (name, machine). The
+#: memo is keyed weakly and lives outside the compiled circuit, so it
+#: neither keeps a dropped machine alive nor changes a pickled compile.
+_CELL_SIGNATURES: "weakref.WeakKeyDictionary[object, Dict[str, str]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _signature_key(element: Element) -> str:
+    """``repr`` of the element's signature, memoised for cells."""
+    if not isinstance(element, Transitional):
+        return repr(_element_signature(element))
+    by_name = _CELL_SIGNATURES.get(element.machine)
+    if by_name is None:
+        by_name = _CELL_SIGNATURES[element.machine] = {}
+    key = by_name.get(element.name)
+    if key is None:
+        key = by_name[element.name] = repr(_element_signature(element))
+    return key
+
+
+def _int_bytes(values: Iterable[int]) -> bytes:
+    """Little-endian int64 bytes of ``values`` (the same on every host)."""
+    packed = array("q", values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
 
 
 def _structural_hash(
@@ -392,88 +432,105 @@ def _structural_hash(
     dispatch: Sequence[NodeDispatch],
     user_labels: Sequence[Optional[str]],
 ) -> str:
-    """Weisfeiler–Lehman digest of the netlist.
+    """Integer colour refinement of the netlist, digested once.
 
-    The adjacency comes from ``dispatch``: per node, ``in_edges`` /
-    ``out_edges`` hold ``(neighbor id, my port, their port, wire label)``
-    per dataflow edge and ``open_outputs`` holds ``(port, wire label)`` for
-    outputs feeding no consumer, in output-port order. Wire labels are the
-    user-visible observation names (None for anonymous wires), so a rename
-    that changes the events dict changes the hash while the anonymous
-    counter does not.
+    An edge's attribute is ``(source port, dest port, wire label)``; wire
+    labels are the user-visible observation names (None for anonymous
+    wires), so a rename that changes the events dict changes the hash
+    while the anonymous counter does not. An attribute's id is its rank
+    in the repr-sorted table of distinct attributes. A node's initial key
+    is ``(repr(signature), repr(open outputs))``, open outputs being the
+    ``(port, wire label)`` pairs that feed no consumer; its colour is the
+    key's rank in the sorted table of distinct keys.
 
-    Identical inputs are digested once per call. A cell's signature is a
-    function of its name and its machine, which every instance with the
-    same overrides shares, so a cell's initial label is memoised per (name,
-    machine, open outputs); other elements' initial labels, and each
-    refinement digest, are memoised per parts tuple (strings and None
-    only, so equal parts have equal reprs). The memos live for one call:
-    machine ids are only stable while ``nodes`` keeps the machines alive.
+    Each of the ``_HASH_ROUNDS`` rounds keys a node by ``(colour, degree,
+    *sorted neighbour ints)``. An edge end's neighbour int is
+    ``colour[neighbour] * span + attribute * 2 + (1 if outgoing)``, with
+    ``span`` twice the number of attributes; the new colour is the key's
+    rank in the sorted table of distinct keys. The one sha256 covers the
+    version, ``n``, the attribute table, every round's key table, the
+    sorted final colours and the sorted edges ``(colour, attribute,
+    colour)``. These tables are a canonical certificate of the
+    refinement: every colour decodes back into the neighbourhood it
+    stands for, so two netlists hash equal exactly when their three-round
+    neighbourhood multisets and labelled edge multisets are equal.
     """
     n = len(nodes)
-    in_edges: List[List[Tuple[int, str, str, Optional[str]]]] = [
-        [] for _ in range(n)
-    ]
-    out_edges: List[List[Tuple[int, str, str, Optional[str]]]] = [
-        [] for _ in range(n)
-    ]
+    attr_ids: Dict[tuple, int] = {}  # attribute -> first-seen id
+    # One entry per edge: its source, first-seen attribute id and dest.
+    sources: List[int] = []
+    attr_col: List[int] = []
+    dests: List[int] = []
     open_outputs: List[List[Tuple[str, Optional[str]]]] = [
         [] for _ in range(n)
     ]
     for nd in dispatch:
         i = nd.index
-        for o in nd.outs:
-            wlabel = user_labels[o.wire_id]
-            if o.dest < 0:
-                open_outputs[i].append((o.port, wlabel))
+        for port, wire_id, dest, dest_port in nd.outs:
+            wlabel = user_labels[wire_id]
+            if dest < 0:
+                open_outputs[i].append((port, wlabel))
             else:
-                out_edges[i].append((o.dest, o.port, o.dest_port, wlabel))
-                in_edges[o.dest].append((i, o.dest_port, o.port, wlabel))
+                attr = (port, dest_port, wlabel)
+                sources.append(i)
+                attr_col.append(attr_ids.setdefault(attr, len(attr_ids)))
+                dests.append(dest)
+    attrs = sorted(attr_ids, key=repr)
+    canonical = [0] * len(attrs)
+    for rank, attr in enumerate(attrs):
+        canonical[attr_ids[attr]] = rank
+    attr_col = list(map(canonical.__getitem__, attr_col))
 
-    initial: Dict[tuple, str] = {}
-    labels: List[str] = []
-    for i, node in enumerate(nodes):
-        element = node.element
-        opens = tuple(open_outputs[i])
-        if isinstance(element, Transitional):
-            key = (element.name, id(element.machine), opens)
-            signature = None
-        else:
-            signature = _element_signature(element)
-            key = (signature, opens)
-        label = initial.get(key)
-        if label is None:
-            if signature is None:
-                signature = _element_signature(element)
-            label = initial[key] = _digest(signature, opens)
-        labels.append(label)
+    keys = [
+        (_signature_key(node.element), repr(tuple(opens)) if opens else "()")
+        for node, opens in zip(nodes, open_outputs)
+    ]
+    table = sorted(set(keys))
+    rank_of = {key: r for r, key in enumerate(table)}
+    colour = [rank_of[key] for key in keys]
+    digest = hashlib.sha256(
+        repr((_HASH_VERSION, n, attrs, table)).encode("utf-8")
+    )
 
-    refined: Dict[tuple, str] = {}
-    for _ in range(_HASH_ROUNDS):
-        next_labels = []
-        for i in range(n):
-            parts = (
-                labels[i],
-                tuple(sorted(
-                    (labels[k], my_port, their_port, wlabel)
-                    for k, my_port, their_port, wlabel in in_edges[i]
-                )),
-                tuple(sorted(
-                    (labels[k], my_port, their_port, wlabel)
-                    for k, my_port, their_port, wlabel in out_edges[i]
-                )),
-            )
-            label = refined.get(parts)
-            if label is None:
-                label = refined[parts] = _digest(*parts)
-            next_labels.append(label)
-        labels = next_labels
-    edge_digest = tuple(sorted(
-        (labels[i], my_port, labels[k], their_port, wlabel)
-        for i in range(n)
-        for k, my_port, their_port, wlabel in out_edges[i]
+    # Edge ends as flat columns: owner, neighbour, attribute * 2 + outgoing.
+    owners = sources + dests
+    neighbours = dests + sources
+    doubled = [2 * a for a in attr_col]
+    codes = [a + 1 for a in doubled] + doubled
+    # One sort per round orders every node's neighbour ints: an end of
+    # node i is offset by i * radix (each neighbour int is below radix),
+    # so the sort groups the ends by node, in node order, and orders each
+    # group; the offsets are then taken off again.
+    span = 2 * len(attrs)
+    radix = n * span
+    degrees = [0] * n
+    for i in owners:
+        degrees[i] += 1
+    offset_codes = [i * radix + code for i, code in zip(owners, codes)]
+    offsets = list(chain.from_iterable(
+        map(repeat, map(mul, range(n), repeat(radix)), degrees)
     ))
-    return _digest(_HASH_VERSION, n, tuple(sorted(labels)), edge_digest)
+    stops = list(accumulate(degrees))
+    bounds = list(zip(degrees, map(sub, stops, degrees), stops))
+    for _ in range(_HASH_ROUNDS):
+        scaled = [c * span for c in colour].__getitem__
+        ordered = sorted(map(add, map(scaled, neighbours), offset_codes))
+        values = list(map(sub, ordered, offsets))
+        keys = [
+            (c, degree, *values[start:stop])
+            for c, (degree, start, stop) in zip(colour, bounds)
+        ]
+        table = sorted(set(keys))
+        rank_of = {key: r for r, key in enumerate(table)}
+        colour = list(map(rank_of.__getitem__, keys))
+        digest.update(_int_bytes((len(table),)))
+        digest.update(_int_bytes(chain.from_iterable(table)))
+    digest.update(_int_bytes(sorted(colour)))
+    at = colour.__getitem__
+    digest.update(_int_bytes(chain.from_iterable(sorted(
+        zip(map(at, sources), attr_col, map(at, dests))
+    ))))
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------

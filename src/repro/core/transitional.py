@@ -25,6 +25,7 @@ machine.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .element import Element, check_ports
@@ -124,6 +125,14 @@ def _resolve_past_constraints(
     )
 
 
+def _is_time(value: object) -> bool:
+    """Whether ``value`` is a finite real number (a bool is not)."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def parse_transitions(
     cls_name: str,
     outputs: Sequence[str],
@@ -142,7 +151,18 @@ def parse_transitions(
         raise WellFormednessError(
             f"{cls_name}: 'transitions' must be a list of dicts"
         )
+    if not isinstance(transition_time_overrides, (Mapping, type(None))):
+        raise WellFormednessError(
+            f"{cls_name}: 'transition_time' overrides must be a dict of "
+            f"(src, trigger) -> time, got {transition_time_overrides!r}"
+        )
     overrides = dict(transition_time_overrides or {})
+    for key, value in overrides.items():
+        if not _is_time(value):
+            raise WellFormednessError(
+                f"{cls_name}: 'transition_time' override for {key!r} must be "
+                f"a finite number, got {value!r}"
+            )
     parsed: List[Transition] = []
     for raw_index, raw in enumerate(raw_transitions):
         if not isinstance(raw, Mapping):
@@ -185,10 +205,10 @@ def parse_transitions(
                 f"non-negative integer, got {priority!r}"
             )
         transition_time = raw.get("transition_time", 0.0)
-        if not isinstance(transition_time, (int, float)):
+        if not _is_time(transition_time):
             raise WellFormednessError(
                 f"{cls_name}: transition {raw_index} 'transition_time' must be a "
-                f"number, got {transition_time!r}"
+                f"finite number, got {transition_time!r}"
             )
         firing = _resolve_firing(
             cls_name, raw_index, raw.get("firing"), outputs, firing_delay
@@ -214,6 +234,13 @@ def parse_transitions(
                     firing=firing,
                     past_constraints=constraints,
                 )
+            )
+    pairs = {(t.source, t.trigger) for t in parsed}
+    for key, value in overrides.items():
+        if key not in pairs:
+            raise WellFormednessError(
+                f"{cls_name}: 'transition_time' override {key!r}: {value!r} "
+                "names no (src, trigger) pair of a transition"
             )
     return parsed
 

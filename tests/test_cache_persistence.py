@@ -24,7 +24,12 @@ from repro.cache import (
     DiskCache,
     store_stats,
 )
-from repro.core.ir import _HASH_VERSION, result_cache_key
+from repro.core.ir import (
+    _EXPLORER_VERSION,
+    _HASH_VERSION,
+    _NOISE_VERSION,
+    result_cache_key,
+)
 from repro.core.montecarlo import YieldResult, measure_yield
 from repro.core.serialize import (
     circuit_to_json,
@@ -32,7 +37,7 @@ from repro.core.serialize import (
     yield_result_to_jsonable,
 )
 from repro.exp.measure import Measurer
-from repro.exp.registry import build_in_fresh_circuit, registry
+from repro.exp.registry import RegistryFactory, build_in_fresh_circuit, registry
 from repro.explore import FamilyFactory
 from repro.explore.engine import ExploreEngine
 from repro.lint.reach_rules import (
@@ -44,6 +49,7 @@ from repro.lint.reach_rules import (
 from repro.serve import YieldService
 
 from test_batchsim import hole_factory
+from test_hash_stability import eager_v1_hash
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -218,6 +224,61 @@ def test_result_under_pre_noise_version_key_is_recomputed(tmp_path):
     assert document == yield_result_to_jsonable(direct) != (
         yield_result_to_jsonable(stale)
     )
+
+
+# -- documents stored under the previous hash recipe are misses --------
+def test_result_under_v1_hash_key_is_recomputed(tmp_path):
+    """A store written under ``repro-ir-v1`` keys its documents by the v1
+    digest; under v2 neither the recipe tag nor the digest matches, so a
+    document planted there for the same design is never served."""
+    entry = next(e for e in registry() if e.name == "Min-Max")
+    v1_digest = eager_v1_hash(build_in_fresh_circuit(entry))
+    resolved = Measurer().resolve(RegistryFactory("Min-Max"))
+    assert resolved.digest != v1_digest
+    sigma, n_seeds = 0.5, 6
+    stale = YieldResult(
+        sigma=sigma, runs=n_seeds, passed=0, mis_behaved=n_seeds,
+        violations=0, failures=dict.fromkeys(range(n_seeds), "mis-behaved"),
+    )
+    old_key = ("repro-ir-v1", _NOISE_VERSION, v1_digest, sigma, n_seeds, 0)
+    DiskCache(tmp_path, RESULTS_NAMESPACE).put(
+        old_key, yield_result_to_jsonable(stale)
+    )
+
+    measurer = Measurer(cache_dir=tmp_path)
+    document, cached = measurer.measure(resolved, sigma, n_seeds)
+    assert not cached and measurer.computations == 1
+    direct = measure_yield(
+        resolved.factory, resolved.predicate, sigma, seeds=range(n_seeds)
+    )
+    assert document == yield_result_to_jsonable(direct) != (
+        yield_result_to_jsonable(stale)
+    )
+    assert store_stats(tmp_path)["namespaces"][RESULTS_NAMESPACE]["entries"] == 2
+
+
+def test_reach_analysis_under_v1_hash_key_is_recomputed(tmp_path):
+    entry = next(e for e in registry() if e.name == "AND")
+    v1_digest = eager_v1_hash(build_in_fresh_circuit(entry))
+    direct, _ = analyze_reach(build_in_fresh_circuit(entry), use_cache=False)
+    assert direct.digest != v1_digest
+    stale = dataclasses.replace(direct, states_explored=1)
+    budget = direct.budget
+    old_key = ("repro-ir-v1", _EXPLORER_VERSION, v1_digest, direct.rules,
+               budget.max_states, float(budget.time_limit))
+    DiskCache(tmp_path, LINT_NAMESPACE).put(
+        old_key, reach_analysis_to_jsonable(stale)
+    )
+
+    clear_reach_cache()
+    served, cached = analyze_reach(
+        build_in_fresh_circuit(entry), cache_dir=tmp_path
+    )
+    assert not cached
+    untimed = dict(elapsed_seconds=0.0)
+    assert dataclasses.replace(served, **untimed) == dataclasses.replace(
+        direct, **untimed)
+    assert store_stats(tmp_path)["namespaces"][LINT_NAMESPACE]["entries"] == 2
 
 
 # -- foreign documents in the store are quarantined, never served ------

@@ -8,16 +8,25 @@ contract is pinned here from both sides:
   order for isomorphic builds;
 * **sensitive** — any change to a delay, a transition time, a connection,
   an input schedule, or a user-visible label changes it;
-* **unchanged by laziness** — the lazy, memoised hash equals the eager
-  recipe it replaced (kept verbatim below as the oracle) on random
-  circuits, and a revision's hash read late still reflects that revision.
+* **unchanged by laziness** — the lazy, memoised hash equals an
+  unmemoised eager form of the same recipe on random circuits, and a
+  revision's hash read late still reflects that revision;
+* **the same relation as the recipe it replaced** — the integer colour
+  refinement (``repro-ir-v2``) gives two circuits equal digests exactly
+  when the hex-label Weisfeiler–Lehman recipe (``repro-ir-v1``, kept
+  verbatim below as the oracle) does, on random circuits under
+  node-order permutations, the pairs above, the registry designs and
+  every point of the CI explore grids.
 """
 
 import hashlib
+import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +37,8 @@ from repro.core.functional import Functional, hole
 from repro.core.helpers import inp, inp_at
 from repro.core.ir import compile_circuit, structural_hash
 from repro.core.timing import Normal, Uniform
+from repro.exp.registry import build_in_fresh_circuit, registry
+from repro.explore.families import FamilyFactory
 from repro.core.transitional import Transitional
 from repro.core.wire import Wire
 from repro.sfq import and_s, c, c_inv, dro, jtl, m, s
@@ -154,7 +165,7 @@ class TestSensitivity:
 
 
 # ----------------------------------------------------------------------
-# The eager recipe, verbatim: the oracle for the lazy, memoised hash.
+# The eager v1 recipe, verbatim: the oracle for the equal-hash relation.
 # ----------------------------------------------------------------------
 _HASH_ROUNDS = 3
 _HASH_VERSION = "repro-ir-v1"
@@ -237,9 +248,10 @@ def _eager_structural_hash(nodes, in_edges, out_edges, open_outputs) -> str:
     return _digest(_HASH_VERSION, len(nodes), tuple(sorted(labels)), edge_digest)
 
 
-def eager_hash(circuit) -> str:
-    """The hash as the eager compile pass computed it, from the circuit's
-    current state (the adjacency built exactly as that pass built it)."""
+def _adjacency(circuit):
+    """Per node: in-edges and out-edges as ``(neighbour, my port, their
+    port, wire label)`` and open outputs as ``(port, wire label)``, built
+    exactly as the eager compile pass built them."""
     nodes = tuple(circuit.nodes)
     node_index = {node.name: i for i, node in enumerate(nodes)}
     wires = tuple(circuit.wires)
@@ -264,7 +276,71 @@ def eager_hash(circuit) -> str:
                 dest_id, dest_port = dest
                 out_edges[i].append((dest_id, port, dest_port, wlabel))
                 in_edges[dest_id].append((i, dest_port, port, wlabel))
-    return _eager_structural_hash(nodes, in_edges, out_edges, open_outputs)
+    return nodes, in_edges, out_edges, open_outputs
+
+
+def eager_v1_hash(circuit) -> str:
+    """The v1 hash as the eager compile pass computed it, from the
+    circuit's current state."""
+    return _eager_structural_hash(*_adjacency(circuit))
+
+
+# ----------------------------------------------------------------------
+# The v2 recipe, eager and unmemoised: the oracle for the memoised code.
+# ----------------------------------------------------------------------
+_V2_VERSION = "repro-ir-v2"
+
+
+def _int_bytes(values) -> bytes:
+    packed = array("q", values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def eager_hash(circuit) -> str:
+    """The v2 hash computed directly from its definition: integer colour
+    refinement with every node's neighbour ints sorted on their own and
+    every signature built afresh."""
+    nodes, _, out_edges, open_outputs = _adjacency(circuit)
+    n = len(nodes)
+    edges = [
+        (i, (my_port, their_port, wlabel), k)
+        for i in range(n)
+        for k, my_port, their_port, wlabel in out_edges[i]
+    ]
+    attrs = sorted({attr for _, attr, _ in edges}, key=repr)
+    attr_id = {attr: r for r, attr in enumerate(attrs)}
+    span = 2 * len(attrs)
+    ends = [[] for _ in range(n)]  # (neighbour, attribute * 2 + outgoing)
+    for i, attr, k in edges:
+        ends[i].append((k, 2 * attr_id[attr] + 1))
+        ends[k].append((i, 2 * attr_id[attr]))
+
+    keys = [
+        (repr(_element_signature(node.element)), repr(tuple(open_outputs[i])))
+        for i, node in enumerate(nodes)
+    ]
+    table = sorted(set(keys))
+    colour = [table.index(key) for key in keys]
+    digest = hashlib.sha256(repr((_V2_VERSION, n, attrs, table)).encode("utf-8"))
+    for _ in range(_HASH_ROUNDS):
+        keys = [
+            (colour[i], len(ends[i]),
+             *sorted(colour[k] * span + code for k, code in ends[i]))
+            for i in range(n)
+        ]
+        table = sorted(set(keys))
+        colour = [table.index(key) for key in keys]
+        digest.update(_int_bytes([len(table)]))
+        digest.update(_int_bytes([x for key in table for x in key]))
+    digest.update(_int_bytes(sorted(colour)))
+    digest.update(_int_bytes([
+        x for edge in sorted(
+            (colour[i], attr_id[attr], colour[k]) for i, attr, k in edges
+        ) for x in edge
+    ]))
+    return digest.hexdigest()
 
 
 @hole(delay=4.0, inputs=["a"], outputs=["q"])
@@ -360,3 +436,74 @@ class TestLazyHashMatchesEagerRecipe:
         assert revision_k.structural_hash == expected
         assert compile_circuit(circuit).structural_hash == eager_hash(circuit)
         assert compile_circuit(circuit).structural_hash != expected
+
+    def test_signature_memo_leaves_machine_pickles_unchanged(self):
+        # The per-machine signature memo lives outside the shared machine,
+        # so reading a hash does not change what a compile pickles.
+        compiled = compile_circuit(build_fig12())
+        machines = {id(n.element.machine): n.element.machine
+                    for n in compiled.nodes
+                    if isinstance(n.element, Transitional)}
+        before = pickle.dumps(list(machines.values()))
+        assert compiled.structural_hash == eager_hash(compiled.circuit)
+        assert pickle.dumps(list(machines.values())) == before
+
+
+# ----------------------------------------------------------------------
+# v2 induces exactly v1's equal-hash relation.
+# ----------------------------------------------------------------------
+#: Every point of the CI explore smoke grids.
+EXPLORE_GRID = (
+    [("racetree", {"depth": d}) for d in (1, 2, 3)]
+    + [("bitonic", {"n": n}) for n in (2, 4, 8)]
+    + [("adder_xsfq", {"n": n}) for n in (1, 2, 4)]
+    + [("memory", {"words": w, "bits": 4}) for w in (4, 8)]
+)
+
+
+def permuted(circuit, seed: int):
+    """The same netlist with its nodes in another elaboration order."""
+    random.Random(seed).shuffle(circuit.nodes)
+    circuit._mutated()
+    return circuit
+
+
+def assert_same_relation(circuits) -> None:
+    """Equal v2 digests exactly where v1's are equal, pair by pair."""
+    v1 = [eager_v1_hash(c) for c in circuits]
+    v2 = [structural_hash(c) for c in circuits]
+    for a, b in itertools.combinations(range(len(circuits)), 2):
+        assert (v1[a] == v1[b]) == (v2[a] == v2[b]), (a, b)
+
+
+class TestV2MatchesV1Relation:
+    @given(
+        seeds=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+        n_cells=st.integers(0, 4),
+        order=st.integers(0, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_circuits_under_permutation(self, seeds, n_cells, order):
+        # Few seeds and few cells, so equal digests come up often.
+        circuits = []
+        for seed in seeds:
+            circuits.append(build_mixed(seed, n_cells))
+            circuits.append(permuted(build_mixed(seed, n_cells), order + seed))
+        assert_same_relation(circuits)
+
+    def test_pairs_registry_and_explore_grid(self):
+        circuits = [
+            build_fig12(), build_fig12(),
+            build_chain(), build_chain(delay=9.9), build_chain(label="R"),
+            build_chain(times=(10.0, 30.0)), build_chain(stages=3),
+        ]
+        designs = [build_in_fresh_circuit(entry) for entry in registry()]
+        grid = [FamilyFactory(family, params)() for family, params in EXPLORE_GRID]
+        shuffled = [
+            permuted(build_in_fresh_circuit(entry), k)
+            for k, entry in enumerate(registry())
+        ]
+        assert_same_relation(circuits + designs + grid + shuffled)
+        digests = [structural_hash(c) for c in designs]
+        assert len(set(digests)) == len(digests) == 22
+        assert digests == [structural_hash(c) for c in shuffled]

@@ -197,6 +197,34 @@ class TestTransitionalClass:
         slow = Toggle(transition_time={("idle", "a"): 9.0})
         assert slow.machine.delta("idle", "a").transition_time == 9.0
 
+    @pytest.mark.parametrize("value", ["3", float("nan"), float("inf"), True])
+    def test_bad_transition_time_override_rejected(self, value):
+        # Each names the cell, the key and the value.
+        with pytest.raises(WellFormednessError) as info:
+            AND(transition_time={("idle", "clk"): value})
+        message = str(info.value)
+        assert message.startswith("AND:")
+        assert "('idle', 'clk')" in message and repr(value) in message
+
+    def test_transition_time_override_for_unknown_pair_rejected(self):
+        with pytest.raises(WellFormednessError,
+                           match=r"AND: .*\('nope', 'clk'\): 1\.0 names no"):
+            AND(transition_time={("nope", "clk"): 1.0})
+
+    def test_transition_time_overrides_must_be_a_dict(self):
+        with pytest.raises(WellFormednessError, match="must be a dict"):
+            AND(transition_time=3.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), True, "1"])
+    def test_bad_class_transition_time_rejected(self, value):
+        with pytest.raises(WellFormednessError, match="finite number") as info:
+            parse_transitions(
+                "X", ["q"],
+                [{"src": "i", "trigger": "a", "dst": "i",
+                  "transition_time": value, "firing": {"q": 1}}],
+            )
+        assert str(info.value).startswith("X:") and repr(value) in str(info.value)
+
 
 class TestSFQ:
     def test_and_matches_figure8(self):
