@@ -55,8 +55,8 @@ import sys
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
-from operator import add, mul, sub
+from itertools import accumulate, chain
+from operator import add, sub
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
     Sequence, Set, Tuple, Union,
@@ -482,7 +482,7 @@ def _structural_hash(
     attr_col = list(map(canonical.__getitem__, attr_col))
 
     keys = [
-        (_signature_key(node.element), repr(tuple(opens)) if opens else "()")
+        (_signature_key(node.element), repr(tuple(opens)))
         for node, opens in zip(nodes, open_outputs)
     ]
     table = sorted(set(keys))
@@ -507,9 +507,7 @@ def _structural_hash(
     for i in owners:
         degrees[i] += 1
     offset_codes = [i * radix + code for i, code in zip(owners, codes)]
-    offsets = list(chain.from_iterable(
-        map(repeat, map(mul, range(n), repeat(radix)), degrees)
-    ))
+    offsets = [i * radix for i, degree in enumerate(degrees) for _ in range(degree)]
     stops = list(accumulate(degrees))
     bounds = list(zip(degrees, map(sub, stops, degrees), stops))
     for _ in range(_HASH_ROUNDS):

@@ -67,13 +67,34 @@ def build_fig12():
     return circuit
 
 
-def build_chain(*, delay=None, times=(10.0,), label="Q", stages=2):
+def build_chain(*, delay=None, times=(10.0,), label="Q", stages=2, source="A"):
     with fresh_circuit() as circuit:
-        wire = inp_at(*times, name="A")
+        wire = inp_at(*times, name=source)
         overrides = {} if delay is None else {"firing_delay": delay}
         for _ in range(stages):
             wire = jtl(wire, **overrides)
         wire.observe(label)
+    return circuit
+
+
+def build_and(swapped):
+    with fresh_circuit() as circuit:
+        a = inp_at(10.0, name="A")
+        b = inp_at(20.0, name="B")
+        clk = inp_at(50.0, name="CLK")
+        if swapped:
+            and_s(b, a, clk, name="Q")
+        else:
+            and_s(a, b, clk, name="Q")
+    return circuit
+
+
+def build_dangling(*times):
+    """Unconnected input generators: equal key tables, and only the colour
+    multiset tells ``(10, 10, 20)`` from ``(10, 20, 20)``."""
+    with fresh_circuit() as circuit:
+        for t in times:
+            inp_at(t)
     return circuit
 
 
@@ -140,18 +161,9 @@ class TestSensitivity:
         )
 
     def test_connection_changes_hash(self):
-        def build(swapped):
-            with fresh_circuit() as circuit:
-                a = inp_at(10.0, name="A")
-                b = inp_at(20.0, name="B")
-                clk = inp_at(50.0, name="CLK")
-                if swapped:
-                    and_s(b, a, clk, name="Q")
-                else:
-                    and_s(a, b, clk, name="Q")
-            return circuit
-
-        assert structural_hash(build(False)) != structural_hash(build(True))
+        assert structural_hash(build_and(False)) != structural_hash(
+            build_and(True)
+        )
 
     def test_added_node_changes_hash(self):
         assert structural_hash(build_chain(stages=2)) != structural_hash(
@@ -161,6 +173,9 @@ class TestSensitivity:
     def test_observed_label_changes_hash(self):
         assert structural_hash(build_chain(label="Q")) != structural_hash(
             build_chain(label="R")
+        )
+        assert structural_hash(build_chain(source="A")) != structural_hash(
+            build_chain(source="B")
         )
 
 
@@ -496,6 +511,8 @@ class TestV2MatchesV1Relation:
             build_fig12(), build_fig12(),
             build_chain(), build_chain(delay=9.9), build_chain(label="R"),
             build_chain(times=(10.0, 30.0)), build_chain(stages=3),
+            build_chain(source="B"), build_and(False), build_and(True),
+            build_dangling(10.0, 10.0, 20.0), build_dangling(10.0, 20.0, 20.0),
         ]
         designs = [build_in_fresh_circuit(entry) for entry in registry()]
         grid = [FamilyFactory(family, params)() for family, params in EXPLORE_GRID]
