@@ -28,13 +28,13 @@ swallowed: a cache must never break the computation it memoizes.
 wrong format tag, a key mismatch — as a miss and *quarantine* the file
 under ``<root>/quarantine/`` so it is never parsed again and remains
 available for debugging. A hit bumps the entry's mtime, which is the
-access clock :meth:`DiskCache.gc` evicts by.
+access clock :func:`gc_store` evicts by.
 
-**gc** bounds the store: entries are removed least-recently-accessed
-first until the namespace fits ``max_bytes``; stale temp files from
-crashed writers are swept too. ``python -m repro cache stats|gc|clear``
-runs the same logic across every namespace of a store
-(:func:`store_stats`, :func:`gc_store`, :func:`clear_store`).
+**gc** bounds a whole store: :func:`gc_store` removes entries
+least-recently-accessed first, across every namespace, until the store
+fits ``max_bytes``, and sweeps stale temp files from crashed writers.
+``python -m repro cache stats|gc|clear`` runs :func:`store_stats`,
+:func:`gc_store` and :func:`clear_store`.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ LINT_NAMESPACE = "lint"
 
 #: Directory (under the store root) corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
-
-#: With ``max_bytes`` set, an opportunistic :meth:`DiskCache.gc` runs
-#: every this many writes so a long-lived server stays bounded without
-#: paying a directory walk per ``put``.
-GC_EVERY_WRITES = 64
 
 #: Temp files older than this are presumed orphaned by a crashed writer
 #: and swept by ``gc`` (a live writer holds its temp file for
@@ -107,29 +102,14 @@ def key_digest(key: object) -> str:
 class DiskCache:
     """See the module docstring; one instance serves one namespace."""
 
-    def __init__(
-        self,
-        root,
-        namespace: str = RESULTS_NAMESPACE,
-        max_bytes: Optional[int] = None,
-    ):
+    def __init__(self, root, namespace: str = RESULTS_NAMESPACE):
         if not namespace or not namespace.replace("_", "").isalnum():
             raise PylseError(
                 f"cache namespace must be a non-empty alphanumeric "
                 f"identifier, got {namespace!r}"
             )
-        if max_bytes is not None and (
-            isinstance(max_bytes, bool)
-            or not isinstance(max_bytes, int)
-            or max_bytes < 0
-        ):
-            raise PylseError(
-                f"max_bytes must be a non-negative integer or None, "
-                f"got {max_bytes!r}"
-            )
         self.root = pathlib.Path(root)
         self.namespace = namespace
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -232,12 +212,6 @@ class DiskCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
-        if (
-            self.max_bytes is not None
-            and self.writes
-            and self.writes % GC_EVERY_WRITES == 0
-        ):
-            self.gc()
 
     def invalidate(self, key: object) -> None:
         """Quarantine ``key``'s entry (e.g. its payload failed to decode)."""
@@ -266,15 +240,6 @@ class DiskCache:
         """Every valid-looking entry file with its stat, unordered."""
         yield from _iter_entries(self._dir())
 
-    def gc(self, max_bytes: Optional[int] = None) -> Dict[str, int]:
-        """Evict least-recently-accessed entries down to the size bound.
-
-        ``max_bytes`` defaults to the instance bound; ``None`` for both
-        only sweeps stale temp files. Returns a summary dict.
-        """
-        bound = self.max_bytes if max_bytes is None else max_bytes
-        return _gc_dir(self._dir(), bound)
-
     def clear(self) -> int:
         """Remove every entry (counters kept); returns the removed count."""
         removed = 0
@@ -297,7 +262,6 @@ class DiskCache:
             "namespace": self.namespace,
             "entries": entry_count,
             "bytes": total,
-            "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
@@ -339,36 +303,6 @@ def _sweep_stale_tmp(scope: pathlib.Path, now: float) -> int:
         except OSError:
             continue
     return swept
-
-
-def _gc_dir(scope: pathlib.Path, max_bytes: Optional[int]) -> Dict[str, int]:
-    now = time.time()
-    swept_tmp = _sweep_stale_tmp(scope, now)
-    records: List[Tuple[float, int, pathlib.Path]] = [
-        (stat.st_mtime, stat.st_size, path)
-        for path, stat in _iter_entries(scope)
-    ]
-    total = sum(size for _mtime, size, _path in records)
-    removed = 0
-    removed_bytes = 0
-    if max_bytes is not None and total > max_bytes:
-        for _mtime, size, path in sorted(records):  # oldest access first
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            removed += 1
-            removed_bytes += size
-            total -= size
-            if total <= max_bytes:
-                break
-    return {
-        "kept_entries": len(records) - removed,
-        "kept_bytes": total,
-        "removed_entries": removed,
-        "removed_bytes": removed_bytes,
-        "swept_tmp": swept_tmp,
-    }
 
 
 def _namespaces(root: pathlib.Path) -> List[str]:

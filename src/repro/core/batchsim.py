@@ -63,10 +63,10 @@ MIS_BEHAVED = "mis-behaved"
 VIOLATION = "violation"
 
 #: Default cap on the lane count of one batched drain pass. Wider batches
-#: amortize the per-group Python overhead over more seeds, but past a few
-#: hundred lanes the vectors stop fitting hot cache lines and divergence
-#: replays get batched less usefully; 256 is the measured sweet spot on
-#: the registry designs (see docs/performance.md).
+#: amortize the per-group Python overhead over more seeds; on 1024-seed
+#: sweeps of four registry designs, 64 -> 256 lanes cuts the time by
+#: 20-50 % and wider passes move it by 15 % or less (measurement, command
+#: and host in docs/performance.md, "The batched drain and its replays").
 DEFAULT_MAX_BATCH = 256
 
 # -- counter-stream constants ------------------------------------------
@@ -90,7 +90,7 @@ _BLOCK = 8
 #: normals per node when a pass starts, and a uniform or tie stream takes
 #: this many on first use. On a 128-lane bitonic-8 pass 2 beats 1 (most
 #: nodes draw twice) and 4 or 8 (draws a pass never reads); see
-#: docs/performance.md.
+#: docs/performance.md, "Counter noise".
 _WIDE_BLOCK = 2
 
 #: Distinct seeds whose SeedSequence-derived roots stay memoised. Bounded

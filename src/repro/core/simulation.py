@@ -69,6 +69,10 @@ class TraceEntry:
     state_before: Optional[str]
     state_after: Optional[str]
     fired: Tuple[Tuple[str, float], ...]   # (output port, absolute time)
+    #: The group's inputs in the order the machine dispatched them (empty
+    #: for holes); seeded runs break priority ties from their counter
+    #: stream, so this can differ from ``ports``.
+    order: Tuple[str, ...] = ()
     #: Provenance ids of the fired pulses, filled when an observer with
     #: provenance enabled accompanies ``record=True``; empty otherwise.
     fired_pids: Tuple[int, ...] = ()
@@ -299,8 +303,9 @@ class Simulation:
         tau_done: List[float] = [0.0] * size
         theta: List[Optional[Dict[str, float]]] = [None] * size
         ties: list = [None] * size
-        # Labels of the group's taken transitions, for the observer.
-        tlabels: Optional[List[str]] = None
+        # The group's (input, transition label) steps, for the observer
+        # and the trace.
+        taken: Optional[List[Tuple[str, str]]] = None
         processed = 0
         # Heap high-water mark, sampled at the top of each iteration (i.e.
         # after the previous group's pushes) so an unobserved run pays
@@ -337,8 +342,7 @@ class Simulation:
                         if observe else ()
                     )
                     emitted = []
-                    if observe:
-                        tlabels = []
+                    taken = []
                 try:
                     if machine is None:
                         firings = rec[PLAN_DELIVER](ports, time)
@@ -373,8 +377,8 @@ class Simulation:
                                     machine.step(
                                         Configuration(st, td, th), symbol, time
                                     )
-                            if tlabels is not None:
-                                tlabels.append(tlabel)
+                            if taken is not None:
+                                taken.append((symbol, tlabel))
                             th[symbol] = time
                             st = dest
                             td = transition_time + time
@@ -415,7 +419,8 @@ class Simulation:
                     if observe:
                         pids = observer.record_group(
                             node.name, element.name, ports, time,
-                            tuple(tlabels), emitted, parents,
+                            tuple(step[1] for step in taken), emitted,
+                            parents,
                         )
                     if record:
                         trace.append(
@@ -429,6 +434,7 @@ class Simulation:
                                     st if machine is not None else None
                                 ),
                                 fired=tuple((e[0], e[2]) for e in emitted),
+                                order=tuple(step[0] for step in taken),
                                 fired_pids=tuple(pids) if pids else (),
                             )
                         )

@@ -17,7 +17,8 @@ quantity to compare against expected variability (see
 
 Margins are computed by replaying a recorded simulation trace
 (``simulate(record=True)``) through each cell's machine, so they reflect
-exactly the dispatch order the simulator used.
+exactly the dispatch order the simulator used (``TraceEntry.order``,
+seeded tie-breaks included).
 """
 
 from __future__ import annotations
@@ -81,10 +82,7 @@ def timing_margins(sim: Simulation) -> List[MarginRecord]:
             continue
         machine = element.machine
         config = configs.get(entry.node, machine.initial_configuration())
-        remaining = set(entry.ports)
-        while remaining:
-            symbol = machine.choose(config.state, frozenset(remaining))
-            remaining.discard(symbol)
+        for symbol in entry.order:
             transition = machine.delta(config.state, symbol)
             hold = entry.time - config.tau_done
             if math.isinf(config.tau_done):

@@ -40,7 +40,6 @@ deterministic and cached like any other analysis.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -527,7 +526,7 @@ def _compute_analysis(
 
     inputs = _input_schedule(compiled)
     dead = (
-        _dead_transitions(compiled, result)
+        _dead_transitions(compiled, translation, result)
         if "PL401" in rules and result.completed else ()
     )
     timing = (
@@ -539,7 +538,7 @@ def _compute_analysis(
         if "PL402" in rules else ()
     )
     stuck = (
-        _stuck_states(translation, result)
+        _stuck_states(compiled, translation, result)
         if "PL404" in rules else ()
     )
     return ReachAnalysis(
@@ -582,7 +581,9 @@ def _witness_steps(violation) -> Tuple[WitnessStep, ...]:
 # ----------------------------------------------------------------------
 # PL401: transitions dead in circuit context
 # ----------------------------------------------------------------------
-def _dead_transitions(compiled: CompiledCircuit, result) -> List[DeadTransition]:
+def _dead_transitions(
+    compiled: CompiledCircuit, translation, result
+) -> List[DeadTransition]:
     fired = result.coverage.fired_edges if result.coverage else frozenset()
     dead: List[DeadTransition] = []
     for node in compiled.cells():
@@ -594,8 +595,7 @@ def _dead_transitions(compiled: CompiledCircuit, result) -> List[DeadTransition]
         for t in element.machine.transitions:
             if t.source not in machine_reachable:
                 continue  # dead at the machine level already: PL102's story
-            entry = (node.name, t.source, f"q0_{t.id}")
-            if entry not in fired:
+            if translation.entry_edges[(node.name, t.id)] not in fired:
                 dead.append(DeadTransition(
                     node=node.name,
                     cell=element.name,
@@ -626,30 +626,6 @@ def _replay_once(circuit: Circuit):
     return None, None
 
 
-def _error_edge_kind(main_ta, location: str, node_name: str) -> str:
-    """'hold' when the edge into ``location`` guards the handler clock."""
-    hold_clock = f"c_{node_name}_h"
-    for edge in main_ta.edges:
-        if edge.target != location:
-            continue
-        if any(c.clock == hold_clock for c in edge.guard):
-            return "hold"
-        return "setup"
-    return "setup"
-
-
-def _parse_error_location(cell: str, location: str) -> Optional[str]:
-    """The input symbol out of ``<CELL>_err_<sym>_<n>``."""
-    prefix = f"{cell}_err_"
-    if not location.startswith(prefix):
-        return None
-    rest = location[len(prefix):]
-    symbol, _, counter = rest.rpartition("_")
-    if not symbol or not counter.isdigit():
-        return None
-    return symbol
-
-
 def _timing_witnesses(
     circuit: Circuit,
     compiled: CompiledCircuit,
@@ -665,15 +641,11 @@ def _timing_witnesses(
     seen = set()
     for violation in violations:
         node_name = violation.automaton
-        main_ta = translation.main_tas.get(node_name)
-        if main_ta is None:
+        source = translation.error_sources.get((node_name, violation.location))
+        if source is None:
             continue
-        node = compiled.nodes[compiled.node_index[node_name]]
-        cell = node.element.name
-        symbol = _parse_error_location(cell, violation.location)
-        if symbol is None:
-            continue
-        kind = _error_edge_kind(main_ta, violation.location, node_name)
+        symbol, kind = source
+        cell = compiled.node(node_name).element.name
         key = (node_name, symbol, kind)
         if key in seen:
             continue  # BFS order: the first witness is the shortest
@@ -822,7 +794,7 @@ def _race_findings(
 # ----------------------------------------------------------------------
 # PL404: stuck states
 # ----------------------------------------------------------------------
-def _stuck_states(translation, result) -> List[StuckState]:
+def _stuck_states(compiled: CompiledCircuit, translation, result) -> List[StuckState]:
     network = translation.network
     error_locs = {
         ta.name: set(ta.error_locations) for ta in network.automata
@@ -830,7 +802,7 @@ def _stuck_states(translation, result) -> List[StuckState]:
     roles = {ta.name: ta.role for ta in network.automata}
     initial = {ta.name: ta.initial for ta in network.automata}
     machine_states = {
-        name: _cell_rest_states(translation, name)
+        name: compiled.node(name).element.machine.states
         for name in translation.main_tas
     }
     input_final = {
@@ -868,23 +840,6 @@ def _stuck_states(translation, result) -> List[StuckState]:
             steps=_witness_steps(violation),
         ))
     return stuck
-
-
-def _cell_rest_states(translation, node_name: str) -> set:
-    """The machine-state locations of one cell's main TA.
-
-    Figure 14 expands each machine state with q*/wait/error locations; the
-    rest states are exactly the original machine's states, which the main
-    TA records as the locations present before expansion — recovered here
-    as the locations that are neither error locations nor q-chain/wait
-    locations (``q<i>_<transition id>``).
-    """
-    ta = translation.main_tas[node_name]
-    q_like = re.compile(r"^q\d+_\d+$")
-    return {
-        loc for loc in ta.locations
-        if loc not in ta.error_locations and not q_like.match(loc)
-    }
 
 
 # ----------------------------------------------------------------------

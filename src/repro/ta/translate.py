@@ -69,6 +69,15 @@ class TranslationResult:
     main_tas: Dict[str, TimedAutomaton] = field(default_factory=dict)
     #: output channel -> names of the firing TAs that send on it
     firing_tas_by_channel: Dict[str, List[str]] = field(default_factory=dict)
+    #: (main TA, error location) -> (input symbol, "setup" or "hold")
+    error_sources: Dict[Tuple[str, str], Tuple[str, str]] = field(
+        default_factory=dict
+    )
+    #: (node name, transition id) -> the main TA edge that takes the
+    #: transition, as ``(automaton, source, entry location)``
+    entry_edges: Dict[Tuple[str, int], Tuple[str, str, str]] = field(
+        default_factory=dict
+    )
 
     @property
     def cell_automata(self) -> List[TimedAutomaton]:
@@ -176,8 +185,9 @@ class _CellTranslator:
             t.source, chain[0], Action(channel_name_for(self.node, t.trigger), "?"),
             guard=ok_guard, resets=[clock_h, trigger_clock],
         )
+        self.result.entry_edges[(ta.name, t.id)] = (ta.name, t.source, chain[0])
         for sym, dist in constraints:
-            err = self._error_location(ta, sym, kind="s")
+            err = self._error_location(ta, sym, "setup")
             ta.add_edge(
                 t.source, err,
                 Action(channel_name_for(self.node, t.trigger), "?"),
@@ -211,7 +221,7 @@ class _CellTranslator:
         # (its min-max Query 2 enumerates C_err_* locations although the C
         # element never rejects a pulse under that stimulus).
         for sym in machine.inputs:
-            err = self._error_location(ta, sym, kind="h")
+            err = self._error_location(ta, sym, "hold")
             ta.add_edge(
                 wait, err, Action(channel_name_for(self.node, sym), "?"),
                 guard=[Constraint(clock_h, "<", tran)],
@@ -224,6 +234,7 @@ class _CellTranslator:
     def _error_location(self, ta, input_symbol: str, kind: str) -> str:
         self.err_counter += 1
         name = f"{self.element.name}_err_{input_symbol}_{self.err_counter}"
+        self.result.error_sources[(ta.name, name)] = (input_symbol, kind)
         return ta.add_location(name, error=True)
 
     def _make_firing_ta(self, fire_channel: str, out_channel: str, delay: int) -> None:

@@ -3,8 +3,8 @@
 The persistent tier's contract is "never worse than no cache": corrupt,
 truncated, or foreign files are misses that get quarantined (and never
 crash a consumer), concurrent same-key writers race harmlessly through
-the atomic temp-file + rename protocol, and ``gc()`` bounds the store by
-evicting least-recently-accessed entries first. The store-level helpers
+the atomic temp-file + rename protocol, and ``gc_store`` bounds the store
+by evicting least-recently-accessed entries first. The store-level helpers
 (`store_stats`/`gc_store`/`clear_store`) power ``python -m repro cache``.
 """
 
@@ -76,13 +76,6 @@ def test_invalid_namespace_rejected(tmp_path):
         DiskCache(tmp_path, namespace="../escape")
     with pytest.raises(PylseError, match="namespace"):
         DiskCache(tmp_path, namespace="")
-
-
-def test_invalid_max_bytes_rejected(tmp_path):
-    with pytest.raises(PylseError, match="max_bytes"):
-        DiskCache(tmp_path, max_bytes=-1)
-    with pytest.raises(PylseError, match="max_bytes"):
-        DiskCache(tmp_path, max_bytes=True)
 
 
 # -- corruption: always a miss, always quarantined, never a crash ------
@@ -182,7 +175,7 @@ def test_gc_respects_bound_and_keeps_mru(tmp_path):
     os.utime(cache.path_for(keys[0]), (now, now))
     os.utime(cache.path_for(keys[1]), (now + 1, now + 1))
     bound = entry_size * 4
-    summary = cache.gc(max_bytes=bound)
+    summary = gc_store(tmp_path, bound)
     assert summary["kept_bytes"] <= bound
     assert summary["removed_entries"] == 6
     assert cache.get(keys[0]) is not MISSING
@@ -193,21 +186,9 @@ def test_gc_respects_bound_and_keeps_mru(tmp_path):
 def test_gc_noop_under_bound(tmp_path):
     cache = DiskCache(tmp_path)
     cache.put(KEY, VALUE)
-    summary = cache.gc(max_bytes=10**9)
+    summary = gc_store(tmp_path, 10**9)
     assert summary["removed_entries"] == 0
     assert cache.get(KEY) == VALUE
-
-
-def test_opportunistic_gc_keeps_store_bounded(tmp_path):
-    from repro.cache.disk import GC_EVERY_WRITES
-
-    entry_bytes = 220  # generous upper bound for one small entry
-    cache = DiskCache(tmp_path, max_bytes=entry_bytes * 4)
-    # The opportunistic gc fires on every GC_EVERY_WRITES-th write, so
-    # after exactly that many writes the store is back under its bound.
-    for i in range(GC_EVERY_WRITES):
-        cache.put(("k", i), {"i": i})
-    assert cache.stats()["bytes"] <= entry_bytes * 4
 
 
 # -- store-level helpers (the `python -m repro cache` engine) ----------

@@ -14,7 +14,7 @@ from repro.core.statictiming import (
     timing_margins,
     worst_slacks,
 )
-from repro.sfq import and_s, dro, jtl
+from repro.sfq import and_s, dro, dro_sr, jtl
 
 
 def figure12_sim(record=True):
@@ -125,6 +125,26 @@ class TestTimingMargins:
             dro(a, clk, name="Q")
         with pytest.raises(PylseError):
             Simulation(circuit).simulate()
+
+    def test_replays_seeded_tie_break_order(self):
+        """A seeded run breaks the a/rst tie from its counter stream.
+
+        At seeds 3-5 the DRO_SR takes rst, then a, so Q fires on clk; the
+        margins must describe that run, not declaration order's a, rst.
+        """
+        with fresh_circuit() as circuit:
+            a = inp_at(10.0, name="A")
+            rst = inp_at(10.0, name="RST")
+            clk = inp_at(60.0, name="CLK")
+            dro_sr(a, rst, clk, name="Q")
+        sim = Simulation(circuit)
+        events = sim.simulate(seed=3, record=True)
+        assert events["Q"] == [65.3]
+        records = timing_margins(sim)
+        assert [(r.port, r.transition_id) for r in records] == [
+            ("rst", 1), ("a", 0), ("clk", 5),
+        ]
+        assert sim.trace[0].order == ("rst", "a")
 
 
 class TestReports:

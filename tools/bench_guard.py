@@ -134,8 +134,8 @@ MC_BATCHED_MIN_SPEEDUP = 5.0
 #: The bitonic-8 per-seed drain with variability off; the per-seed
 #: noisy median (every divergence replay and every ineligible design
 #: takes that path) may cost at most ``MC_PERSEED_MAX_RATIO`` times this
-#: one. 2.1 is 1.5x the noisy/nominal ratio (1.42-1.45) of the per-seed
-#: python-rng noise the counter streams replaced (docs/performance.md).
+#: one. The ratio measures 1.60-1.70 (docs/performance.md, "Counter
+#: noise", with its command and host).
 MC_PERSEED_NOMINAL = "test_mc_perseed_nominal"
 MC_PERSEED_MAX_RATIO = 2.1
 
