@@ -17,10 +17,12 @@ Next to them, ``test_mc_perseed_nominal`` runs the same bitonic-8
 per-seed drain with variability off: the floor a per-seed noisy run
 adds its noise cost to.
 
-``tools/bench_guard.py`` records the medians per design in the
-``mc_batched_200_seeds_s`` block of ``BENCH_sim.json``. It fails if the
-batched drain is less than 5x faster than the per-seed reference, or if
-the bitonic-8 per-seed noisy run costs more than 2.1x the nominal one.
+Every body is timed over ``ROUNDS`` rounds after one warmup round, so
+``tools/bench_guard.py`` compares medians, not single samples. It records
+them per design in the ``mc_batched_200_seeds_s`` block of
+``BENCH_sim.json`` and fails if the batched drain is less than 5x faster
+than the per-seed reference, or if the bitonic-8 per-seed noisy run
+costs more than 2.1x the nominal one.
 
 Two designs bracket the divergence spectrum: the Min-Max pair (shallow,
 fully conformant at this sigma — the pure vectorization win) and the
@@ -37,6 +39,9 @@ from repro.core.simulation import Simulation
 from repro.designs import min_max
 
 MC_BATCHED_SEEDS = 200
+
+#: Timed rounds per body: the gates divide medians of this many samples.
+ROUNDS = 9
 
 
 def minmax_factory():
@@ -81,9 +86,9 @@ def test_mc_batched(benchmark, design, mode):
         )
 
     # One warmup round absorbs first-touch numpy/ufunc setup; the timed
-    # round then measures the steady-state drain the sweeps actually run.
+    # rounds then measure the steady-state drain the sweeps actually run.
     outcomes, _, report = benchmark.pedantic(
-        sweep, rounds=1, iterations=1, warmup_rounds=1
+        sweep, rounds=ROUNDS, iterations=1, warmup_rounds=1
     )
     assert len(outcomes) == MC_BATCHED_SEEDS
     if mode == "batched":
@@ -107,6 +112,6 @@ def test_mc_perseed_nominal(benchmark):
         )
 
     outcomes, _ = benchmark.pedantic(
-        sweep, rounds=1, iterations=1, warmup_rounds=1
+        sweep, rounds=ROUNDS, iterations=1, warmup_rounds=1
     )
     assert len(outcomes) == MC_BATCHED_SEEDS

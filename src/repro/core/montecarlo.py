@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # layering: core never imports repro.obs at runtime
 #: A correctness predicate over simulation events.
 Predicate = Callable[[Events], bool]
 
-#: A builder that elaborates the design into a fresh circuit and returns it.
+#: A callable that returns the design's circuit (fresh or already run).
 CircuitFactory = Callable[[], Circuit]
 
 
@@ -79,10 +79,13 @@ def measure_yield(
 ) -> YieldResult:
     """Run the design once per seed at the given noise level.
 
-    ``factory`` must build a *fresh* circuit each call (instance naming
-    is per-circuit); ``predicate`` judges the events of a
-    completed run. Timing violations count as failures of kind
-    "violation"; predicate failures as "mis-behaved".
+    ``factory`` returns the circuit to sweep. It need not build a fresh
+    one: a run never mutates a circuit (placed cells are immutable and
+    each run's state lives in the drain), so a factory that returns one
+    already-simulated circuit gives the same result as one that
+    elaborates anew. ``predicate`` judges the events of a completed run.
+    Timing violations count as failures of kind "violation"; predicate
+    failures as "mis-behaved".
 
     ``seeds`` must be unique: outcomes and the ``failures`` dict are keyed
     by seed, so a duplicate would silently overwrite an earlier outcome —

@@ -109,8 +109,11 @@ def run_chunk(
 ) -> Tuple[List[str], List["SimMetrics"], BatchReport]:
     """Classify a contiguous chunk of seeds in-process.
 
-    Elaborates and compiles the circuit once, then drains every seed
-    through :func:`~repro.core.batchsim.run_batch`. Returns its
+    Calls ``factory`` once, then drains every seed through
+    :func:`~repro.core.batchsim.run_batch`. The factory may return a
+    circuit that earlier runs already simulated (its compile memo then
+    warm): a run never mutates a circuit, so the outcomes equal those of a
+    freshly elaborated one. Returns its
     ``(outcomes, per_seed_stats, report)`` triple: outcomes in seed
     order, one fresh ``SimMetrics`` per seed when ``collect_stats`` (empty
     otherwise), and the chunk's :class:`BatchReport`. This is the serial

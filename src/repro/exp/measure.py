@@ -7,11 +7,16 @@ each own one and keep only what is theirs: request validation and HTTP in
 serve; families, grids and the Pareto frontier in explore. It holds:
 
 * a **memo** from a caller's name for a design (a registry name, a
-  ``(family, params)`` pair) to its :func:`structural_hash`, so the hot
-  path for a known design never elaborates;
-* the **compiled cache** (digest -> :class:`Resolved`): factory, baseline
-  :class:`~repro.exp.registry.PulseCountPredicate`, static cost and
-  latency, so two names for one circuit share one entry;
+  ``(family, params)`` pair) to its :func:`structural_hash` and static
+  cost, so the hot path for a known design never elaborates;
+* the **compiled cache** (digest -> :class:`Resolved`): the resolved
+  circuit, baseline :class:`~repro.exp.registry.PulseCountPredicate` and
+  latency, so two names for one circuit share one entry and one
+  Monte-Carlo computation. Every result miss sweeps the kept circuit, whose
+  compile memo and dispatch plan the baseline run already warmed, instead
+  of elaborating the design again. The cost is not shared: the hash
+  leaves out cost-only parameters (a ``jjs`` override), so two names with
+  one digest may differ in cost;
 * the **result store**, a :class:`repro.cache.TieredCache` keyed by
   :func:`~repro.core.ir.result_cache_key`. Every tier holds the canonical
   :func:`~repro.core.serialize.yield_result_to_jsonable` document. With
@@ -31,7 +36,7 @@ result is computed, never its value.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Hashable, Optional, Tuple, Union
 
 from ..cache import DiskCache, LRUCache, MISSING, RESULTS_NAMESPACE, TieredCache
@@ -54,17 +59,51 @@ DEFAULT_CACHE_SIZE = 1024
 DEFAULT_COMPILED_CACHE_SIZE = 128
 
 
+def _factory(factory: Callable) -> Callable:
+    """Unpickle a :class:`ResolvedFactory` as the factory it wraps."""
+    return factory
+
+
+class ResolvedFactory:
+    """The factory of a :class:`Resolved`: it returns the resolved circuit.
+
+    A run never mutates a circuit (placed cells are immutable and each
+    run's state lives in the drain; ``tests/test_cell_state.py``), so a
+    sweep of this one circuit is bit-identical to a sweep of a fresh
+    ``factory()`` circuit. It pickles as the wrapped factory, so a pool
+    task keeps its identity and a circuit that does not pickle still
+    reaches the workers as its factory.
+    """
+
+    __slots__ = ("factory", "circuit")
+
+    def __init__(self, factory: Callable, circuit):
+        self.factory = factory
+        self.circuit = circuit
+
+    def __call__(self):
+        return self.circuit
+
+    def __reduce__(self):
+        return _factory, (self.factory,)
+
+
 @dataclass(frozen=True)
 class Resolved:
     """A design reduced to what measurement needs, keyed by its digest."""
 
     digest: str
-    factory: Callable
+    factory: ResolvedFactory
     predicate: PulseCountPredicate
-    #: Static cost model totals (no simulation involved).
+    #: Static cost model totals of the caller's circuit (no simulation).
     cost: CircuitCost
     #: Last pulse of the noiseless baseline run (ps): the design's makespan.
     latency_ps: float
+
+
+def _costed(resolved: Resolved, cost: CircuitCost) -> Resolved:
+    """``resolved`` as seen by a name whose own circuit costs ``cost``."""
+    return resolved if resolved.cost == cost else replace(resolved, cost=cost)
 
 
 def _validated(document: dict) -> dict:
@@ -99,22 +138,27 @@ class Measurer:
             decode=_validated,
             lock=self._lock,
         )
-        #: memo key -> digest; add-only (a named design never changes).
-        self._memo: Dict[Hashable, str] = {}
+        #: memo key -> (digest, the name's own cost); add-only (a named
+        #: design never changes).
+        self._memo: Dict[Hashable, Tuple[str, CircuitCost]] = {}
         #: Monte-Carlo measurements actually computed (result misses).
         self.computations = 0
         #: Factory calls made to resolve a design (memo misses).
         self.elaborations = 0
 
     def _memoized(self, memo_key) -> Optional[Resolved]:
-        digest = self._memo.get(memo_key)
-        if digest is None:
+        named = self._memo.get(memo_key)
+        if named is None:
             return None
-        resolved = self.compiled.get(digest)
-        return None if resolved is MISSING else resolved
+        resolved = self.compiled.get(named[0])
+        return None if resolved is MISSING else _costed(resolved, named[1])
 
     def resolve(self, factory: Callable, memo_key=None) -> Resolved:
         """Elaborate, hash, and baseline a design, memoized by digest.
+
+        The entry keeps the elaborated circuit for its result misses. Its
+        ``cost`` is always that of the caller's own circuit, also when the
+        digest was first resolved under another name.
 
         ``memo_key`` names the design for the caller (None for submitted
         circuits, which are not memoized). Raises :class:`PylseError` when
@@ -141,11 +185,12 @@ class Measurer:
                 raise PylseError(
                     f"circuit failed validation: {err}"
                 ) from None
+            cost = circuit_cost(circuit)
             if memo_key is not None:
-                self._memo[memo_key] = digest
+                self._memo[memo_key] = (digest, cost)
             resolved = self.compiled.get(digest)
             if resolved is not MISSING:
-                return resolved
+                return _costed(resolved, cost)
             try:
                 baseline = Simulation(circuit).simulate()
             except PylseError as err:
@@ -154,9 +199,9 @@ class Measurer:
                 ) from None
             resolved = Resolved(
                 digest=digest,
-                factory=factory,
+                factory=ResolvedFactory(factory, circuit),
                 predicate=PulseCountPredicate(baseline),
-                cost=circuit_cost(circuit),
+                cost=cost,
                 latency_ps=max(
                     (times[-1] for times in baseline.values() if times),
                     default=0.0,

@@ -6,7 +6,11 @@ from repro.core.circuit import Circuit, fresh_circuit
 from repro.core.errors import PylseError
 from repro.core.helpers import inp_at
 from repro.core.montecarlo import critical_sigma, measure_yield, yield_curve
+from repro.core.parallel import default_engine
+from repro.core.simulation import Simulation
 from repro.designs import min_max
+from repro.exp.registry import PulseCountPredicate, RegistryFactory
+from repro.obs import Observer
 from repro.sfq import dro
 
 
@@ -61,6 +65,67 @@ class TestMeasureYield:
     def test_needs_seeds(self):
         with pytest.raises(PylseError):
             measure_yield(minmax_factory, minmax_ok, 0.0, seeds=())
+
+
+class SameCircuit:
+    """A factory that returns one circuit on every call (picklable)."""
+
+    def __init__(self, circuit: Circuit):
+        self.circuit = circuit
+
+    def __call__(self) -> Circuit:
+        return self.circuit
+
+
+def simulated_circuit(factory) -> Circuit:
+    """A circuit after a nominal, a noisy and an observed recorded run."""
+    circuit = factory()
+    Simulation(circuit).simulate()
+    try:
+        Simulation(circuit).simulate(variability=True, seed=7)
+    except PylseError:  # a noisy run may end in a timing violation
+        pass
+    Simulation(circuit).simulate(record=True, observer=Observer())
+    return circuit
+
+
+class TestReusedCircuit:
+    """A run never mutates a circuit, so a factory need not build a fresh
+    one: sweeping one already-simulated circuit gives the fresh result."""
+
+    # Adder (Sync) mixes passes, mis-behaved runs and violations on the
+    # per-seed drain; Min-Max at sigma 12 mixes batched lanes, replays
+    # and mis-ordered outputs.
+    CASES = {
+        "adder": (RegistryFactory("Adder (Sync)"), None, 3.0),
+        "minmax": (minmax_factory, minmax_ok, 12.0),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("collect_stats", [False, True])
+    @pytest.mark.parametrize("batch", [None, 0])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_equals_fresh_factory(self, name, batch, collect_stats, workers):
+        fresh, predicate, sigma = self.CASES[name]
+        if predicate is None:
+            predicate = PulseCountPredicate(Simulation(fresh()).simulate())
+        reused = SameCircuit(simulated_circuit(fresh))
+        results = []
+        for factory in (fresh, reused, reused):
+            results.append(measure_yield(
+                factory, predicate, sigma, seeds=range(300),
+                workers=workers, collect_stats=collect_stats, batch=batch,
+            ))
+            if workers > 1:
+                assert default_engine(workers).last_backend == "pool"
+        expected = results[0]
+        assert expected.failures and expected.passed
+        for result in results[1:]:
+            assert result == expected
+            assert list(result.failures) == list(expected.failures)
+            assert result.fallback_seeds == expected.fallback_seeds
+            assert result.batched_lanes == expected.batched_lanes
+            assert result.divergence == expected.divergence
 
 
 class TestYieldCurve:
