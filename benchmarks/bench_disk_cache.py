@@ -6,9 +6,10 @@ exists for:
 
 * ``cold`` — a fresh consumer on a fresh (empty) store: every point pays
   elaboration, baseline simulation, and the full Monte-Carlo measurement;
-* ``warm_disk`` — a fresh consumer on a pre-populated store: elaboration
-  still runs (the digest is the key), but every measurement is a disk
-  read + JSON decode instead of a Monte-Carlo sweep.
+* ``warm_disk`` — a fresh consumer on a pre-populated store: every
+  design resolves from the ``resolutions`` namespace without elaborating,
+  and every measurement is a disk read + JSON decode instead of a
+  Monte-Carlo sweep.
 
 ``tools/bench_guard.py`` records both medians in the ``disk_cache`` block
 of ``BENCH_sim.json`` and fails if warm-disk is less than 5x faster than
@@ -24,10 +25,10 @@ from repro.explore import ExploreEngine
 from repro.serve import YieldService
 
 #: Mirrored in ``tools/bench_guard.py`` (the ``disk_cache`` block) —
-#: keep the two definitions in sync. Both paths pay resolve (elaboration
-#: plus the baseline simulation: the digest *is* the key), so the
-#: warm/cold ratio is governed by how many Monte-Carlo seeds the disk
-#: hit avoids — seed counts are sized to clear the 5x floor with margin.
+#: keep the two definitions in sync. The cold path pays elaboration, the
+#: baseline simulation and the Monte-Carlo sweeps; the warm path reads a
+#: stored resolution and a stored result per point. The seed counts set
+#: the cold cost, and so the margin over the 5x floor.
 DISK_BENCH_FAMILY = "racetree"
 DISK_BENCH_GRID = {"depth": [1, 2, 3]}
 DISK_BENCH_SIGMA = 0.4

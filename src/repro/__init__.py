@@ -25,6 +25,13 @@ Subpackages:
 * :mod:`repro.exp` — harnesses regenerating each table/figure.
 """
 
+from time import time_ns as _time_ns
+
+#: When this package began importing (ns since the epoch). A package file
+#: modified later may not be the code this process runs, so
+#: :func:`repro.exp.measure.source_digest` then gives up.
+_IMPORTED_NS = _time_ns()
+
 from .core import (
     Circuit,
     CompiledCircuit,

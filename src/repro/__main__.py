@@ -34,7 +34,11 @@ from .core.serialize import circuit_to_json
 from .core.statictiming import slack_report
 from .core.simulation import Simulation, render_waveforms
 from .core.vcd import save_vcd
-from .exp.measure import DEFAULT_CACHE_SIZE, DEFAULT_COMPILED_CACHE_SIZE
+from .exp.measure import (
+    DEFAULT_CACHE_SIZE,
+    DEFAULT_COMPILED_CACHE_SIZE,
+    ResolvedFactory,
+)
 from .exp.registry import (
     PulseCountPredicate,
     RegistryFactory,
@@ -121,12 +125,14 @@ def cmd_yield(args) -> int:
     if entry is None:
         return 2
     factory = RegistryFactory(entry.name)
-    baseline = Simulation(factory()).simulate()
-    predicate = PulseCountPredicate(baseline)
+    circuit = factory()
+    predicate = PulseCountPredicate(Simulation(circuit).simulate())
     collect_stats = args.stats or args.stats_json
     try:
+        # The sweep reuses the baseline's circuit (a run never mutates
+        # it); pool workers still elaborate from the registry factory.
         result = measure_yield(
-            factory,
+            ResolvedFactory(factory, circuit),
             predicate,
             sigma=args.sigma,
             seeds=range(args.seeds),

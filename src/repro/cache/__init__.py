@@ -26,6 +26,7 @@ persistence model.
 
 from .disk import (
     LINT_NAMESPACE,
+    RESOLUTIONS_NAMESPACE,
     RESULTS_NAMESPACE,
     STORE_FORMAT,
     DiskCache,
@@ -43,6 +44,7 @@ __all__ = [
     "LINT_NAMESPACE",
     "LRUCache",
     "MISSING",
+    "RESOLUTIONS_NAMESPACE",
     "RESULTS_NAMESPACE",
     "STORE_FORMAT",
     "TieredCache",

@@ -61,6 +61,11 @@ RESULTS_NAMESPACE = "results"
 #: Namespace for finished PL4xx reachability analyses.
 LINT_NAMESPACE = "lint"
 
+#: Namespace for design resolutions (digest, order fingerprint, cost,
+#: latency, baseline pulse counts) keyed by the package source digest and
+#: a design's name, so a fresh process skips elaborating stored points.
+RESOLUTIONS_NAMESPACE = "resolutions"
+
 #: Directory (under the store root) corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
 
@@ -251,6 +256,16 @@ class DiskCache:
                 pass
         return removed
 
+    def counters(self) -> Dict[str, int]:
+        """The lifetime counters alone (no directory walk)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "writes": self.writes,
+            "write_errors": self.write_errors,
+            "quarantined": self.quarantined,
+        }
+
     def stats(self) -> Dict[str, object]:
         """Entry count/bytes plus the lifetime counters (walks the dir)."""
         entry_count = 0
@@ -262,11 +277,7 @@ class DiskCache:
             "namespace": self.namespace,
             "entries": entry_count,
             "bytes": total,
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "write_errors": self.write_errors,
-            "quarantined": self.quarantined,
+            **self.counters(),
         }
 
     def __repr__(self) -> str:

@@ -93,6 +93,12 @@ _NOISE_VERSION = "noise-v2"
 #: v2: active-clock zones. v3: same-instant persistent sets.
 _EXPLORER_VERSION = "zone-v3"
 
+#: Bumped whenever the layout of a cache key tuple changes. v2: the keys
+#: carry the order fingerprint (v1 keys had none and left a result's
+#: node order undetermined).
+_RESULT_KEY_VERSION = "result-key-v2"
+_LINT_KEY_VERSION = "lint-key-v2"
+
 
 class OutSpec(NamedTuple):
     """Static routing of one output port of one node."""
@@ -193,6 +199,10 @@ class CompiledCircuit:
     _hash: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The order fingerprint, computed in the same pass as ``_hash``.
+    _fingerprint: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     #: Per-instance scratch for lazily derived views (never pickled).
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -221,9 +231,29 @@ class CompiledCircuit:
         """The stable colour-refinement digest (see the module docstring)."""
         digest = self._hash
         if digest is None:
-            digest = _structural_hash(self.nodes, self.dispatch, self.user_labels)
+            digest, fingerprint = _structural_hash(
+                self.nodes, self.dispatch, self.user_labels
+            )
+            object.__setattr__(self, "_fingerprint", fingerprint)
             object.__setattr__(self, "_hash", digest)
         return digest
+
+    @property
+    def order_fingerprint(self) -> str:
+        """The netlist in declaration order, digested in the hash's pass.
+
+        The structural hash ignores node order; a Monte-Carlo result and a
+        reach analysis do not (a noise draw is addressed by node index,
+        the explorer's persistent set picks cells in automaton order). The
+        fingerprint is a sha256 of the final refinement colours listed in
+        declaration order and of the edges ``(source index, attribute,
+        dest index)``: with the structural hash it pins the indexed
+        netlist, so two circuits with equal hash and fingerprint compile
+        to the same nodes, wires and edges at the same ids.
+        """
+        if self._fingerprint is None:
+            self.structural_hash
+        return self._fingerprint
 
     def _topology(self) -> Tuple[Tuple[int, ...], FrozenSet[Tuple[int, int, int]]]:
         return self._memo("topology", lambda: _topological_order(
@@ -431,7 +461,7 @@ def _structural_hash(
     nodes: Sequence[Node],
     dispatch: Sequence[NodeDispatch],
     user_labels: Sequence[Optional[str]],
-) -> str:
+) -> Tuple[str, str]:
     """Integer colour refinement of the netlist, digested once.
 
     An edge's attribute is ``(source port, dest port, wire label)``; wire
@@ -454,6 +484,12 @@ def _structural_hash(
     refinement: every colour decodes back into the neighbourhood it
     stands for, so two netlists hash equal exactly when their three-round
     neighbourhood multisets and labelled edge multisets are equal.
+
+    Returns ``(digest, order fingerprint)``. The fingerprint is a second
+    sha256 over the final colours in declaration order and the edges
+    ``(source, attribute, dest)`` sorted by declaration index (see
+    :attr:`CompiledCircuit.order_fingerprint`); colours alone would not
+    tell two same-coloured nodes apart when they are not symmetric.
     """
     n = len(nodes)
     attr_ids: Dict[tuple, int] = {}  # attribute -> first-seen id
@@ -528,7 +564,11 @@ def _structural_hash(
     digest.update(_int_bytes(chain.from_iterable(sorted(
         zip(map(at, sources), attr_col, map(at, dests))
     ))))
-    return digest.hexdigest()
+    fingerprint = hashlib.sha256(_int_bytes(colour))
+    fingerprint.update(_int_bytes(chain.from_iterable(sorted(
+        zip(sources, attr_col, dests)
+    ))))
+    return digest.hexdigest(), fingerprint.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -881,11 +921,12 @@ def structural_hash(circuit: Circuit) -> str:
 
 def result_cache_key(
     digest: str,
+    fingerprint: str,
     *,
     sigma: float,
     n_seeds: int,
     seed0: int = 0,
-) -> Tuple[str, str, str, float, int, int]:
+) -> Tuple[str, str, str, str, str, float, int, int]:
     """The canonical memo key for one Monte-Carlo yield measurement.
 
     Two measurements with equal keys are guaranteed to produce equal
@@ -896,6 +937,9 @@ def result_cache_key(
 
     * ``digest`` — the circuit's :func:`structural_hash`, which already
       folds in element behavior, wiring, overrides, and input schedules;
+    * ``fingerprint`` — its :attr:`CompiledCircuit.order_fingerprint`:
+      a noise draw is addressed by node index, so a circuit with the same
+      digest in another node order draws other noise;
     * ``sigma`` and the contiguous seed range ``seed0 .. seed0 + n_seeds``.
 
     ``workers`` and ``batch`` are deliberately **not** part of the key:
@@ -905,26 +949,30 @@ def result_cache_key(
     stored document omits the backend diagnostics, so a result computed
     one way may be served to a request for another.
 
-    The hash-recipe and noise versions are mixed in so caches survive
-    across releases without ever serving a result computed under a
-    different hash recipe or different Monte-Carlo noise.
+    The key-format, hash-recipe and noise versions are mixed in so caches
+    survive across releases without ever serving a result computed under
+    another key layout, hash recipe or Monte-Carlo noise.
     """
     if isinstance(n_seeds, bool) or not isinstance(n_seeds, int) or n_seeds < 1:
         raise PylseError(f"n_seeds must be a positive integer, got {n_seeds!r}")
     if isinstance(seed0, bool) or not isinstance(seed0, int):
         raise PylseError(f"seed0 must be an integer, got {seed0!r}")
     return (
-        _HASH_VERSION, _NOISE_VERSION, digest, float(sigma), n_seeds, seed0
+        _RESULT_KEY_VERSION, _HASH_VERSION, _NOISE_VERSION, digest,
+        fingerprint, float(sigma), n_seeds, seed0,
     )
 
 
 def lint_cache_key(
     digest: str,
+    fingerprint: str,
     *,
     rules: Tuple[str, ...],
     max_states: Optional[int],
     time_limit: Optional[float],
-) -> Tuple[str, str, str, Tuple[str, ...], Optional[int], Optional[float]]:
+) -> Tuple[
+    str, str, str, str, str, Tuple[str, ...], Optional[int], Optional[float]
+]:
     """The canonical memo key for one reachability-lint analysis (PL4xx).
 
     Same contract as :func:`result_cache_key` for the serve result cache:
@@ -935,22 +983,28 @@ def lint_cache_key(
     * ``digest`` — the circuit's :func:`structural_hash` (element behavior,
       wiring, overrides, *and* input schedules — the environment TAs replay
       exactly the schedules the hash already folds in);
+    * ``fingerprint`` — its :attr:`CompiledCircuit.order_fingerprint`: the
+      explorer's persistent set takes cells in automaton order, so the
+      state count and the finding order follow the node order;
     * ``rules`` — the enabled PL4xx subset, normalized sorted (deselecting
       PL402 skips race collection and deselecting PL403 skips witness
       replay, so different subsets are genuinely different analyses);
     * the exploration budget — a truncated analysis at a small budget must
       never be served to a request with a larger one.
 
-    The hash-recipe and explorer versions are mixed in so caches survive
-    across releases without ever serving findings computed under a
-    different hash recipe or by a different zone explorer.
+    The key-format, hash-recipe and explorer versions are mixed in so
+    caches survive across releases without ever serving findings computed
+    under another key layout, a different hash recipe or by a different
+    zone explorer.
     """
     if not isinstance(digest, str) or not digest:
         raise PylseError(f"digest must be a non-empty string, got {digest!r}")
     return (
+        _LINT_KEY_VERSION,
         _HASH_VERSION,
         _EXPLORER_VERSION,
         digest,
+        fingerprint,
         tuple(sorted(rules)),
         max_states,
         None if time_limit is None else float(time_limit),

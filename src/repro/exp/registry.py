@@ -198,6 +198,11 @@ class RegistryFactory:
     design from the registry on the other side.
     """
 
+    #: The circuit is a function of the package source and the name
+    #: alone, so a :class:`~repro.exp.measure.Measurer` may persist its
+    #: resolution under the name.
+    source_defined = True
+
     def __init__(self, name: str):
         self.name = name
 
@@ -226,6 +231,13 @@ class PulseCountPredicate:
             for label, times in baseline_events.items()
             if not label.startswith("_")
         }
+
+    @classmethod
+    def from_counts(cls, expected: Dict[str, int]) -> "PulseCountPredicate":
+        """The predicate whose baseline pulsed each label ``expected`` times."""
+        predicate = cls({})
+        predicate.expected = dict(expected)
+        return predicate
 
     def __call__(self, events: Dict[str, List[float]]) -> bool:
         return all(

@@ -120,7 +120,9 @@ def _render_text(sweep: SweepResult, passes: List[Dict[str, object]]) -> str:
         lines.append(
             f"pass {i + 1}: {entry['seconds']:.3f} s, "
             f"{entry['computations']} computation(s), "
-            f"{entry['result_cache_hits']} result-cache hit(s)"
+            f"{entry['result_cache_hits']} result-cache hit(s), "
+            f"{entry['elaborations']} elaboration(s), "
+            f"{entry['resolution_disk_hits']} resolved from disk"
         )
     return "\n".join(lines)
 
@@ -191,6 +193,12 @@ def _render_csv(sweep: SweepResult) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
+def _resolution_hits(stats: dict) -> int:
+    """Points resolved from the ``resolutions`` store without elaborating."""
+    block = stats["cache"].get("resolution_disk")
+    return 0 if block is None else block["hits"]
+
+
 def cmd_explore(args) -> int:
     if args.list_families:
         print(_list_families())
@@ -238,6 +246,8 @@ def cmd_explore(args) -> int:
                     - before["elaborations"],
                     "result_cache_hits": after["cache"]["result"]["hits"]
                     - before["cache"]["result"]["hits"],
+                    "resolution_disk_hits": _resolution_hits(after)
+                    - _resolution_hits(before),
                 }
             )
     except PylseError as err:

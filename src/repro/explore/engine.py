@@ -9,13 +9,16 @@ a served request for the same circuit share semantics and one store:
 * ``(family, params)`` is the measurer's memo key, so repeated sweeps
   over the same grid never re-elaborate or re-hash a design point;
 * resolution (factory, baseline predicate, static cost, latency) is
-  cached by :func:`~repro.core.ir.structural_hash` — two parameter
-  assignments that elaborate to the same circuit share one entry;
+  cached by :func:`~repro.core.ir.structural_hash` and order fingerprint
+  — two parameter assignments that elaborate to the same circuit share
+  one entry;
 * results are cached under :func:`~repro.core.ir.result_cache_key`, so a
   warm sweep is pure cache lookups. With ``cache_dir`` set the persistent
   tier makes a re-run sweep in a *fresh process* recompute nothing, and
   shares its ``results`` namespace with ``repro serve --cache-dir`` (see
-  docs/caching.md).
+  docs/caching.md). The point resolutions persist too (the
+  ``resolutions`` namespace), so that re-run elaborates no point whose
+  result is stored: a point is elaborated only at its first result miss.
 
 Every measured point is element-wise identical to a direct
 :func:`~repro.core.montecarlo.measure_yield` call with the same
@@ -149,7 +152,8 @@ class ExploreEngine:
 
     @property
     def elaborations(self) -> int:
-        """Design points elaborated and compiled (memo misses)."""
+        """Design points elaborated and compiled (memo and disk misses,
+        and the check of a disk-warm point at its first result miss)."""
         return self.measurer.elaborations
 
     def resolve(self, family: str, params: Mapping[str, int]) -> Resolved:
@@ -167,9 +171,8 @@ class ExploreEngine:
         batch: Union[int, str, None] = None,
     ) -> ExplorePoint:
         """One cached yield measurement for one design point."""
-        resolved = self.resolve(family, params)
-        document, cached = self.measurer.measure(
-            resolved, sigma, n_seeds, seed0, batch
+        document, cached, resolved = self.measurer.measure(
+            self.resolve(family, params), sigma, n_seeds, seed0, batch
         )
         return ExplorePoint(
             family=family,

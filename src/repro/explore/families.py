@@ -277,6 +277,11 @@ class FamilyFactory:
     :class:`~repro.exp.registry.RegistryFactory`.
     """
 
+    #: The circuit is a function of the package source and the point
+    #: alone, so a :class:`~repro.exp.measure.Measurer` may persist its
+    #: resolution under the point's name.
+    source_defined = True
+
     def __init__(self, family: str, params: Mapping[str, int]):
         spec = get_family(family)
         self.family = family

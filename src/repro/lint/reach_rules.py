@@ -27,8 +27,9 @@ between them), while the simulator dispatches a simultaneous group
 atomically.
 
 The whole analysis sits behind an **incremental cache** keyed by
-:func:`repro.core.ir.lint_cache_key` — ``(hash_version, explorer_version,
-structural_hash, rule subset, budget)`` — with the same contract as the
+:func:`repro.core.ir.lint_cache_key` — ``(key_version, hash_version,
+explorer_version, structural_hash, order fingerprint, rule subset,
+budget)`` — with the same contract as the
 serve result cache: a warm re-lint of an unchanged design is a dict hit.
 Budgets are explicit, never silent: a truncated exploration is reported
 as ``truncated`` with its reason, PL401 is withheld (absence unproven),
@@ -470,6 +471,7 @@ def analyze_reach(
     compiled = compile_circuit(circuit, validate=False)
     key = lint_cache_key(
         compiled.structural_hash,
+        compiled.order_fingerprint,
         rules=rules,
         max_states=budget.max_states,
         time_limit=budget.time_limit,

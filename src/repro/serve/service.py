@@ -194,7 +194,7 @@ class YieldService:
         n_seeds = _get_int(payload, "n_seeds", 50, lo=1, hi=MAX_SEEDS)
         seed0 = _get_int(payload, "seed0", 0, lo=0)
         batch = _get_batch(payload)
-        result, cached = self.measurer.measure(
+        result, cached, resolved = self.measurer.measure(
             resolved, sigma, n_seeds, seed0, batch
         )
         return {
@@ -235,7 +235,7 @@ class YieldService:
                 raise BadRequest(
                     f"'sigmas[{index}]' must be >= 0, got {sigma!r}"
                 )
-            result, cached = self.measurer.measure(
+            result, cached, resolved = self.measurer.measure(
                 resolved, float(sigma), n_seeds, seed0, batch
             )
             results.append(result)
@@ -276,8 +276,8 @@ class YieldService:
         all_cached = True
 
         def sample(factory, predicate, sigma, seeds, **_kwargs):
-            nonlocal all_cached
-            document, cached = self.measurer.measure(
+            nonlocal all_cached, resolved
+            document, cached, resolved = self.measurer.measure(
                 resolved, sigma, n_seeds, seed0, batch
             )
             all_cached = all_cached and cached

@@ -183,9 +183,12 @@ def test_explore_sweep_warms_the_serve_store(tmp_path):
     same circuits."""
     engine = ExploreEngine(cache_dir=tmp_path)
     point = engine.measure("bitonic", {"n": 2}, sigma=0.5, n_seeds=5)
-    digest = engine.resolve("bitonic", {"n": 2}).digest
+    resolved = engine.resolve("bitonic", {"n": 2})
+    digest = resolved.digest
 
-    key = result_cache_key(digest, sigma=0.5, n_seeds=5)
+    key = result_cache_key(
+        digest, resolved.fingerprint, sigma=0.5, n_seeds=5
+    )
     stored = DiskCache(tmp_path, RESULTS_NAMESPACE).get(key)
     assert stored == yield_result_to_jsonable(point.result)
 
@@ -216,7 +219,7 @@ def test_result_under_pre_noise_version_key_is_recomputed(tmp_path):
     )
 
     measurer = Measurer(cache_dir=tmp_path)
-    document, cached = measurer.measure(resolved, sigma, n_seeds)
+    document, cached, _ = measurer.measure(resolved, sigma, n_seeds)
     assert not cached and measurer.computations == 1
     direct = measure_yield(
         resolved.factory, resolved.predicate, sigma, seeds=range(n_seeds)
@@ -246,7 +249,7 @@ def test_result_under_v1_hash_key_is_recomputed(tmp_path):
     )
 
     measurer = Measurer(cache_dir=tmp_path)
-    document, cached = measurer.measure(resolved, sigma, n_seeds)
+    document, cached, _ = measurer.measure(resolved, sigma, n_seeds)
     assert not cached and measurer.computations == 1
     direct = measure_yield(
         resolved.factory, resolved.predicate, sigma, seeds=range(n_seeds)
@@ -282,14 +285,16 @@ def test_reach_analysis_under_v1_hash_key_is_recomputed(tmp_path):
 
 
 # -- foreign documents in the store are quarantined, never served ------
-def _plant_foreign(tmp_path, digest, sigma, n_seeds):
-    key = result_cache_key(digest, sigma=sigma, n_seeds=n_seeds)
+def _plant_foreign(tmp_path, resolved, sigma, n_seeds):
+    key = result_cache_key(
+        resolved.digest, resolved.fingerprint, sigma=sigma, n_seeds=n_seeds
+    )
     DiskCache(tmp_path, RESULTS_NAMESPACE).put(key, {"format": "bogus"})
 
 
 def test_serve_quarantines_a_foreign_document(tmp_path):
-    digest = YieldService()._resolve_design("Min-Max").digest
-    _plant_foreign(tmp_path, digest, 0.6, 7)
+    resolved = YieldService()._resolve_design("Min-Max")
+    _plant_foreign(tmp_path, resolved, 0.6, 7)
 
     service = YieldService(cache_dir=tmp_path)
     served, cached = service.yield_(
@@ -306,8 +311,8 @@ def test_serve_quarantines_a_foreign_document(tmp_path):
 
 
 def test_explore_quarantines_a_foreign_document(tmp_path):
-    digest = ExploreEngine().resolve("bitonic", {"n": 4}).digest
-    _plant_foreign(tmp_path, digest, 0.6, 7)
+    resolved = ExploreEngine().resolve("bitonic", {"n": 4})
+    _plant_foreign(tmp_path, resolved, 0.6, 7)
 
     engine = ExploreEngine(cache_dir=tmp_path)
     point = engine.measure("bitonic", {"n": 4}, sigma=0.6, n_seeds=7)

@@ -317,6 +317,9 @@ class TestCacheCli:
                      "--cache-dir", str(store), "--format", "json"]) == 0
         second = json.loads(capsys.readouterr().out)
         assert second["passes"][0]["computations"] == 0
+        # The point's resolution came from the store: nothing elaborated.
+        assert second["passes"][0]["elaborations"] == 0
+        assert second["passes"][0]["resolution_disk_hits"] == 1
         # Identical measurements; only the cached diagnostic flips.
         strip = [
             [dict(p, cached=None) for p in run["points"]]

@@ -127,9 +127,9 @@ def test_cost_is_the_callers_own_circuit():
     assert measurer.resolve(_heavy_jtl).cost.jjs == 9
     assert measurer.elaborations == 3
     # One digest, one Monte-Carlo computation for both names.
-    first, cached = measurer.measure(plain, 2.0, 5)
+    first, cached, _ = measurer.measure(plain, 2.0, 5)
     assert cached is False
-    second, cached = measurer.measure(heavy, 2.0, 5)
+    second, cached, _ = measurer.measure(heavy, 2.0, 5)
     assert cached is True
     assert first == second
     assert measurer.computations == 1

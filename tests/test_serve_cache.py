@@ -290,6 +290,23 @@ def test_stats_schema_is_shared():
         assert stats["computations"] == stats["elaborations"] == 1
 
 
+def test_stats_schema_with_a_store_is_shared(tmp_path):
+    service = YieldService(workers=1, cache_dir=tmp_path / "serve")
+    service.yield_({"design": "JTL", "sigma": 0.5, "n_seeds": 3})
+    engine = ExploreEngine(cache_dir=tmp_path / "explore")
+    engine.measure("racetree", {"depth": 1}, sigma=0.5, n_seeds=3)
+    served = service.stats()
+    explored = engine.stats()
+    assert set(explored["cache"]) == set(served["cache"]) == {
+        "result", "compiled", "result_disk", "resolution_disk",
+    }
+    for stats in (served, explored):
+        block = stats["cache"]["resolution_disk"]
+        assert {"hits", "misses", "writes", "write_errors",
+                "quarantined"} <= set(block)
+        assert (block["misses"], block["writes"]) == (1, 1)
+
+
 # -- the response echoes the request, not the cache --------------------
 def test_submitted_circuit_echoes_no_name_after_a_named_request():
     """A circuit document is answered with ``design: None`` even when the
