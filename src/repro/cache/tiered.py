@@ -128,9 +128,11 @@ class TieredCache:
             self.disk.clear()
 
     def stats(self) -> Dict[str, object]:
-        """Per-tier counters plus the coalescing total."""
+        """Per-tier counters plus the coalescing total. The disk tier
+        reports its counters alone: an entry count would walk the whole
+        namespace on every call (``repro cache stats`` lists them)."""
         return {
             "memory": self.memory.stats(),
-            "disk": None if self.disk is None else self.disk.stats(),
+            "disk": None if self.disk is None else self.disk.counters(),
             "coalesced": self.coalesced,
         }

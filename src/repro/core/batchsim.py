@@ -346,6 +346,44 @@ class CounterNoise:
             value = value + sigma * self._next(index, _NORMAL)
         return 0.0 if value < 0.0 else value
 
+    def resolver(self, distributions: bool) -> Callable[[object, int], float]:
+        """The delay resolver of one per-seed run.
+
+        :meth:`resolve_scalar`, unless the circuit samples no distribution
+        (``distributions`` False) and the noise is Gaussian: then every
+        delay is a constant, and the returned function skips the two
+        type checks and pops the node's pre-drawn normals itself. It keeps
+        the same float operations (``float(delay)``, ``value + sigma *
+        z``, ``0.0 if v < 0.0 else v``) and the same stream positions.
+        """
+        if distributions or self._perturb is not None:
+            return self.resolve_scalar
+        applies = self._applies
+        stddev = self._spec.stddev
+        fraction = self._spec.fraction
+        blocks = self._blocks
+        refill = self._next
+        # Per node, its current block of pre-drawn normals (next one last),
+        # looked up at the node's first draw and after each refill.
+        normals: List[Optional[list]] = [None] * len(applies)
+
+        def resolve(delay, index: int) -> float:
+            value = float(delay)
+            if not applies[index]:
+                return value
+            block = normals[index]
+            if block:
+                z = block.pop()
+            else:
+                z = refill(index, _NORMAL)
+                normals[index] = blocks[(index, _NORMAL)]
+            value = value + (
+                stddev if stddev is not None else value * fraction
+            ) * z
+            return 0.0 if value < 0.0 else value
+
+        return resolve
+
     def tie_rng(self, index: int) -> "_CounterTieRng":
         """A per-node tie-break chooser backed by this instance's streams."""
         return _CounterTieRng(self, index)

@@ -20,7 +20,9 @@ Views only the analyses and the caches read are computed on first read:
 a deterministic topological order with the feedback-edge set that had to
 be cut to obtain it, the cyclic strongly-connected components, per-output
 nominal delay windows, the structurally identified clock inputs (every
-circuit input whose pulses reach a ``clk`` port), and a stable
+circuit input whose pulses reach a ``clk`` port), the pure-delay cells
+(splitters and JTLs; the dispatch plan reads the same per-machine flag,
+``PylseMachine.pure_delay``, to fold them), and a stable
 :attr:`~CompiledCircuit.structural_hash`. A plain ``simulate()`` or
 Monte-Carlo run never computes them.
 
@@ -124,8 +126,11 @@ class NodeDispatch(NamedTuple):
 
 #: Fields of a plan entry: the node, a ``Transitional`` cell's machine,
 #: any other element's delivery entry (a hole's ``raw_firings``, else
-#: ``handle_inputs``), the port -> route map and the dense index.
-PLAN_NODE, PLAN_MACHINE, PLAN_DELIVER, PLAN_ROUTES, PLAN_INDEX = range(5)
+#: ``handle_inputs``), the port -> route map, the dense index and a
+#: pure-delay cell's fold record (else None; see :class:`DispatchPlan`).
+(
+    PLAN_NODE, PLAN_MACHINE, PLAN_DELIVER, PLAN_ROUTES, PLAN_INDEX, PLAN_HOP,
+) = range(6)
 
 
 class DispatchPlan(NamedTuple):
@@ -138,10 +143,20 @@ class DispatchPlan(NamedTuple):
     groups), its entry (None for a circuit output, with dest and key -1),
     its input port and the wire label. Wires sharing a label share a
     series; ``series_labels`` names them in first-wire order.
+
+    A pure-delay cell (:attr:`CompiledCircuit.pure_delay`) carries a fold
+    record: one ``(delay, slot, dest_key, dest_entry, dest_port)`` per
+    output its one transition fires, in firing order, so a drain can fire
+    it without stepping its machine. ``folds`` says whether a
+    constant-delay run may expand pure-delay hops at the push: the
+    circuit has a pure-delay cell and every cell is a machine (a fold
+    that meets an error starts the run over, which would run a hole's or
+    custom element's Python code twice).
     """
 
     entries: Tuple[tuple, ...]
     series_labels: Tuple[str, ...]
+    folds: bool
 
 
 @dataclass(frozen=True)
@@ -155,8 +170,9 @@ class CompiledCircuit:
     :func:`compile_circuit` builds the node and wire tables, the dispatch
     specs and the edge list. The dispatch ``plan``, the structural hash and
     the analysis views (``topo_order``, ``feedback_edges``, ``is_acyclic``,
-    ``cyclic_sccs``, ``delay_windows``, ``clock_wires``) are computed the
-    first time they are read, from the snapshot taken at compile time.
+    ``cyclic_sccs``, ``delay_windows``, ``clock_wires``, ``pure_delay``)
+    are computed the first time they are read, from the snapshot taken at
+    compile time.
     """
 
     circuit: Circuit
@@ -290,6 +306,22 @@ class CompiledCircuit:
         """(cell node id, output port) -> (min, max) nominal firing delay."""
         return self._memo("delay_windows", lambda: _delay_windows(
             self.nodes, self.cell_ids
+        ))
+
+    @property
+    def pure_delay(self) -> FrozenSet[int]:
+        """Ids of the cells that only delay and fan out their input.
+
+        A pure-delay cell is a machine with one input, one state and one
+        self-loop transition that has no transition time and no past
+        constraint and fires every output after a constant delay > 0
+        (``S`` and ``JTL``): it has no run state to keep, cannot violate,
+        and every pulse it takes in leaves it shifted in time.
+        """
+        return self._memo("pure_delay", lambda: frozenset(
+            i for i in self.cell_ids
+            if isinstance(self.nodes[i].element, Transitional)
+            and self.nodes[i].element.machine.pure_delay
         ))
 
     @property
@@ -880,21 +912,28 @@ def compile_circuit(circuit: Circuit, validate: bool = True) -> CompiledCircuit:
 def _dispatch_plan(compiled: CompiledCircuit) -> DispatchPlan:
     """Build the :class:`DispatchPlan` of a compiled revision.
 
-    Entries are made first, routes second: a route holds its destination's
-    entry, and feedback wires point at entries built later.
+    Entries are made first, routes and fold records second: a route
+    holds its destination's entry, and feedback wires point at entries
+    built later.
     """
     nodes = compiled.nodes
     entries: List[tuple] = []
+    pure = code = False
     for i, node in enumerate(nodes):
         element = node.element
-        machine = deliver = None
+        machine = deliver = hop = None
         if isinstance(element, Transitional):
             machine = element.machine
+            if machine.pure_delay:
+                hop = []
+                pure = True
         elif isinstance(element, Functional):
             deliver = element.raw_firings
+            code = True
         elif not isinstance(element, InGen):
             deliver = element.handle_inputs
-        entries.append((node, machine, deliver, {}, i))
+            code = True
+        entries.append((node, machine, deliver, {}, i, hop))
     labels = compiled.labels
     series_labels = tuple(dict.fromkeys(labels))
     slots: Sequence[int] = range(len(labels))  # usually a series per wire
@@ -911,7 +950,12 @@ def _dispatch_plan(compiled: CompiledCircuit) -> DispatchPlan:
                     slots[wire_id], dest, nodes[dest].node_id, entries[dest],
                     dest_port, labels[wire_id],
                 )
-    return DispatchPlan(tuple(entries), series_labels)
+        hop = entry[PLAN_HOP]
+        if hop is not None:
+            for port, delay in entry[PLAN_MACHINE].fixed_delays.items():
+                slot, _d, key, dest_entry, dest_port, _l = ports[port]
+                hop.append((delay, slot, key, dest_entry, dest_port))
+    return DispatchPlan(tuple(entries), series_labels, pure and not code)
 
 
 def structural_hash(circuit: Circuit) -> str:

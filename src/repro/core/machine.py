@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -171,6 +172,30 @@ class PylseMachine:
         self.has_distributions: bool = any(
             isinstance(d, Distribution)
             for t in self.transitions for d in t.firing.values()
+        )
+        #: Output -> the delay it fires after, for each output that every
+        #: transition firing it fires after the same constant > 0.
+        #: (Listed in the first transition's firing order, then the rest.)
+        first = self.transitions[0]
+        self.fixed_delays: Dict[str, DelayLike] = {}
+        for out in dict.fromkeys(chain(first.firing, self.outputs)):
+            delays = [t.firing[out] for t in self.transitions if out in t.firing]
+            if delays and all(
+                not isinstance(d, Distribution) and d > 0 and d == delays[0]
+                for d in delays
+            ):
+                self.fixed_delays[out] = delays[0]
+        #: Whether the machine only delays and fans out its input: one
+        #: input, one self-loop transition with no transition time and no
+        #: past constraint, firing every output after a constant > 0. Its
+        #: firings are then ``fixed_delays``, in firing order.
+        self.pure_delay: bool = (
+            len(self.inputs) == 1
+            and len(self.transitions) == 1
+            and first.is_self_loop()
+            and first.transition_time == 0
+            and not first.past_constraints
+            and all(out in self.fixed_delays for out in first.firing)
         )
         #: theta template for initial configurations (copied, never mutated).
         self._init_theta: Dict[str, float] = {

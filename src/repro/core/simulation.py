@@ -29,9 +29,13 @@ the bitonic scaling study, the Section 5.2 Monte-Carlo sweeps), so
   ``Pulse`` objects;
 * how a firing delay is resolved is settled once per run: a nominal run
   adds scalar delays directly, a variability run calls its counter-noise
-  instance's ``resolve(delay, index)``. Tracing and observer bookkeeping
+  instance's resolver. Tracing and observer bookkeeping
   sit behind one local flag, so the common ``simulate()`` call with no
-  noise and no trace pays for none of it.
+  noise and no trace pays for none of it;
+* splitters and JTLs (pure-delay cells, which have no state to keep)
+  fire without a machine step, and on a nominal run that books nothing
+  their hops expand at the push instead of passing through the heap,
+  with the heap's groups unchanged (see :meth:`Simulation._drain`).
 
 There is one drain loop. Observability (:mod:`repro.obs`) is threaded
 through it: pass ``observer=Observer()`` to record pulse provenance (every
@@ -49,7 +53,7 @@ from .circuit import Circuit, working_circuit
 from .errors import PylseError, SimulationError
 from .events import PulseHeap
 from .ir import (
-    PLAN_DELIVER, PLAN_INDEX, PLAN_MACHINE, PLAN_NODE, PLAN_ROUTES,
+    PLAN_DELIVER, PLAN_HOP, PLAN_INDEX, PLAN_MACHINE, PLAN_NODE, PLAN_ROUTES,
     CompiledCircuit, compile_circuit,
 )
 from .machine import Configuration
@@ -57,6 +61,15 @@ from .node import Node
 from .timing import VariabilitySpec
 
 Events = Dict[str, List[float]]
+
+
+class _Unfoldable(SimulationError):
+    """A folded run reached a case only the heap orders exactly; the
+    run starts over unfolded."""
+
+    def __init__(self, time: float):
+        super().__init__(f"fold left unresolved at t={time:g}")
+
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -173,9 +186,44 @@ class Simulation:
         # Validates the circuit (once per revision) and yields the frozen
         # dispatch topology; repeated simulate() calls hit the memo.
         compiled = compile_circuit(circuit)
+        spec = VariabilitySpec.normalize(variability)
+        samples = spec.enabled or compiled.has_distributions
+        self.until = until
+        self.activity = {}
+        self.trace = []
+        self.observer = observer
+        if observer is not None:
+            observer.begin(circuit)
+        run = (compiled, spec, seed, samples, until, max_pulses, observer,
+               record)
+        # A run that resolves no delay and books nothing expands pure-delay
+        # hops at the push. Where that could order or count anything
+        # differently (an error, an overflow, a float sum that does not
+        # advance), the run starts over unfolded and its outcome stands.
+        if (compiled.plan.folds and not samples and not record
+                and observer is None):
+            try:
+                return self._run(*run, fold=True)
+            except SimulationError:
+                pass
+        return self._run(*run, fold=False)
+
+    def _run(
+        self,
+        compiled: CompiledCircuit,
+        spec: VariabilitySpec,
+        seed: Optional[int],
+        samples: bool,
+        until: Optional[float],
+        max_pulses: Optional[int],
+        observer,
+        record: bool,
+        fold: bool,
+    ) -> Events:
+        """One run from the initial configuration: allocate its state,
+        seed the heap with the input schedules and drain it."""
         plan = compiled.plan
         entries = plan.entries
-        spec = VariabilitySpec.normalize(variability)
 
         # The run's own state: one series per distinct wire label (wires
         # sharing an observation label share it; insertion order is the
@@ -193,7 +241,6 @@ class Simulation:
         # over the same seed. Otherwise the drain adds constant delays
         # inline and breaks ties in declaration order.
         resolve = tie_source = None
-        samples = spec.enabled or compiled.has_distributions
         if samples or seed is not None:
             from .batchsim import CounterNoise
 
@@ -201,19 +248,13 @@ class Simulation:
                 seed, spec.applies_by_node(compiled), spec, compiled.nodes
             )
             if samples:
-                resolve = counter.resolve_scalar
+                resolve = counter.resolver(compiled.has_distributions)
             if spec.enabled or seed is not None:
                 tie_source = counter.tie_rng
 
         heap = PulseHeap()
         push = heap.push_raw
         self.pulses_processed = 0
-        self.until = until
-        self.activity = {}
-        self.trace = []
-        self.observer = observer
-        if observer is not None:
-            observer.begin(circuit)
 
         for i in compiled.input_ids:
             node = entries[i][PLAN_NODE]
@@ -236,7 +277,7 @@ class Simulation:
         try:
             self._drain(
                 heap, series, pulses_in, pulses_out, until, max_pulses,
-                observer, record, resolve, tie_source,
+                observer, record, resolve, tie_source, fold,
             )
         finally:
             self.activity = {
@@ -264,6 +305,7 @@ class Simulation:
         record: bool,
         resolve: Optional[Callable[[object, int], float]],
         tie_source: Optional[Callable[[int], object]],
+        fold: bool = False,
     ) -> None:
         """Drain the heap: pop a simultaneous group, dispatch it, push.
 
@@ -279,10 +321,31 @@ class Simulation:
         ``tie_source(index)`` (its counter stream), or in declaration order
         when ``tie_source`` is None.
 
+        A pure-delay cell has no configuration: unless the run books, a
+        popped pulse fires the cell's fold record directly. With ``fold``
+        (a run that resolves no delay and books nothing), a pulse that a
+        machine fires after a fixed delay (``PylseMachine.fixed_delays``)
+        into a pure-delay cell does not enter the heap either: the cell
+        fires in place, hop by hop with the same float sums, and only the
+        first consumer that is not such a cell gets a push. That keeps
+        every group the heap would form:
+
+        * each folded hop lands strictly later than the dispatch feeding
+          it, so its pushes precede every pop at their instant, as the
+          hop's own pop would (a sum that does not advance raises, and
+          the run starts over unfolded);
+        * a cell's arrivals come in nondecreasing time order (its one
+          feeder fires the port after one constant delay, and pops come
+          in time order), so ``last[j]`` collapses a second pulse at one
+          instant as :meth:`PulseHeap.pop_simultaneous` would;
+        * a hop folds only up to ``until``, and ``max_pulses`` is checked
+          at every hop; a run past the limit raises, and the run starts
+          over unfolded.
+
         With ``resolve`` None every delay is a constant, added directly (it
         was validated non-negative when the machine / hole was built);
         otherwise ``resolve(delay, index)`` (the run's
-        :meth:`CounterNoise.resolve_scalar`) draws its noise and samples.
+        :meth:`CounterNoise.resolver`) draws its noise and samples.
         The observer hooks and the ``record=True`` trace share one
         local flag checked per group and per firing, so a plain run pays
         for neither. ``until`` and ``max_pulses`` are normalized to
@@ -303,6 +366,8 @@ class Simulation:
         tau_done: List[float] = [0.0] * size
         theta: List[Optional[Dict[str, float]]] = [None] * size
         ties: list = [None] * size
+        # Per pure-delay cell: the time of its last folded dispatch.
+        last: List[Optional[float]] = [None] * size
         # The group's (input, transition label) steps, for the observer
         # and the trace.
         taken: Optional[List[Tuple[str, str]]] = None
@@ -311,6 +376,35 @@ class Simulation:
         # after the previous group's pushes) so an unobserved run pays
         # nothing per push.
         max_depth = len(pending) if observe else 0
+
+        def expand(t: float, rec: tuple, processed: int) -> int:
+            """Fire the pure-delay cell of ``rec`` reached at ``t``, and
+            every one it leads to; returns the new pulse count."""
+            stack = [(t, rec)]
+            while stack:
+                t, rec = stack.pop()
+                j = rec[PLAN_INDEX]
+                if last[j] == t:
+                    continue
+                if processed >= limit:
+                    self._overflow(max_pulses, t)
+                processed += 1
+                last[j] = t
+                hop = rec[PLAN_HOP]
+                pulses_in[j] += 1
+                pulses_out[j] += len(hop)
+                for delay, slot, dkey, drec, dport in hop:
+                    t2 = t + delay
+                    series[slot].append(t2)
+                    if drec is not None:
+                        if t2 <= t:
+                            raise _Unfoldable(t)
+                        if drec[PLAN_HOP] is not None and t2 <= stop:
+                            stack.append((t2, drec))
+                        else:
+                            push(t2, dkey, drec, dport)
+            return processed
+
         try:
             while pending:
                 if observe:
@@ -323,8 +417,27 @@ class Simulation:
                 if processed >= limit:
                     self._overflow(max_pulses, time)
                 processed += len(ports)
-                machine = rec[PLAN_MACHINE]
                 index = rec[PLAN_INDEX]
+                hop = None if book else rec[PLAN_HOP]
+                if hop is not None:
+                    # A pure-delay cell: one input, so one port.
+                    pulses_in[index] += 1
+                    pulses_out[index] += len(hop)
+                    for delay, slot, dkey, drec, dport in hop:
+                        if resolve is not None:
+                            delay = resolve(delay, index)
+                        t = time + delay
+                        series[slot].append(t)
+                        if drec is not None:
+                            if (fold and drec[PLAN_HOP] is not None
+                                    and t <= stop):
+                                if t <= time:
+                                    raise _Unfoldable(time)
+                                processed = expand(t, drec, processed)
+                            else:
+                                push(t, dkey, drec, dport)
+                    continue
+                machine = rec[PLAN_MACHINE]
                 if machine is not None:
                     st = state[index]
                     if st is None:
@@ -408,7 +521,14 @@ class Simulation:
                     slot, _d, dkey, drec, dport, label = routes[out_port]
                     series[slot].append(t)
                     if drec is not None:
-                        push(t, dkey, drec, dport)
+                        if (fold and drec[PLAN_HOP] is not None
+                                and out_port in machine.fixed_delays
+                                and t <= stop):
+                            if t <= time:
+                                raise _Unfoldable(time)
+                            processed = expand(t, drec, processed)
+                        else:
+                            push(t, dkey, drec, dport)
                     if book:
                         emitted.append(
                             (out_port, label, t, delay, dkey, dport,
@@ -438,6 +558,10 @@ class Simulation:
                                 fired_pids=tuple(pids) if pids else (),
                             )
                         )
+            if fold and processed > limit:
+                # The heap might have dispatched its last group past the
+                # limit (the folded order ends elsewhere): let it decide.
+                raise _Unfoldable(math.inf)
         finally:
             self.pulses_processed = processed
             heap.max_depth = max_depth

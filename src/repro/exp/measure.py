@@ -557,9 +557,10 @@ class Measurer:
     def stats(self) -> Dict[str, object]:
         """Counters plus the ``cache`` block: ``result`` and ``compiled``
         LRUs, and ``result_disk`` and ``resolution_disk`` when a cache
-        directory is attached. ``resolution_disk`` holds the counters
-        alone: it is read twice per explore pass, and an entry count
-        would walk the namespace (``repro cache stats`` lists it)."""
+        directory is attached. The disk blocks hold the counters alone:
+        they are read per ``/stats`` request and twice per explore pass,
+        and an entry count would walk the namespace (``repro cache
+        stats`` lists them)."""
         tiers = self.results.stats()
         cache: Dict[str, object] = {
             "result": tiers["memory"],

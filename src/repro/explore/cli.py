@@ -121,6 +121,7 @@ def _render_text(sweep: SweepResult, passes: List[Dict[str, object]]) -> str:
             f"pass {i + 1}: {entry['seconds']:.3f} s, "
             f"{entry['computations']} computation(s), "
             f"{entry['result_cache_hits']} result-cache hit(s), "
+            f"{entry['result_disk_hits']} from disk, "
             f"{entry['elaborations']} elaboration(s), "
             f"{entry['resolution_disk_hits']} resolved from disk"
         )
@@ -193,10 +194,12 @@ def _render_csv(sweep: SweepResult) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
-def _resolution_hits(stats: dict) -> int:
-    """Points resolved from the ``resolutions`` store without elaborating."""
-    block = stats["cache"].get("resolution_disk")
-    return 0 if block is None else block["hits"]
+def _disk_hits(stats: dict, block: str) -> int:
+    """Hits of one disk namespace's counters (0 without a cache dir):
+    ``result_disk`` results read from disk, ``resolution_disk`` points
+    resolved without elaborating."""
+    counters = stats["cache"].get(block)
+    return 0 if counters is None else counters["hits"]
 
 
 def cmd_explore(args) -> int:
@@ -246,8 +249,11 @@ def cmd_explore(args) -> int:
                     - before["elaborations"],
                     "result_cache_hits": after["cache"]["result"]["hits"]
                     - before["cache"]["result"]["hits"],
-                    "resolution_disk_hits": _resolution_hits(after)
-                    - _resolution_hits(before),
+                    "result_disk_hits": _disk_hits(after, "result_disk")
+                    - _disk_hits(before, "result_disk"),
+                    "resolution_disk_hits":
+                    _disk_hits(after, "resolution_disk")
+                    - _disk_hits(before, "resolution_disk"),
                 }
             )
     except PylseError as err:

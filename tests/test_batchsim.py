@@ -154,6 +154,53 @@ class TestCounterStreams:
                 assert type(scalar) is float
                 assert scalar.hex() == expected.hex()
 
+    @given(
+        seeds=st.lists(SEEDS, min_size=1, max_size=5),
+        index=st.integers(0, 40),
+        delays=st.lists(
+            st.one_of(st.floats(0.0, 60.0), st.integers(0, 60)),
+            min_size=1, max_size=4,
+        ),
+        stddev=st.one_of(st.none(), st.floats(0.0, 80.0)),
+        fraction=st.floats(0.0, 3.0),
+        applies=st.booleans(),
+        draws=DRAWS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_constant_delay_resolver_is_lane_of_resolve(
+        self, seeds, index, delays, stddev, fraction, applies, draws
+    ):
+        """The per-run resolver of a circuit without distributions pops
+        the pre-drawn normals itself, refills included: still bit for bit
+        the lane's value."""
+        spec = VariabilitySpec.normalize(
+            {"stddev": stddev, "fraction": fraction}
+        )
+        wide = CounterNoise.for_seeds(seeds)
+        resolvers = [
+            _width1(seed, index, applies, spec).resolver(False)
+            for seed in seeds
+        ]
+        for k in range(draws):
+            delay = delays[k % len(delays)]
+            vector = wide.resolve(delay, index, spec, applies)
+            for lane, resolve in enumerate(resolvers):
+                scalar = resolve(delay, index)
+                expected = (
+                    vector if isinstance(vector, float)
+                    else vector[lane].item()
+                )
+                assert type(scalar) is float
+                assert scalar.hex() == expected.hex()
+
+    def test_resolver_keeps_the_general_path_where_needed(self):
+        spec = VariabilitySpec.normalize(True)
+        noise = CounterNoise.for_run(3, [True], spec)
+        assert noise.resolver(True) == noise.resolve_scalar
+        custom = VariabilitySpec.normalize(lambda delay, node: delay + 1.0)
+        noise = CounterNoise.for_run(3, [True], custom, [None])
+        assert noise.resolver(False) == noise.resolve_scalar
+
     def test_pre_drawn_table_matches_lanes(self):
         """Thousands of pre-drawn and refilled normals against batch
         lanes: a last-bit difference in ``log`` shows up about once in

@@ -327,3 +327,20 @@ class TestCacheCli:
         ]
         assert strip[0] == strip[1]
         assert all(p["cached"] for p in second["points"])
+
+    def test_explore_rerun_counts_disk_result_hits(self, tmp_path, capsys):
+        """A re-run served from the disk store counts its hits: the
+        memory tier of the new engine never saw them."""
+        store = str(tmp_path / "explore-store")
+        args = ["explore", "bitonic", "--grid", "n=2,4", "--seeds", "4",
+                "--cache-dir", store]
+        assert main(args + ["--format", "json"]) == 0
+        first = json.loads(capsys.readouterr().out)["passes"][0]
+        assert (first["result_cache_hits"], first["result_disk_hits"]) == (0, 0)
+        assert main(args + ["--format", "json"]) == 0
+        second = json.loads(capsys.readouterr().out)["passes"][0]
+        assert second["computations"] == 0
+        assert second["result_cache_hits"] == 0
+        assert second["result_disk_hits"] == 2
+        assert main(args) == 0
+        assert "0 result-cache hit(s), 2 from disk" in capsys.readouterr().out

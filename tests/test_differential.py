@@ -76,7 +76,10 @@ class FrozenFastSimulation(Simulation):
     """
 
     def _drain(self, heap, series, pulses_in, pulses_out, until,
-               max_pulses, observer, record, resolve, tie_source):
+               max_pulses, observer, record, resolve, tie_source,
+               fold=False):
+        # ``fold`` is ignored: the oracle dispatches every pulse from the
+        # heap, so it is also the unfolded reference for folded runs.
         assert not record, "oracle covers unrecorded runs"
         self.oracle_drained = True
         configs = {}

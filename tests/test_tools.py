@@ -74,6 +74,16 @@ class TestBenchGuard:
         assert medians["test_bitonic_scaling[8]"] == 6.5e-4
         assert medians["test_mc_yield_workers[1]"] == 0.74
 
+    def test_guarded_median_is_host_normalised(self):
+        """The bitonic-8 gate reads perfbench's reference job itself and
+        scales the median to a host where it takes REF_NOMINAL_S."""
+        guard = self._load()
+        reference_seconds, nominal = guard.perfbench_reference()
+        assert reference_seconds() > 0 and nominal == 0.0045
+        block = guard.guarded_block(500.0, 0.009, nominal)
+        assert block["normalized_us"] == 250.0
+        assert block["median_us"] == 500.0
+
     def test_guarded_benchmark_has_seed_baseline(self):
         guard = self._load()
         assert guard.GUARDED in guard.SEED_MEDIANS_US

@@ -9,8 +9,8 @@ in ``bench_mc_scaling.py``, the vectorized-drain comparison in
 ``bench_explore.py``, and the persistent-tier restart pairs in
 ``bench_disk_cache.py``) via pytest-benchmark, writes the medians
 to ``BENCH_sim.json`` at the repository root, and fails (exit code 1) if
-the bitonic-8 median regressed more than the tolerance against the
-committed baseline, if a repeated ``simulate()`` on a warm compile
+the bitonic-8 median, in host-normalised units, regressed more than the
+tolerance against the committed baseline, if a repeated ``simulate()`` on a warm compile
 cache is no faster than a cold compile+simulate, if the batched
 Monte-Carlo drain is less than 5x faster than its per-seed reference
 on any recorded design, if a bitonic-8 per-seed noisy run costs more
@@ -39,14 +39,25 @@ comparisons, but the benchmarks still exercise the hot paths end to end.
 The ``seed`` block in BENCH_sim.json records the pre-optimization medians
 and is carried forward verbatim so speedup-vs-seed stays visible across
 regenerations.
+
+The bitonic-8 gate compares host-normalised medians, not raw ones: the
+benchmark repository's reference job (``perfbench/run.py``,
+``reference_seconds``) is timed ``REF_READINGS`` times just before and
+after the bitonic group, and the median is scaled by ``REF_NOMINAL_S``
+over the median of those times, as perfbench scales its end-to-end
+latencies. The
+``guarded_normalized`` block of BENCH_sim.json records the raw median, the reference time and
+the normalised median the next run is held to.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -56,6 +67,11 @@ BENCH_FILE = ROOT / "BENCH_sim.json"
 
 #: The benchmark whose median is guarded against regression.
 GUARDED = "test_bitonic_scaling[8]"
+#: The benchmark group that runs it, timed between reference jobs.
+GUARDED_GROUP = 0
+#: Reference readings taken before and after that group; the median of
+#: all of them scales the guarded median.
+REF_READINGS = 5
 
 #: Medians measured on the seed revision (before the fast-path work),
 #: kept for the speedup-vs-seed figure when no baseline file exists yet.
@@ -134,10 +150,33 @@ MC_BATCHED_MIN_SPEEDUP = 5.0
 #: The bitonic-8 per-seed drain with variability off; the per-seed
 #: noisy median (every divergence replay and every ineligible design
 #: takes that path) may cost at most ``MC_PERSEED_MAX_RATIO`` times this
-#: one. The ratio measures 1.60-1.70 (docs/performance.md, "Counter
+#: one. The ratio measures 1.75-1.84 (docs/performance.md, "Counter
 #: noise", with its command and host).
 MC_PERSEED_NOMINAL = "test_mc_perseed_nominal"
 MC_PERSEED_MAX_RATIO = 2.1
+
+
+def perfbench_reference():
+    """perfbench's host-speed reference: ``(reference_seconds,
+    REF_NOMINAL_S)`` from ``perfbench/run.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_seconds, module.REF_NOMINAL_S
+
+
+def guarded_block(median_us: float, reference_s: float,
+                  nominal_s: float) -> dict:
+    """The guarded median, raw and scaled to a host whose reference job
+    takes ``nominal_s``."""
+    return {
+        "median_us": round(median_us, 3),
+        "reference_s": round(reference_s, 6),
+        "reference_nominal_s": nominal_s,
+        "normalized_us": round(median_us * nominal_s / reference_s, 3),
+    }
 
 
 def run_benchmarks(json_path: pathlib.Path | None, targets) -> None:
@@ -385,14 +424,24 @@ def main(argv=None) -> int:
     committed = {}
     if BENCH_FILE.exists():
         committed = json.loads(BENCH_FILE.read_text())
-        baseline = committed.get("medians_us", {}).get(GUARDED)
+        # Baselines in raw microseconds (before the normalised block)
+        # cannot be compared across hosts: they leave the gate unarmed.
+        baseline = committed.get("guarded_normalized", {}).get(
+            "normalized_us"
+        )
         seed_block = committed.get("seed_medians_us", seed_block)
 
+    reference_seconds, ref_nominal_s = perfbench_reference()
     medians_s = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, targets in enumerate(BENCH_GROUPS):
             raw = pathlib.Path(tmp) / f"bench{i}.json"
+            if i == GUARDED_GROUP:
+                readings = [reference_seconds() for _ in range(REF_READINGS)]
             run_benchmarks(raw, targets)
+            if i == GUARDED_GROUP:
+                readings += [reference_seconds() for _ in range(REF_READINGS)]
+                reference_s = statistics.median(readings)
             medians_s.update(extract_medians(raw))
 
     medians_us = {name: value * 1e6 for name, value in medians_s.items()}
@@ -401,9 +450,11 @@ def main(argv=None) -> int:
         raise SystemExit(f"guarded benchmark {GUARDED!r} missing from run")
 
     cpus = cpu_count()
+    guarded = guarded_block(guarded_us, reference_s, ref_nominal_s)
     doc = {
         "generated_by": "tools/bench_guard.py",
         "guarded": GUARDED,
+        "guarded_normalized": guarded,
         "tolerance": args.tolerance,
         "cpus": cpus,
         "seed_medians_us": seed_block,
@@ -435,21 +486,23 @@ def main(argv=None) -> int:
     }
 
     failed = False
+    normalized = guarded["normalized_us"]
+    measured = (
+        f"{GUARDED}: {normalized:.1f} normalised us ({guarded_us:.1f} us, "
+        f"reference job {reference_s * 1e3:.2f} ms)"
+    )
     if baseline is not None:
         limit = baseline * (1 + args.tolerance)
-        print(
-            f"{GUARDED}: {guarded_us:.1f} us "
-            f"(baseline {baseline:.1f} us, limit {limit:.1f} us)"
-        )
-        if guarded_us > limit:
+        print(f"{measured}, baseline {baseline:.1f}, limit {limit:.1f}")
+        if normalized > limit:
             print(
                 f"REGRESSION: median exceeds baseline by "
-                f"{guarded_us / baseline - 1:.1%} (> {args.tolerance:.0%})",
+                f"{normalized / baseline - 1:.1%} (> {args.tolerance:.0%})",
                 file=sys.stderr,
             )
             failed = True
     else:
-        print(f"{GUARDED}: {guarded_us:.1f} us (no committed baseline yet)")
+        print(f"{measured} (no committed normalised baseline yet)")
 
     cache = doc["compile_cache"]
     cold, warm = cache["simulate_cold_us"], cache["simulate_warm_us"]
